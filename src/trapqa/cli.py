@@ -63,6 +63,17 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _check_above_plane(pts: np.ndarray) -> None:
+    """Refuse points that are not finite or not above the electrode plane."""
+    pts = pts.reshape(-1, 3)
+    ok = np.isfinite(pts).all(axis=1) & (pts[:, 2] > 0.0)
+    if not ok.all():
+        x, y, z = pts[np.argmin(ok)] * 1e6
+        raise ValueError(
+            f"point ({x:g}, {y:g}, {z:g}) um is outside the half space z > 0 above the electrodes"
+        )
+
+
 # ---------------------------------------------------------------- dissipation
 
 
@@ -207,6 +218,7 @@ def _cmd_field(args) -> int:
     ys = np.linspace(*_parse_axis(args.y)) if args.y else np.array([0.0])
     zs = np.linspace(*_parse_axis(args.z)) if args.z else np.array([100e-6])
     pts = np.array([(x, y, z) for x in xs for y in ys for z in zs])
+    _check_above_plane(pts)
     phi = np.atleast_1d(potential_at(geometry, voltages, pts))
     e = np.atleast_2d(field_at(geometry, voltages, pts))
     buf = io.StringIO()
@@ -229,7 +241,8 @@ def _cmd_strayfield(args) -> int:
     reference = {k: float(v) for k, v in _load_json(args.reference).items()}
     point = np.array([float(c) * 1e-6 for c in args.point.split(",")])
     if point.shape != (3,):
-        raise SystemExit(2)
+        raise ValueError(f"--point needs x,y,z in um, got {args.point!r}")
+    _check_above_plane(point)
     e = stray_field(geometry, applied, reference, point)
     atomic_write_text(
         args.out,
@@ -273,7 +286,7 @@ def _cmd_diagnose(args) -> int:
     else:
         fault = spec.get("fault")
         if fault is None:
-            raise SystemExit(2)
+            raise ValueError("scenario has no 'fault'; give one or pass --measurements")
         scenario = FaultScenario(
             kind=fault["kind"],
             electrode=fault.get("electrode"),
@@ -309,7 +322,7 @@ def _cmd_thermo(args) -> int:
         fit_info = {"preset": args.preset}
     else:
         if not args.calibration:
-            raise SystemExit(2)
+            raise ValueError("thermo needs --preset or --calibration")
         t, r, s = [], [], []
         with open(args.calibration, "r", encoding="utf-8") as fh:
             for rec in csv.DictReader(fh):
@@ -361,7 +374,7 @@ def _cmd_heating(args) -> int:
     else:
         records = list(heat.site_rates(args.site if args.site is not None else 10))
     if len(records) < 3:
-        raise SystemExit(2)
+        raise ValueError(f"power-law fit needs at least 3 records, got {len(records)}")
     fit = heat.power_law_fit(
         [r.frequency_mhz for r in records],
         [r.rate for r in records],

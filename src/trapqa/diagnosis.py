@@ -172,11 +172,21 @@ def simulate_positions(
     axis: tuple[float, float] | None = None,
     tol: float = SEARCH_TOL,
 ) -> list[PositionMeasurement]:
-    """Predicted axial positions for each global scale factor."""
+    """Predicted axial positions for each global scale factor.
+
+    Raises ``ValueError`` when a minimum is pinned at a window edge: the
+    window then misses the well and the edge is no position of the ion.
+    """
     out = []
     for s in scales:
         phi = axial_potential(geometry, voltages, scenario, s, axis=axis)
         eq = equilibrium_position(phi, window, tol=tol)
+        if eq.at_boundary:
+            raise ValueError(
+                f"scale {s:g}: the minimum is pinned at the window edge "
+                f"{eq.position * 1e6:g} um; the window "
+                f"[{window[0] * 1e6:g}, {window[1] * 1e6:g}] um misses the well"
+            )
         out.append(PositionMeasurement(scale=float(s), position=eq.position))
     return out
 

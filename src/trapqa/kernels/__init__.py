@@ -1,17 +1,7 @@
-"""Rectangle potential/field kernels with backend selection.
+"""Rectangle potential/field kernels.
 
-Two interchangeable implementations of the hot loops exist:
-
-* ``trapqa.kernels._rect_cy`` - Cython, built by ``setup.py`` when a compiler
-  is available,
-* ``trapqa.kernels.rect_np`` - vectorized numpy, always available.
-
-The compiled backend is preferred. Set the environment variable
-``TRAPQA_KERNEL=python`` (or ``cython``) before import to force a choice;
-forcing ``cython`` raises if the extension is missing rather than silently
-falling back.
-
-Both backends implement the same two functions:
+Every potential and field in trapqa comes from the gapless-plane rectangle
+closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
 
 ``rect_potential_sum(rects, volts, points)``
     Potential (V) of a set of in-plane rectangles at unit-referenced voltages,
@@ -20,35 +10,13 @@ Both backends implement the same two functions:
 
 ``rect_field_sum(rects, volts, points)``
     Electric field ``E = -grad(phi)`` of the same set, returns ``(N, 3)``.
+
+Points are evaluated in blocks, so memory stays bounded for any ``N``.
+``BACKEND`` names the implementation in use.
 """
 
-import os
+from .rect_np import rect_field_sum, rect_potential_sum
 
-_requested = os.environ.get("TRAPQA_KERNEL", "").strip().lower()
-if _requested not in ("", "cython", "python"):
-    raise RuntimeError(
-        f"TRAPQA_KERNEL must be 'cython' or 'python', got {_requested!r}"
-    )
-
-if _requested == "python":
-    from . import rect_np as _impl
-
-    BACKEND = "python"
-elif _requested == "cython":
-    from . import _rect_cy as _impl  # type: ignore[attr-defined]
-
-    BACKEND = "cython"
-else:
-    try:
-        from . import _rect_cy as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import rect_np as _impl
-
-        BACKEND = "python"
-
-rect_potential_sum = _impl.rect_potential_sum
-rect_field_sum = _impl.rect_field_sum
+BACKEND = "python"
 
 __all__ = ["BACKEND", "rect_potential_sum", "rect_field_sum"]

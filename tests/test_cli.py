@@ -211,6 +211,70 @@ def test_missing_input_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def _refused(capsys, *args):
+    """Run a command that must refuse: exit 2 with a message on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip()
+    return err
+
+
+def _stray_inputs(tmp_path):
+    applied = tmp_path / "applied.json"
+    reference = tmp_path / "ref.json"
+    applied.write_text(json.dumps({"CP1": 0.5}))
+    reference.write_text(json.dumps({"CP1": 0.0}))
+    return ["strayfield", "--applied", applied, "--reference", reference]
+
+
+@pytest.mark.parametrize("case", ["strayfield_point", "heating_few", "diagnose_no_fault", "thermo_no_input"])
+def test_input_errors_exit_2_with_message(tmp_path, capsys, case):
+    out = tmp_path / "out.json"
+    if case == "strayfield_point":
+        args = _stray_inputs(tmp_path) + ["--point", "1,2", "--out", out]
+    elif case == "heating_few":
+        table = tmp_path / "rates.csv"
+        table.write_text("site,frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s\n3,1.0,20.0,0.5\n")
+        args = ["heating", "--csv", table, "--out", out]
+    elif case == "diagnose_no_fault":
+        args = ["diagnose", "--scenario", _scenario(tmp_path, None), "--out", out]
+    else:
+        args = ["thermo", "--resistance", 1000.0, "--out", out]
+    _refused(capsys, *args)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("z", ["-50:-50:1", "0:0:1", "nan:nan:1", "-10:90:3"])
+def test_field_below_plane_exits_2(tmp_path, capsys, z):
+    volts = tmp_path / "volts.json"
+    volts.write_text(json.dumps({"DC18": 1.0}))
+    out = tmp_path / "scan.csv"
+    err = _refused(capsys, "field", "--voltages", volts, "--y=42:42:1", f"--z={z}", "--out", out)
+    assert "z > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("point", ["0,42.3,-124.4", "0,42.3,0", "inf,42.3,124.4"])
+def test_strayfield_below_plane_exits_2(tmp_path, capsys, point):
+    out = tmp_path / "stray.json"
+    err = _refused(capsys, *_stray_inputs(tmp_path), "--point", point, "--out", out)
+    assert "z > 0" in err
+    assert not out.exists()
+
+
+def test_diagnose_window_missing_well_exits_2(tmp_path, capsys):
+    spec = json.loads(_scenario(tmp_path, {"kind": "SHORTED", "electrode": "DC19"}).read_text())
+    spec["window_um"] = [200, 400]
+    scenario = tmp_path / "missed.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "diag.json"
+    err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
+    assert "scale 1:" in err and "window edge 400 um" in err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
