@@ -63,17 +63,6 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _check_above_plane(pts: np.ndarray) -> None:
-    """Refuse points that are not finite or not above the electrode plane."""
-    pts = pts.reshape(-1, 3)
-    ok = np.isfinite(pts).all(axis=1) & (pts[:, 2] > 0.0)
-    if not ok.all():
-        x, y, z = pts[np.argmin(ok)] * 1e6
-        raise ValueError(
-            f"point ({x:g}, {y:g}, {z:g}) um is outside the half space z > 0 above the electrodes"
-        )
-
-
 # ---------------------------------------------------------------- dissipation
 
 
@@ -218,7 +207,6 @@ def _cmd_field(args) -> int:
     ys = np.linspace(*_parse_axis(args.y)) if args.y else np.array([0.0])
     zs = np.linspace(*_parse_axis(args.z)) if args.z else np.array([100e-6])
     pts = np.array([(x, y, z) for x in xs for y in ys for z in zs])
-    _check_above_plane(pts)
     phi = np.atleast_1d(potential_at(geometry, voltages, pts))
     e = np.atleast_2d(field_at(geometry, voltages, pts))
     buf = io.StringIO()
@@ -242,7 +230,6 @@ def _cmd_strayfield(args) -> int:
     point = np.array([float(c) * 1e-6 for c in args.point.split(",")])
     if point.shape != (3,):
         raise ValueError(f"--point needs x,y,z in um, got {args.point!r}")
-    _check_above_plane(point)
     e = stray_field(geometry, applied, reference, point)
     atomic_write_text(
         args.out,

@@ -17,6 +17,20 @@ __all__ = [
 ]
 
 
+def _check_above_plane(pts: np.ndarray) -> None:
+    """Refuse points that are not finite or not above the electrode plane.
+
+    The closed forms hold only in the half space z > 0; below the plane they
+    return values that break the maximum principle instead of failing.
+    """
+    ok = np.isfinite(pts).all(axis=1) & (pts[:, 2] > 0.0)
+    if not ok.all():
+        x, y, z = pts[np.argmin(ok)] * 1e6
+        raise ValueError(
+            f"point ({x:g}, {y:g}, {z:g}) um is outside the half space z > 0 above the electrodes"
+        )
+
+
 def rect_potential(rect, voltage: float, point) -> float:
     """Potential of a single rectangle ``(x1, x2, y1, y2)`` at one point.
 
@@ -24,13 +38,18 @@ def rect_potential(rect, voltage: float, point) -> float:
     """
     rects = np.asarray(rect, dtype=float).reshape(1, 4)
     pts = np.asarray(point, dtype=float).reshape(1, 3)
+    _check_above_plane(pts)
     return float(kernels.rect_potential_sum(rects, np.array([voltage]), pts)[0])
 
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
+    """``points`` as an (N, 3) array, checked to lie above the plane, and
+    whether a single (3,) point was given."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    return pts.reshape(-1, 3), single
+    pts = pts.reshape(-1, 3)
+    _check_above_plane(pts)
+    return pts, single
 
 
 def potential_at(geometry: TrapGeometry, voltages: dict, points):

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..core import DriveParams, IonSpecies
 from .fields import field_at, pseudopotential, total_potential
@@ -28,6 +27,65 @@ class TrapMinimum:
     depth: float
 
 
+# Batched Newton search for the RF nulls. The Jacobian comes from central
+# differences at a step proportional to the height, small enough that its
+# truncation error only slows the last iterations, not where they converge.
+_FD_STEP = 1e-4  # finite-difference step / height
+_STEP_TOL = 1e-12  # converged once the step is below this / height
+_MAX_ITER = 60
+_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _newton_nulls(geometry, x, window, grid):
+    """Converged zeros of (E_y, E_z) from a ``grid x grid`` lattice of seeds.
+
+    All active seeds advance together: one ``field_at`` call per iteration
+    evaluates each seed and its four +-h neighbours, and one batched solve
+    gives every Newton step. A step is scaled down so that it at most halves
+    the seed's height, so no evaluated point reaches z <= 0. A seed retires
+    when its step is below the tolerance (converged), when it moves beside
+    or above the window by more than the window's own size, or when its
+    Jacobian is singular or its step not finite.
+    Returns the converged (y, z) in seed order, y outer and z inner.
+    """
+    (y_lo, y_hi), (z_lo, z_hi) = window
+    dy, dz = y_hi - y_lo, z_hi - z_lo
+    unit_volts = {i: 1.0 for i in geometry.ids(role="rf")}
+    ys, zs = np.meshgrid(np.linspace(y_lo, y_hi, grid), np.linspace(z_lo, z_hi, grid), indexing="ij")
+    yz = np.column_stack([ys.ravel(), zs.ravel()])
+    converged = np.zeros(len(yz), dtype=bool)
+    active = np.arange(len(yz))
+
+    for _ in range(_MAX_ITER):
+        if active.size == 0:
+            break
+        p = yz[active]
+        h = _FD_STEP * p[:, 1]
+        stencil = (p[:, None, :] + h[:, None, None] * _STENCIL).reshape(-1, 2)
+        pts = np.column_stack([np.full(len(stencil), x), stencil])
+        e = field_at(geometry, unit_volts, pts)[:, 1:].reshape(-1, 5, 2)
+        # jac[k, i, j] = d E_i / d (y, z)_j for seed k
+        jac = np.stack([e[:, 1] - e[:, 2], e[:, 3] - e[:, 4]], axis=2) / (2.0 * h[:, None, None])
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        scale = np.abs(jac[:, 0, 0] * jac[:, 1, 1]) + np.abs(jac[:, 0, 1] * jac[:, 1, 0])
+        ok = np.isfinite(det) & (np.abs(det) > 1e-12 * scale)
+        active, p = active[ok], p[ok]
+        step = -np.linalg.solve(jac[ok], e[ok, 0][:, :, None])[:, :, 0]
+        ok = np.isfinite(step).all(axis=1)
+        active, p, step = active[ok], p[ok], step[ok]
+
+        # shrink the step so the height at most halves: no point reaches z <= 0
+        step *= np.minimum(1.0, 0.5 * p[:, 1] / np.maximum(-step[:, 1], 0.5 * p[:, 1]))[:, None]
+        p = p + step
+        yz[active] = p
+        done = np.abs(step).max(axis=1) <= _STEP_TOL * p[:, 1]
+        converged[active[done]] = True
+        inside = (p[:, 0] >= y_lo - dy) & (p[:, 0] <= y_hi + dy) & (p[:, 1] <= z_hi + dz)
+        active = active[~done & inside]
+
+    return [tuple(q) for q in yz[converged]]
+
+
 def find_rf_minima(
     geometry: TrapGeometry,
     ion: IonSpecies,
@@ -39,11 +97,15 @@ def find_rf_minima(
 ) -> list[TrapMinimum]:
     """Locate RF nulls in the transverse (y, z) plane at fixed ``x``.
 
-    Seeds an ``grid x grid`` lattice over ``window = ((y_lo, y_hi),
-    (z_lo, z_hi))`` and root-finds the transverse RF field components from
-    each seed. Converged roots inside the window with a positive-definite
-    transverse curvature are kept, deduplicated within ``dedup_tol`` (1 um by
-    default), and returned sorted by y.
+    Seeds a ``grid x grid`` lattice over ``window = ((y_lo, y_hi),
+    (z_lo, z_hi))`` and solves E_y = E_z = 0 of the unit-volt RF field from
+    all seeds at once by a damped Newton iteration: one field evaluation per
+    iteration covers every active seed with its finite-difference
+    neighbours, and every evaluated point stays above the electrode plane.
+    Seeds that do not converge (singular Jacobian, leaving the window far
+    behind, iteration limit) are dropped. Converged nulls inside the window
+    with a positive-definite transverse curvature are kept, deduplicated
+    within ``dedup_tol`` (1 um by default), and returned sorted by y.
 
     For an RF-only drive the pseudopotential is q^2 |E|^2 / (4 m Omega^2),
     so its minima with zero value are exactly the nulls of E; minima at
@@ -53,30 +115,18 @@ def find_rf_minima(
     (y_lo, y_hi), (z_lo, z_hi) = window
     if not (y_hi > y_lo and z_hi > z_lo and z_lo > 0):
         raise ValueError("window must be (y_lo < y_hi, 0 < z_lo < z_hi)")
-
-    rf_ids = geometry.ids(role="rf")
-    if not rf_ids:
+    if not geometry.ids(role="rf"):
         raise ValueError("geometry has no RF electrodes")
-    unit_volts = {i: 1.0 for i in rf_ids}
-
-    def e_perp(yz):
-        e = field_at(geometry, unit_volts, np.array([x, yz[0], yz[1]]))
-        return [e[1], e[2]]
 
     found = []
-    for ys in np.linspace(y_lo, y_hi, grid):
-        for zs in np.linspace(z_lo, z_hi, grid):
-            sol = optimize.root(e_perp, [ys, zs], method="hybr", tol=1e-14)
-            if not sol.success:
-                continue
-            y0, z0 = sol.x
-            if not (y_lo - dedup_tol <= y0 <= y_hi + dedup_tol):
-                continue
-            if not (z_lo - dedup_tol <= z0 <= z_hi + dedup_tol):
-                continue
-            if any(abs(y0 - fy) < dedup_tol and abs(z0 - fz) < dedup_tol for fy, fz in found):
-                continue
-            found.append((y0, z0))
+    for y0, z0 in _newton_nulls(geometry, x, window, grid):
+        if not (y_lo - dedup_tol <= y0 <= y_hi + dedup_tol):
+            continue
+        if not (z_lo - dedup_tol <= z0 <= z_hi + dedup_tol):
+            continue
+        if any(abs(y0 - fy) < dedup_tol and abs(z0 - fz) < dedup_tol for fy, fz in found):
+            continue
+        found.append((y0, z0))
 
     minima = []
     for y0, z0 in found:

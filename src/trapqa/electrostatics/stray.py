@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import DriveParams, IonSpecies
-from .fields import basis_field
+from .fields import _as_points, basis_field
 from .geometry import TrapGeometry
 
 __all__ = ["stray_field", "micromotion_index", "MicromotionReport"]
@@ -27,9 +27,7 @@ def stray_field(
     evaluated at ``points``. Electrodes missing from either dict count as 0 V
     there. Returns (3,) for a single point, else (N, 3).
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 3)
+    pts, single = _as_points(points)
     total = np.zeros((len(pts), 3))
     for eid in sorted(set(applied) | set(reference)):
         dv = applied.get(eid, 0.0) - reference.get(eid, 0.0)

@@ -122,7 +122,8 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
 
     ``sigma`` weights the residuals when given. Theta is constrained to the
     aluminum-like window 100..600 K; starting values come from the data
-    (residual from the coldest point, amplitude from the warmest).
+    (residual from the coldest point, amplitude from the warmest). Raises
+    ``ValueError`` with the solver status when the fit does not converge.
     """
     t = np.asarray(temperatures, dtype=float)
     r = np.asarray(resistances, dtype=float)
@@ -149,6 +150,11 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
         xtol=1e-12,
         ftol=1e-12,
     )
+    if not res.success:
+        raise ValueError(
+            f"R(T) fit failed: least_squares status {res.status} after {res.nfev} "
+            f"evaluations ({res.message})"
+        )
     model = RTModel(r_res=float(res.x[0]), amplitude=float(res.x[1]), theta=float(res.x[2]))
     # covariance from the Jacobian at the solution
     jac = res.jac

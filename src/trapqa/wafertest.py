@@ -534,6 +534,24 @@ def _noise(v: float, i: float, rng) -> tuple[float, float]:
     return v + rng.normal(0.0, 1e-6), i + rng.normal(0.0, 1e-10)
 
 
+def _check_faults(netlist: ChipNetlist, faults, plan_length: int) -> None:
+    """Refuse faults the chip cannot host: unknown nets, HW_FAIL past the plan.
+
+    Left in, such a fault is never exercised and the chip would report a
+    confident PASS, or fail on a lookup of the unknown net.
+    """
+    for f in faults:
+        if f.kind == "HW_FAIL":
+            if f.step_index >= plan_length:
+                raise ValueError(
+                    f"HW_FAIL fault at step {f.step_index} is past the {plan_length}-step plan"
+                )
+            continue
+        for net_id in (f.net, f.other) if f.kind == "SHORT" else (f.net,):
+            if net_id not in netlist._index:
+                raise ValueError(f"{f.kind} fault names net {net_id!r}, which is not in the netlist")
+
+
 def run_chip(
     netlist: ChipNetlist,
     faults=(),
@@ -544,9 +562,11 @@ def run_chip(
 
     ``steps_executed`` counts the aborting step itself, so a defect caught at
     the very first step reports 1. Elapsed time is the fixed per-step cost
-    times the number of executed steps.
+    times the number of executed steps. Raises ``ValueError`` for a fault on
+    a net the netlist lacks or an ``HW_FAIL`` step beyond the plan.
     """
     plan = build_plan(netlist)
+    _check_faults(netlist, faults, len(plan))
     log = []
     for step in plan:
         rec = simulate_step(netlist, faults, step, limits, rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trapqa import thermometry
 from trapqa.core import CA40, DriveParams
 from trapqa.electrostatics import find_rf_minima, paper_trap_geometry
 
@@ -17,7 +18,6 @@ def drive():
 
 @pytest.fixture(scope="session")
 def rf_minima(geometry, drive):
-    # the null search is the slowest fixture; share it across the session
     window = ((-150e-6, 150e-6), (40e-6, 250e-6))
     return find_rf_minima(geometry, CA40, drive, window)
 
@@ -25,3 +25,12 @@ def rf_minima(geometry, drive):
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=1234))
+
+
+@pytest.fixture
+def starved_fit(monkeypatch):
+    """Make every R(T) fit stop after one evaluation, unconverged."""
+    real = thermometry.optimize.least_squares
+    monkeypatch.setattr(
+        thermometry.optimize, "least_squares", lambda *a, **kw: real(*a, **{**kw, "max_nfev": 1})
+    )

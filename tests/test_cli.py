@@ -49,6 +49,18 @@ def test_wafertest_faulty_chip_exits_1(tmp_path):
     assert "CONTINUITY_FAIL" in log.read_text()
 
 
+@pytest.mark.parametrize(
+    "fault", [{"kind": "OPEN", "net": "DC99"}, {"kind": "HW_FAIL", "step_index": 999}]
+)
+def test_wafertest_unhostable_fault_exits_2(tmp_path, capsys, fault):
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps({"faults": [fault]}))
+    log = tmp_path / "steps.csv"
+    err = _refused(capsys, "wafertest", "--faults", faults, "--out", log)
+    assert "DC99" in err or "step 999" in err
+    assert not log.exists()
+
+
 def test_yieldmap_artifacts_are_deterministic(tmp_path):
     paths = {}
     for tag in ("a", "b"):
@@ -261,6 +273,15 @@ def test_strayfield_below_plane_exits_2(tmp_path, capsys, point):
     out = tmp_path / "stray.json"
     err = _refused(capsys, *_stray_inputs(tmp_path), "--point", point, "--out", out)
     assert "z > 0" in err
+    assert not out.exists()
+
+
+def test_thermo_unconverged_fit_exits_2(tmp_path, capsys, starved_fit):
+    cal = tmp_path / "cal.csv"
+    cal.write_text("T_K,R_ohm\n4,2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")
+    out = tmp_path / "fit.json"
+    err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert "status 0" in err
     assert not out.exists()
 
 

@@ -13,8 +13,10 @@ frequency.
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.integrate import solve_ivp
 
+from trapqa import kernels
 from trapqa.core import CA40, DriveParams
 from trapqa.electrostatics import (
     Electrode,
@@ -31,6 +33,84 @@ from trapqa.electrostatics import (
     secular_frequencies,
     stray_field,
 )
+
+
+NULL_WINDOW = ((-150e-6, 150e-6), (40e-6, 250e-6))  # the conftest window
+
+
+def reference_nulls(geometry, window, x=0.0, grid=11, dedup_tol=1e-6):
+    """Scalar reference for the null search: one ``scipy.optimize.root`` per
+    seed on one-point kernel calls, then the window filter and the dedup.
+
+    It calls the kernel directly because its steps may leave z > 0, which
+    the fields layer refuses.
+    """
+    (y_lo, y_hi), (z_lo, z_hi) = window
+    rects, volts = geometry.rect_arrays({i: 1.0 for i in geometry.ids(role="rf")})
+
+    def e_perp(yz):
+        e = kernels.rect_field_sum(rects, volts, np.array([[x, yz[0], yz[1]]]))[0]
+        return [e[1], e[2]]
+
+    found = []
+    for ys in np.linspace(y_lo, y_hi, grid):
+        for zs in np.linspace(z_lo, z_hi, grid):
+            sol = optimize.root(e_perp, [ys, zs], method="hybr", tol=1e-14)
+            if not sol.success:
+                continue
+            y0, z0 = sol.x
+            if not (y_lo - dedup_tol <= y0 <= y_hi + dedup_tol):
+                continue
+            if not (z_lo - dedup_tol <= z0 <= z_hi + dedup_tol):
+                continue
+            if any(abs(y0 - fy) < dedup_tol and abs(z0 - fz) < dedup_tol for fy, fz in found):
+                continue
+            found.append((y0, z0))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "window, x",
+    [
+        (NULL_WINDOW, 0.0),
+        (((0.0, 150e-6), (40e-6, 250e-6)), 0.0),  # one null
+        (((100e-6, 150e-6), (40e-6, 250e-6)), 0.0),  # no null
+        (NULL_WINDOW, 100e-6),
+    ],
+)
+def test_null_search_matches_scalar_reference(geometry, drive, window, x):
+    want = reference_nulls(geometry, window, x)
+    got = find_rf_minima(geometry, CA40, drive, window, x=x)
+    assert len(got) == len(want)
+    for m, (y0, z0) in zip(got, want):
+        assert m.position[0] == x
+        assert abs(m.position[1] - y0) < 1e-12
+        assert abs(m.position[2] - z0) < 1e-12
+
+
+def _kernel_points(monkeypatch, geometry, drive):
+    """Run a null search on the conftest window, recording every kernel call."""
+    seen = []
+    for name in ("rect_field_sum", "rect_potential_sum"):
+        real = getattr(kernels, name)
+
+        def recorded(rects, volts, points, real=real):
+            seen.append(np.array(points, dtype=float).reshape(-1, 3))
+            return real(rects, volts, points)
+
+        monkeypatch.setattr(kernels, name, recorded)
+    minima = find_rf_minima(geometry, CA40, drive, NULL_WINDOW)
+    assert len(minima) == 2
+    return seen
+
+
+def test_null_search_stays_above_plane(monkeypatch, geometry, drive):
+    seen = _kernel_points(monkeypatch, geometry, drive)
+    assert min(p[:, 2].min() for p in seen) > 0.0
+
+
+def test_null_search_batches_kernel_calls(monkeypatch, geometry, drive):
+    assert len(_kernel_points(monkeypatch, geometry, drive)) <= 100
 
 
 def test_two_nulls_at_expected_height(rf_minima):

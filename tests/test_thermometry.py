@@ -81,6 +81,14 @@ def test_fit_recovers_parameters_with_noise(rng):
     assert fit.model.theta == pytest.approx(truth.theta, rel=0.02)
 
 
+def test_fit_refuses_unconverged_solver(starved_fit):
+    truth = RTModel(r_res=8000.0, amplitude=5100.0, theta=180.0)
+    ts = np.linspace(4.0, 300.0, 40)
+    rs = model_resistance(truth, ts)
+    with pytest.raises(ValueError, match=r"status 0 after 1 evaluations"):
+        fit_rt_curve(ts, rs)
+
+
 def test_invert_is_identity():
     model = SENSOR_PRESETS["TS1"]
     for t in (5.0, 10.0, 12.5, 77.0, 295.0):

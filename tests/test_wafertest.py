@@ -88,6 +88,30 @@ def test_abort_counts_failing_step(netlist, plan):
     assert result.elapsed_s == pytest.approx((idx + 1) * 0.01625, rel=1e-12)
 
 
+def test_hw_fail_at_last_step(netlist, plan):
+    result = run_chip(netlist, (Fault.hw_fail(len(plan) - 1),))
+    assert result.outcome == "HW_FAIL"
+    assert result.steps_executed == len(plan)
+
+
+@pytest.mark.parametrize(
+    "fault, named",
+    [
+        (Fault.open("DC99"), "'DC99'"),
+        (Fault.short("DC01", "XX", 1e6), "'XX'"),
+        (Fault.short("XX", "DC01", 1e6), "'XX'"),
+        (Fault.leak_to_gnd("DC99", 1e6), "'DC99'"),
+        (Fault.resistance_shift("XX", 4.0), "'XX'"),
+        (Fault.hw_fail(480), "step 480"),
+        (Fault.hw_fail(999), "step 999"),
+    ],
+)
+def test_run_chip_refuses_faults_the_netlist_cannot_host(netlist, fault, named):
+    # each used to give a confident PASS or a bare KeyError mid-plan
+    with pytest.raises(ValueError, match=named):
+        run_chip(netlist, (Fault.open("DC01"), fault))
+
+
 def test_short_between_dc_nets(netlist):
     result = run_chip(netlist, (Fault.short("DC05", "DC09", 1e6),))
     assert result.outcome == "LEAK_DC_DC"
