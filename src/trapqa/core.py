@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 __all__ = [
     "Material",
@@ -23,7 +22,14 @@ __all__ = [
     "MATERIALS",
     "RF_TRACES",
     "CA40",
+    "ATOMIC_MASS",
+    "ELEMENTARY_CHARGE",
 ]
+
+# CODATA 2022 values, as scipy.constants gives them; written out so that
+# importing trapqa does not load scipy.
+ATOMIC_MASS = 1.66053906892e-27  # kg
+ELEMENTARY_CHARGE = 1.602176634e-19  # C
 
 
 @dataclass(frozen=True)
@@ -83,12 +89,12 @@ class IonSpecies:
     @property
     def mass(self) -> float:
         """Mass in kg."""
-        return self.mass_amu * constants.atomic_mass
+        return self.mass_amu * ATOMIC_MASS
 
     @property
     def charge(self) -> float:
         """Charge in C."""
-        return self.charge_e * constants.e
+        return self.charge_e * ELEMENTARY_CHARGE
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,13 @@ A floating electrode and trapped charge act identically under this probe
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import kernels
+from .electrostatics.fields import _check_above_plane
 from .electrostatics.geometry import TrapGeometry
+
+# scipy is imported inside equilibrium_position: loading it takes about a
+# second, which every CLI command would pay at import time.
 
 __all__ = [
     "FaultScenario",
@@ -108,13 +111,15 @@ def axial_potential(
 
     ``axis`` is the (y, z) of the line scanned; defaults to the geometry's
     ``ion_axis``. Charge rectangles contribute at their fixed effective
-    voltage regardless of ``scale``.
+    voltage regardless of ``scale``. Raises ``ValueError`` when the axis is
+    not finite or not above the electrode plane (z > 0).
     """
     if axis is None:
         axis = geometry.ion_axis
     if axis is None:
         raise ValueError("geometry has no ion_axis; pass axis=(y, z)")
     y0, z0 = axis
+    _check_above_plane(np.array([[0.0, y0, z0]], dtype=float))
     volts = scenario_voltages(voltages, scenario, scale)
     rects, vals = geometry.rect_arrays(volts)
     if scenario.kind == "GAP_CHARGE" and scenario.charge_voltage != 0.0:
@@ -154,6 +159,8 @@ def equilibrium_position(
     k = int(np.argmin(vals))
     if k == 0 or k == coarse - 1:
         return EquilibriumResult(position=float(xs[k]), value=float(vals[k]), at_boundary=True)
+    from scipy import optimize
+
     res = optimize.minimize_scalar(
         lambda x: float(potential(float(x))),
         bounds=(xs[k - 1], xs[k + 1]),

@@ -21,7 +21,9 @@ sensitivities, so the presets carry a dominant residual term.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+
+# scipy is imported inside the functions that call it: loading it takes about
+# a second, which every CLI command would pay at import time.
 
 __all__ = [
     "RTModel",
@@ -65,6 +67,8 @@ def bg_integral(upper: float) -> float:
     """
     if upper <= 0:
         return 0.0
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda x: x**5 / ((np.exp(x) - 1.0) * (1.0 - np.exp(-x))),
         0.0,
@@ -143,6 +147,8 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
         m = RTModel(r_res=max(p[0], 0.0), amplitude=max(p[1], 1e-12), theta=p[2])
         return (model_resistance(m, t) - r) / s
 
+    from scipy import optimize
+
     res = optimize.least_squares(
         residuals,
         x0=[r_res0, a0, theta0],
@@ -200,6 +206,8 @@ def invert_temperature(
             f"resistance {resistance:.6g} ohm outside model range "
             f"[{r_lo:.6g}, {r_hi:.6g}] for T in [{lo}, {hi}] K"
         )
+    from scipy import optimize
+
     t = optimize.brentq(
         lambda x: model_resistance(model, x) - resistance, lo, hi, xtol=1e-9
     )

@@ -26,6 +26,7 @@ Simulation is deterministic: nominal isolation is perfect and measurement
 noise is off unless an explicit RNG is provided.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -348,8 +349,13 @@ def load_faults(path) -> tuple[Fault, ...]:
         return faults_from_dict(json.load(fh))
 
 
+@functools.lru_cache(maxsize=16)
 def build_plan(netlist: ChipNetlist) -> tuple[TestStep, ...]:
-    """The four-phase plan, intra-phase order ascending by net id (then pad)."""
+    """The four-phase plan, intra-phase order ascending by net id (then pad).
+
+    The plan depends only on the (frozen) netlist, so it is built once per
+    netlist and the same tuple of frozen steps is returned to every caller.
+    """
     steps = []
 
     def add(kind, net, pass_index=0, pad=None):

@@ -14,7 +14,9 @@ edge exclusion 3.25 mm with the shot grid centered on the wafer give exactly
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+# scipy is imported inside the two statistics that use it, so that loading
+# the layout and the map renderers costs no scipy import.
 
 __all__ = [
     "WaferLayout",
@@ -207,13 +209,15 @@ def reticle_periodicity(
     n_total = sum(per_cell_sites.values())
     rate = total_fail / n_total if n_total else 0.0
     threshold = alpha / 9.0  # Bonferroni over the reticle
+    from scipy import special
 
     out = []
     for cell in sorted(per_cell_sites):
         n = per_cell_sites[cell]
         k = per_cell_fails.get(cell, 0)
-        # P(X >= k), X ~ Binomial(n, rate)
-        p = float(stats.binom.sf(k - 1, n, rate)) if k > 0 else 1.0
+        # P(X >= k), X ~ Binomial(n, rate): the regularized incomplete beta
+        # I_rate(k, n - k + 1), bit for bit what scipy.stats.binom.sf gives
+        p = float(special.betainc(k, n - k + 1, rate)) if k > 0 else 1.0
         out.append(
             CellStat(
                 cell=cell,
@@ -274,8 +278,10 @@ def edge_concentration(
     if var == 0.0:
         z, p = 0.0, 1.0
     else:
+        from scipy import special
+
         z = (pe - pi) / np.sqrt(var)
-        p = float(stats.norm.sf(z))
+        p = float(special.ndtr(-z))  # upper normal tail, as scipy.stats.norm.sf
     return EdgeStat(
         n_edge=ne,
         n_edge_fail=fe,

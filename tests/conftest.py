@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from trapqa import thermometry
 from trapqa.core import CA40, DriveParams
 from trapqa.electrostatics import find_rf_minima, paper_trap_geometry
 
@@ -30,7 +29,9 @@ def rng():
 @pytest.fixture
 def starved_fit(monkeypatch):
     """Make every R(T) fit stop after one evaluation, unconverged."""
-    real = thermometry.optimize.least_squares
+    from scipy import optimize
+
+    real = optimize.least_squares
     monkeypatch.setattr(
-        thermometry.optimize, "least_squares", lambda *a, **kw: real(*a, **{**kw, "max_nfev": 1})
+        optimize, "least_squares", lambda *a, **kw: real(*a, **{**kw, "max_nfev": 1})
     )

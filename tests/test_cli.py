@@ -296,6 +296,17 @@ def test_diagnose_window_missing_well_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_diagnose_axis_below_plane_exits_2(tmp_path, capsys):
+    spec = json.loads(_scenario(tmp_path, {"kind": "SHORTED", "electrode": "DC19"}).read_text())
+    spec["axis_um"] = {"y": 42.3, "z": -124.4}
+    scenario = tmp_path / "below.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "diag.json"
+    err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
+    assert "-124.4" in err and "z > 0" in err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

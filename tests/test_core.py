@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from trapqa.core import (
+    ATOMIC_MASS,
     CA40,
+    ELEMENTARY_CHARGE,
     MATERIALS,
     RF_TRACES,
     DriveParams,
@@ -78,6 +80,15 @@ def test_ion_species_mass():
     # 40Ca+ in kg
     assert CA40.mass == pytest.approx(39.962591 * 1.66053906660e-27, rel=1e-9)
     assert CA40.charge == pytest.approx(1.602176634e-19, rel=1e-12)
+
+
+def test_constants_equal_scipy_exactly():
+    from scipy import constants
+
+    assert ATOMIC_MASS == constants.atomic_mass
+    assert ELEMENTARY_CHARGE == constants.e
+    assert CA40.mass == 39.962591 * constants.atomic_mass
+    assert CA40.charge == constants.e
 
 
 def test_drive_params_from_mhz():

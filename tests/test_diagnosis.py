@@ -188,5 +188,15 @@ def test_axial_potential_respects_charge(geometry):
     assert charged(-1000e-6) == pytest.approx(base(-1000e-6), abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "axis", [(42.3e-6, -124.4e-6), (42.3e-6, 0.0), (np.nan, 124.4e-6), (42.3e-6, np.inf)]
+)
+def test_axis_outside_half_space_is_refused(geometry, axis):
+    with pytest.raises(ValueError, match="outside the half space z > 0"):
+        simulate_positions(
+            geometry, WELL, FaultScenario(kind="NOMINAL"), SCALES, WINDOW, axis=axis
+        )
+
+
 def test_class_labels_are_stable():
     assert CLASSES == ("NOMINAL", "SHORTED", "FLOATING_OR_CHARGE", "UNCLASSIFIED")

@@ -267,3 +267,16 @@ def test_simulate_step_is_pure(netlist, plan):
     a = simulate_step(netlist, (), step)
     b = simulate_step(netlist, (), step)
     assert a == b
+
+
+def test_equal_netlists_share_one_plan(netlist):
+    other = default_netlist()
+    assert other is not netlist and other == netlist
+    assert build_plan(other) is build_plan(netlist)
+    # the cached plan is the plan a fresh build gives
+    assert build_plan.__wrapped__(other) == build_plan(netlist)
+
+
+def test_different_netlist_gets_its_own_plan(netlist):
+    smaller = ChipNetlist(nets=netlist.nets[1:], name=netlist.name)
+    assert len(build_plan(smaller)) < len(build_plan(netlist))

@@ -171,3 +171,75 @@ def test_custom_layout_chip_count_scales():
         test_cells=((0, 0), (2, 2)),
     )
     assert 0 < len(layout_wafer(coarse)) < 477
+
+
+# ---------------------------------------- p values, bit for bit scipy.stats
+# The statistics compute their tails with scipy.special (a lighter import
+# than scipy.stats); these tests pin that choice to the scipy.stats values.
+
+
+def _acceptance_wafers(sites):
+    """(code, outcomes) of the three wafers per seed that acceptance check 7 draws."""
+    for seed in range(100):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        yield "LEAK_DC_DC", synthesize_outcomes(
+            sites, rng, base_rates={"LEAK_DC_DC": 0.01},
+            cell_boost=((1, 1), "LEAK_DC_DC", 0.9),
+        )
+        yield "CONTINUITY_FAIL", synthesize_outcomes(
+            sites, rng, base_rates={"CONTINUITY_FAIL": 0.02},
+            edge_boost=("CONTINUITY_FAIL", 0.6, 0.2),
+        )
+        yield None, synthesize_outcomes(
+            sites, rng, base_rates={"LEAK_DC_DC": 0.1, "CONTINUITY_FAIL": 0.1},
+        )
+
+
+def _assert_binom_exact(cells):
+    from scipy import stats
+
+    rate = sum(c.n_fail for c in cells) / sum(c.n_sites for c in cells)
+    for c in cells:
+        expected = float(stats.binom.sf(c.n_fail - 1, c.n_sites, rate)) if c.n_fail else 1.0
+        assert c.p_value == expected, (c, rate)
+
+
+def test_p_values_equal_scipy_stats_on_acceptance_wafers(sites):
+    from scipy import stats
+
+    for code, outcomes in _acceptance_wafers(sites):
+        _assert_binom_exact(reticle_periodicity(sites, outcomes, code=code))
+        edge = edge_concentration(sites, outcomes, code=code)
+        fails = edge.n_edge_fail + edge.n_inner_fail
+        if 0 < fails < edge.n_edge + edge.n_inner:
+            assert edge.p_value == float(stats.norm.sf(edge.z))
+        else:
+            assert (edge.z, edge.p_value) == (0.0, 1.0)
+
+
+def test_cell_p_values_equal_scipy_stats_on_large_cells():
+    from trapqa.yieldmap import ChipSite
+
+    rng = np.random.default_rng(11)
+    for fail_share in (0.0, 1.0, None):
+        sizes = rng.integers(1, 5001, size=9)
+        sites, outcomes = [], {}
+        for i, n in enumerate(sizes):
+            share = rng.random() if fail_share is None else fail_share
+            for j in range(n):
+                chip = f"S{i}-{j}"
+                sites.append(ChipSite(chip, 0.0, 0.0, (0, 0), (i // 3, i % 3)))
+                outcomes[chip] = "LEAK_DC_DC" if rng.random() < share else "PASS"
+        _assert_binom_exact(reticle_periodicity(sites, outcomes))
+
+
+def test_tail_functions_equal_scipy_stats():
+    from scipy import special, stats
+
+    rng = np.random.default_rng(5)
+    n = np.arange(1, 5001)
+    for k in (np.ones_like(n), n, rng.integers(1, n + 1)):
+        for p in (0.0, 1.0, rng.random(n.size)):
+            assert np.array_equal(special.betainc(k, n - k + 1, p), stats.binom.sf(k - 1, n, p))
+    z = np.linspace(-8.0, 8.0, 20001)
+    assert np.array_equal(special.ndtr(-z), stats.norm.sf(z))
