@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import kernels
 from ..core import DriveParams, IonSpecies
-from .fields import _as_points, basis_field
+from .fields import _as_points
 from .geometry import TrapGeometry
 
 __all__ = ["stray_field", "micromotion_index", "MicromotionReport"]
@@ -25,16 +26,18 @@ def stray_field(
         E_stray = -sum_i (applied_i - reference_i) * basis_field_i
 
     evaluated at ``points``. Electrodes missing from either dict count as 0 V
-    there. Returns (3,) for a single point, else (N, 3).
+    there. The terms are summed in sorted-id order, skipping electrodes whose
+    voltage does not differ, in one kernel pass over all their rectangles; an
+    unknown id with a nonzero difference raises ``KeyError``. Returns (3,) for
+    a single point, else (N, 3).
     """
     pts, single = _as_points(points)
-    total = np.zeros((len(pts), 3))
-    for eid in sorted(set(applied) | set(reference)):
-        dv = applied.get(eid, 0.0) - reference.get(eid, 0.0)
-        if dv == 0.0:
-            continue
-        total += dv * np.atleast_2d(basis_field(geometry, eid, pts))
-    total = -total
+    ids = sorted(set(applied) | set(reference))
+    dv = [applied.get(eid, 0.0) - reference.get(eid, 0.0) for eid in ids]
+    moved = [(geometry.electrode(eid).rects, d) for eid, d in zip(ids, dv) if d != 0.0]
+    total = -kernels.rect_field_superpose(
+        [rects for rects, _ in moved], [d for _, d in moved], pts
+    )
     return total[0] if single else total
 
 

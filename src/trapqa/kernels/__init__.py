@@ -11,12 +11,20 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
 ``rect_field_sum(rects, volts, points)``
     Electric field ``E = -grad(phi)`` of the same set, returns ``(N, 3)``.
 
-Points are evaluated in blocks, so memory stays bounded for any ``N``.
+``rect_field_superpose(rect_groups, weights, points)``
+    ``sum_m weights[m] * E_m`` with ``E_m`` the field at 1 V of the non-empty
+    rectangle group ``rect_groups[m]`` (such as the rectangles of one
+    electrode), returns ``(N, 3)``. The weighted terms are added left to right
+    in group order (``np.cumsum``), starting from 0.0, so the result is bit for
+    bit that of a Python loop ``total += weights[m] * E_m``.
+
+Points are evaluated in blocks of at most about 2**16 corner terms, so memory
+stays bounded for any ``N``, in all three entry points.
 ``BACKEND`` names the implementation in use.
 """
 
-from .rect_np import rect_field_sum, rect_potential_sum
+from .rect_np import rect_field_sum, rect_field_superpose, rect_potential_sum
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "rect_potential_sum", "rect_field_sum"]
+__all__ = ["BACKEND", "rect_potential_sum", "rect_field_sum", "rect_field_superpose"]

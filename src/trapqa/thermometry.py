@@ -86,14 +86,18 @@ def model_resistance(model: RTModel, temperature):
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
     flat = np.atleast_1d(t)
-    out = np.array(
+    out = _resistances(model, flat, [bg_integral(model.theta / ti) for ti in flat])
+    return float(out[0]) if t.ndim == 0 else out
+
+
+def _resistances(model: RTModel, temperatures, integrals) -> np.ndarray:
+    """R at each temperature, given J(Theta/T) for each one."""
+    return np.array(
         [
-            model.r_res
-            + model.amplitude * (ti / model.theta) ** 5 * bg_integral(model.theta / ti)
-            for ti in flat
+            model.r_res + model.amplitude * (ti / model.theta) ** 5 * j
+            for ti, j in zip(temperatures, integrals)
         ]
     )
-    return float(out[0]) if t.ndim == 0 else out
 
 
 def d_resistance_d_t(model: RTModel, temperature: float) -> float:
@@ -136,6 +140,8 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     s = np.ones_like(r) if sigma is None else np.asarray(sigma, dtype=float)
     if np.any(s <= 0):
         raise ValueError("sigma values must be positive")
+    if np.any(t <= 0):
+        raise ValueError("temperature must be positive")
 
     theta0 = 300.0
     r_res0 = float(np.min(r))
@@ -143,9 +149,15 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     bg_hi = (t_hi / theta0) ** 5 * bg_integral(theta0 / t_hi)
     a0 = max((float(np.max(r)) - r_res0) / bg_hi, 1e-6)
 
+    # The finite-difference Jacobian moves r_res and A at an unchanged Theta,
+    # so the integrals J(Theta/T) are computed once per Theta of the fit.
+    integrals = {}
+
     def residuals(p):
         m = RTModel(r_res=max(p[0], 0.0), amplitude=max(p[1], 1e-12), theta=p[2])
-        return (model_resistance(m, t) - r) / s
+        if m.theta not in integrals:
+            integrals[m.theta] = [bg_integral(m.theta / ti) for ti in t]
+        return (_resistances(m, t, integrals[m.theta]) - r) / s
 
     from scipy import optimize
 

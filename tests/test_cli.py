@@ -285,6 +285,16 @@ def test_thermo_unconverged_fit_exits_2(tmp_path, capsys, starved_fit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_k", ["0", "-4"])
+def test_thermo_calibration_nonpositive_temperature_exits_2(tmp_path, capsys, t_k):
+    cal = tmp_path / "cal.csv"
+    cal.write_text(f"T_K,R_ohm\n{t_k},2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")
+    out = tmp_path / "fit.json"
+    err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert "temperature must be positive" in err
+    assert not out.exists()
+
+
 def test_diagnose_window_missing_well_exits_2(tmp_path, capsys):
     spec = json.loads(_scenario(tmp_path, {"kind": "SHORTED", "electrode": "DC19"}).read_text())
     spec["window_um"] = [200, 400]

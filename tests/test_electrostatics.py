@@ -11,6 +11,8 @@ offset d = q E_s / (m w_r^2) and amplitude u = q_M d / 2 at the drive
 frequency.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -33,6 +35,7 @@ from trapqa.electrostatics import (
     secular_frequencies,
     stray_field,
 )
+from trapqa.kernels import rect_np
 
 
 NULL_WINDOW = ((-150e-6, 150e-6), (40e-6, 250e-6))  # the conftest window
@@ -203,6 +206,114 @@ def test_stray_field_zero_when_compensated(geometry):
     pt = np.array([0.0, 42.3e-6, 124.4e-6])
     volts = {"CP2": 1.3}
     np.testing.assert_allclose(stray_field(geometry, volts, dict(volts), pt), 0.0)
+
+
+def reference_stray(geometry, applied, reference, points):
+    """Scalar reference for ``stray_field``: one ``basis_field`` call per
+    electrode, accumulated in sorted-id order."""
+    pts = np.asarray(points, dtype=float)
+    total = np.zeros((len(pts), 3))
+    for eid in sorted(set(applied) | set(reference)):
+        dv = applied.get(eid, 0.0) - reference.get(eid, 0.0)
+        if dv == 0.0:
+            continue
+        total += dv * np.atleast_2d(basis_field(geometry, eid, pts))
+    return -total
+
+
+def _stray_case(rng, geometry, n):
+    """Seeded points near the axis and a compensation set on every DC and
+    compensation electrode, against a reference with some equal entries."""
+    ids = geometry.ids(role="dc") + geometry.ids(role="comp")
+    applied = {i: float(rng.uniform(-0.1, 0.1)) for i in ids}
+    reference = {i: float(rng.uniform(-0.1, 0.1)) for i in ids[::3]}
+    reference.update({i: applied[i] for i in ids[1::7]})  # dv == 0: skipped
+    pts = np.column_stack(
+        [
+            rng.uniform(-300e-6, 300e-6, n),
+            rng.uniform(-100e-6, 100e-6, n),
+            rng.uniform(40e-6, 250e-6, n),
+        ]
+    )
+    return applied, reference, pts
+
+
+def _stray_block(geometry):
+    """Points per kernel block when every DC and compensation pad moves."""
+    n_rects = len(geometry.ids(role="dc") + geometry.ids(role="comp"))
+    return rect_np._BLOCK_ELEMS // (4 * n_rects)
+
+
+@pytest.mark.parametrize("size", ["point", "line", "blocks"])
+def test_stray_field_matches_basis_field_loop(geometry, rng, size):
+    n = {"point": 1, "line": 64, "blocks": 3 * _stray_block(geometry) + 7}[size]
+    applied, reference, pts = _stray_case(rng, geometry, n)
+    got = stray_field(geometry, applied, reference, pts)
+    assert np.array_equal(got, reference_stray(geometry, applied, reference, pts))
+    one = stray_field(geometry, applied, reference, pts[0])
+    assert np.array_equal(one, reference_stray(geometry, applied, reference, pts[:1])[0])
+
+
+def _split_pads(geometry):
+    """The bundled geometry with every other DC and compensation pad cut in
+    two rectangles along x."""
+    electrodes = []
+    for k, e in enumerate(geometry.electrodes):
+        if e.role in ("dc", "comp") and k % 2:
+            (x1, x2, y1, y2), xm = e.rects[0], 0.5 * (e.rects[0][0] + e.rects[0][1])
+            e = Electrode(e.id, e.role, ((x1, xm, y1, y2), (xm, x2, y1, y2)))
+        electrodes.append(e)
+    return TrapGeometry(tuple(electrodes))
+
+
+def test_stray_field_with_multi_rectangle_electrodes(geometry, rng):
+    split = _split_pads(geometry)
+    for n in (1, 64, 3 * _stray_block(split) + 7):
+        applied, reference, pts = _stray_case(rng, split, n)
+        got = stray_field(split, applied, reference, pts)
+        want = reference_stray(split, applied, reference, pts)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_stray_field_unknown_electrode(geometry):
+    pt = np.array([0.0, 42.3e-6, 124.4e-6])
+    with pytest.raises(KeyError, match="NOPE"):
+        stray_field(geometry, {"CP1": 0.1, "NOPE": 0.2}, {}, pt)
+    # an unknown id whose voltage does not differ is skipped, as before
+    got = stray_field(geometry, {"CP1": 0.1, "NOPE": 0.2}, {"NOPE": 0.2}, pt)
+    np.testing.assert_array_equal(got, stray_field(geometry, {"CP1": 0.1}, {}, pt))
+
+
+def test_stray_field_is_one_kernel_call(monkeypatch, geometry, rng):
+    calls = []
+
+    def counted(name):
+        real = getattr(kernels, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("rect_field_sum", "rect_field_superpose"):
+        monkeypatch.setattr(kernels, name, counted(name))
+    applied, reference, pts = _stray_case(rng, geometry, 64)
+    stray_field(geometry, applied, reference, pts)
+    stray_field(geometry, applied, reference, pts[0])
+    assert calls == ["rect_field_superpose"] * 2
+
+
+def test_stray_field_memory_is_bounded(geometry, rng):
+    # 8192 points x 76 electrodes unblocked: ~20 MB per corner temporary
+    applied, reference, pts = _stray_case(rng, geometry, 8192)
+    tracemalloc.start()
+    try:
+        stray_field(geometry, applied, reference, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_micromotion_chain_hand_values():

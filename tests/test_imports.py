@@ -5,6 +5,7 @@ scipy is imported only inside the functions that call it. Each check runs in
 a fresh interpreter, since this test session has long since loaded scipy.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -56,9 +57,13 @@ def test_import_loads_no_scipy(module, tmp_path):
         ["wafertest", "--out", "steps.csv", "--summary", "run.json"],
         ["heating", "--out", "heating.json"],
         ["field", "--z", "50:200:4", "--y", "42.331:42.331:1", "--out", "scan.csv"],
+        ["strayfield", "--applied", "applied.json", "--reference", "ideal.json",
+         "--point", "0,42.3,124.4", "--out", "stray.json"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_numpy_only_command_loads_no_scipy(argv, tmp_path):
+    (tmp_path / "applied.json").write_text(json.dumps({"CP1": 0.2, "DC05": -0.1}))
+    (tmp_path / "ideal.json").write_text(json.dumps({"CP1": 0.1}))
     code = f"from trapqa.cli import main\nassert main({argv!r}) == 0"
     assert _scipy_modules_after(code, tmp_path) == []

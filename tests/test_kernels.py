@@ -238,3 +238,80 @@ def test_superposition_of_disjoint_rects(z_um, x_um):
     a = rect_np.rect_potential_sum(whole, np.array([3.0]), pt)[0]
     b = rect_np.rect_potential_sum(halves, np.array([3.0, 3.0]), pt)[0]
     assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
+
+
+def test_superpose_with_volts_matches_field_sum(rng):
+    # the same sum as rect_field_sum, added in rectangle order instead of BLAS
+    rects, volts = _trap_rects(rng)
+    block = rect_np._BLOCK_ELEMS // (4 * len(rects))
+    for n in (1, block, 3 * block + 7):
+        pts = _trap_points(rng, n)
+        e = rect_np.rect_field_sum(rects, volts, pts)
+        got = rect_np.rect_field_superpose(rects[:, None, :], volts, pts)
+        assert got.shape == (n, 3)
+        np.testing.assert_allclose(got, e, rtol=1e-13, atol=1e-13 * np.abs(e).max())
+
+
+def test_superpose_adds_terms_in_rectangle_order(rng):
+    rects, volts = _trap_rects(rng)
+    pts = _trap_points(rng, 40)
+    total = np.zeros((len(pts), 3))
+    for rect, v in zip(rects, volts):
+        total += v * rect_np.rect_field_sum(rect[None, :], np.ones(1), pts)
+    assert np.array_equal(rect_np.rect_field_superpose(rects[:, None, :], volts, pts), total)
+
+
+def test_superpose_groups_sum_rectangles_before_weighting(rng):
+    # the two halves of a rectangle, grouped, weigh in as the whole
+    whole = np.array([[-100e-6, 100e-6, -50e-6, 50e-6], [150e-6, 250e-6, -50e-6, 50e-6]])
+    halves = [[(-100e-6, 0.0, -50e-6, 50e-6), (0.0, 100e-6, -50e-6, 50e-6)], [whole[1]]]
+    pts = _trap_points(rng, 30)
+    w = np.array([0.3, -1.7])
+    want = rect_np.rect_field_superpose(whole[:, None, :], w, pts)
+    got = rect_np.rect_field_superpose(halves, w, pts)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def test_superpose_of_nothing_is_zero():
+    pts = np.array([[0.0, 0.0, 1e-4], [1e-5, 0.0, 2e-4]])
+    assert np.array_equal(rect_np.rect_field_superpose([], [], pts), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "groups, weights",
+    [([[(0.0, 1e-4, 0.0, 1e-4)]], [1.0, 2.0]), ([[(0.0, 1e-4, 0.0, 1e-4)], []], [1.0, 2.0])],
+    ids=["weight_count", "empty_group"],
+)
+def test_superpose_rejects_bad_groups(groups, weights):
+    with pytest.raises(ValueError):
+        rect_np.rect_field_superpose(groups, weights, np.array([[0.0, 0.0, 1e-4]]))
+
+
+def _plain_sums(rects, volts, points):
+    """Reference for both kernels: the corner formulas of the module docstring
+    as plain numpy expressions, over the kernels' own point blocks."""
+    phi, e = np.empty(len(points)), np.empty((len(points), 3))
+    xs, ys = rects[:, [0, 0, 1, 1]].ravel(), rects[:, [2, 3, 2, 3]].ravel()
+    block = rect_np._BLOCK_ELEMS // xs.size
+    for s in range(0, len(points), block):
+        p = points[s : s + block]
+        X, Y, z = xs - p[:, 0:1], ys - p[:, 1:2], p[:, 2:3]
+        r2 = X**2 + Y**2 + z**2
+        r = np.sqrt(r2)
+        xz, yz = X**2 + z**2, Y**2 + z**2
+        phi[s : s + block] = rect_np._per_rect(np.arctan2(X * Y, z * r)) @ volts / (2 * np.pi)
+        e[s : s + block, 0] = rect_np._per_rect(z * Y / (r * xz)) @ volts / (2 * np.pi)
+        e[s : s + block, 1] = rect_np._per_rect(z * X / (r * yz)) @ volts / (2 * np.pi)
+        dz = -X * Y * (r2 + z**2) / (r * xz * yz)
+        e[s : s + block, 2] = -(rect_np._per_rect(dz) @ volts) / (2 * np.pi)
+    return phi, e
+
+
+def test_blocked_kernels_match_plain_expressions(rng):
+    # the kernels write into per-call scratch arrays; the arithmetic must stay
+    # that of the plain expressions, operation for operation
+    rects, volts = _trap_rects(rng)
+    pts = _trap_points(rng, 2 * (rect_np._BLOCK_ELEMS // (4 * len(rects))) + 5)
+    phi, e = _plain_sums(rects, volts, pts)
+    assert np.array_equal(rect_np.rect_potential_sum(rects, volts, pts), phi)
+    assert np.array_equal(rect_np.rect_field_sum(rects, volts, pts), e)

@@ -11,6 +11,7 @@ panels, which is independent of the adaptive scheme used by the library.
 import numpy as np
 import pytest
 
+from trapqa import thermometry
 from trapqa.thermometry import (
     SENSOR_PRESETS,
     THETA_BOUNDS,
@@ -146,3 +147,52 @@ def test_fit_respects_theta_bounds():
     ts = np.linspace(4.0, 300.0, 30)
     fit = fit_rt_curve(ts, model_resistance(truth, ts))
     assert lo <= fit.model.theta <= hi
+
+
+@pytest.mark.parametrize("t_bad", [0.0, -4.0])
+def test_fit_refuses_nonpositive_temperature(t_bad):
+    ts = np.array([t_bad, 77.0, 150.0, 295.0])
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        fit_rt_curve(ts, np.array([2000.1, 2400.5, 3900.2, 6800.9]))
+
+
+def _reference_fit(ts, rs):
+    """Scalar reference: the fit as it ran with one ``model_resistance`` call,
+    so one ``bg_integral`` per temperature, per residual evaluation."""
+    from scipy import optimize
+
+    theta0, r_res0 = 300.0, float(np.min(rs))
+    bg_hi = (ts.max() / theta0) ** 5 * bg_integral(theta0 / ts.max())
+    a0 = max((float(np.max(rs)) - r_res0) / bg_hi, 1e-6)
+
+    def residuals(p):
+        m = RTModel(r_res=max(p[0], 0.0), amplitude=max(p[1], 1e-12), theta=p[2])
+        return model_resistance(m, ts) - rs
+
+    res = optimize.least_squares(
+        residuals,
+        x0=[r_res0, a0, theta0],
+        bounds=([0.0, 1e-12, THETA_BOUNDS[0]], [np.inf, np.inf, THETA_BOUNDS[1]]),
+        xtol=1e-12,
+        ftol=1e-12,
+    )
+    chi2 = float(np.sum(res.fun**2))
+    return res, chi2, np.linalg.inv(res.jac.T @ res.jac) * chi2 / (len(ts) - 3)
+
+
+def test_fit_computes_each_integral_once_per_theta(monkeypatch, rng):
+    truth = RTModel(r_res=2000.0, amplitude=5100.0, theta=180.0)
+    ts = np.logspace(np.log10(2.0), np.log10(300.0), 40)
+    rs = model_resistance(truth, ts) * (1.0 + 1e-3 * rng.standard_normal(len(ts)))
+    ref, chi2, cov = _reference_fit(ts, rs)
+
+    seen = []
+    real = thermometry.bg_integral
+    monkeypatch.setattr(thermometry, "bg_integral", lambda u: seen.append(u) or real(u))
+    fit = fit_rt_curve(ts, rs)
+    # after the start value, no integral is computed twice; the scalar path
+    # repeats every one for each of the two Jacobian columns at fixed theta
+    assert len(seen[1:]) == len(set(seen[1:])) > 0
+    assert (fit.model.r_res, fit.model.amplitude, fit.model.theta) == tuple(ref.x)
+    assert fit.chi2 == chi2
+    assert np.array_equal(fit.covariance, cov)

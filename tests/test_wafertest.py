@@ -6,6 +6,10 @@ suite where its runtime budget lives.
 """
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -280,3 +284,26 @@ def test_equal_netlists_share_one_plan(netlist):
 def test_different_netlist_gets_its_own_plan(netlist):
     smaller = ChipNetlist(nets=netlist.nets[1:], name=netlist.name)
     assert len(build_plan(smaller)) < len(build_plan(netlist))
+
+
+def test_netlist_hash_is_kept(monkeypatch, netlist):
+    # equal netlists hash equal, and a lookup does not rehash the 80 nets
+    other = default_netlist()
+    assert hash(other) == hash(netlist) == hash((netlist.nets, netlist.name))
+    monkeypatch.setattr(Net, "__hash__", lambda self: pytest.fail("net rehashed"))
+    assert hash(netlist) == hash(other)
+    assert build_plan(other) is build_plan(netlist)
+
+
+def test_netlist_pickled_elsewhere_hashes_here(netlist):
+    # string hashes differ between processes, so a pickle must not carry one
+    code = (
+        "import pickle, sys\n"
+        "from trapqa.wafertest import default_netlist\n"
+        "sys.stdout.buffer.write(pickle.dumps(default_netlist()))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    copy = pickle.loads(proc.stdout)
+    assert copy == netlist and hash(copy) == hash(netlist)
+    assert build_plan(copy) is build_plan(netlist)
