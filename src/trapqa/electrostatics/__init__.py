@@ -19,6 +19,7 @@ from .fields import (
     basis_field,
     basis_potential,
     field_at,
+    field_gradient_at,
     potential_at,
     pseudopotential,
     rect_potential,
@@ -36,6 +37,7 @@ __all__ = [
     "rect_potential",
     "potential_at",
     "field_at",
+    "field_gradient_at",
     "basis_potential",
     "basis_field",
     "pseudopotential",

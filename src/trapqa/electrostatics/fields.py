@@ -10,6 +10,7 @@ __all__ = [
     "rect_potential",
     "potential_at",
     "field_at",
+    "field_gradient_at",
     "basis_potential",
     "basis_field",
     "pseudopotential",
@@ -76,6 +77,21 @@ def field_at(geometry: TrapGeometry, voltages: dict, points):
     else:
         out = kernels.rect_field_sum(rects, volts, pts)
     return out[0] if single else out
+
+
+def field_gradient_at(geometry: TrapGeometry, voltages: dict, points):
+    """Field E (V/m) and its gradient ``G[i, j] = dE_i/dx_j`` (V/m^2) at
+    ``points``: ((3,), (3, 3)) for one point, ((N, 3), (N, 3, 3)) for N.
+
+    ``G`` is symmetric and traceless; ``E`` equals :func:`field_at` bit for bit.
+    """
+    pts, single = _as_points(points)
+    rects, volts = geometry.rect_arrays(voltages)
+    if len(rects) == 0:
+        e, grad = np.zeros((len(pts), 3)), np.zeros((len(pts), 3, 3))
+    else:
+        e, grad = kernels.rect_field_grad_sum(rects, volts, pts)
+    return (e[0], grad[0]) if single else (e, grad)
 
 
 def basis_potential(geometry: TrapGeometry, electrode_id: str, points):

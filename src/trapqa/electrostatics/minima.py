@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import DriveParams, IonSpecies
-from .fields import field_at, pseudopotential, total_potential
+from .fields import _rf_voltages, field_gradient_at, pseudopotential
 from .geometry import TrapGeometry
 
 __all__ = ["TrapMinimum", "SecularModes", "find_rf_minima", "secular_frequencies"]
@@ -27,25 +27,24 @@ class TrapMinimum:
     depth: float
 
 
-# Batched Newton search for the RF nulls. The Jacobian comes from central
-# differences at a step proportional to the height, small enough that its
-# truncation error only slows the last iterations, not where they converge.
-_FD_STEP = 1e-4  # finite-difference step / height
+# Batched Newton search for the RF nulls, on the analytic field gradient.
 _STEP_TOL = 1e-12  # converged once the step is below this / height
 _MAX_ITER = 60
-_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_STALL_ITER = 8  # a seed retires after this many iterations without a new least residual
 
 
 def _newton_nulls(geometry, x, window, grid):
     """Converged zeros of (E_y, E_z) from a ``grid x grid`` lattice of seeds.
 
-    All active seeds advance together: one ``field_at`` call per iteration
-    evaluates each seed and its four +-h neighbours, and one batched solve
-    gives every Newton step. A step is scaled down so that it at most halves
-    the seed's height, so no evaluated point reaches z <= 0. A seed retires
-    when its step is below the tolerance (converged), when it moves beside
-    or above the window by more than the window's own size, or when its
-    Jacobian is singular or its step not finite.
+    All active seeds advance together: one ``field_gradient_at`` call per
+    iteration gives each seed's residual and its Jacobian ``dE_(y,z)/d(y,z)``,
+    and one batched solve gives every Newton step. A step is scaled down so
+    that it at most halves the seed's height, so no evaluated point reaches
+    z <= 0. A seed retires when its step is below the tolerance (converged),
+    when its residual |(E_y, E_z)| has not reached a new least value for
+    ``_STALL_ITER`` iterations in a row, when it moves beside or above the
+    window by more than the window's own size, or when its Jacobian is
+    singular or its step not finite.
     Returns the converged (y, z) in seed order, y outer and z inner.
     """
     (y_lo, y_hi), (z_lo, z_hi) = window
@@ -54,23 +53,28 @@ def _newton_nulls(geometry, x, window, grid):
     ys, zs = np.meshgrid(np.linspace(y_lo, y_hi, grid), np.linspace(z_lo, z_hi, grid), indexing="ij")
     yz = np.column_stack([ys.ravel(), zs.ravel()])
     converged = np.zeros(len(yz), dtype=bool)
+    least = np.full(len(yz), np.inf)  # least residual so far, per seed
+    stalled = np.zeros(len(yz), dtype=int)  # iterations since it was reached
     active = np.arange(len(yz))
 
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
         p = yz[active]
-        h = _FD_STEP * p[:, 1]
-        stencil = (p[:, None, :] + h[:, None, None] * _STENCIL).reshape(-1, 2)
-        pts = np.column_stack([np.full(len(stencil), x), stencil])
-        e = field_at(geometry, unit_volts, pts)[:, 1:].reshape(-1, 5, 2)
-        # jac[k, i, j] = d E_i / d (y, z)_j for seed k
-        jac = np.stack([e[:, 1] - e[:, 2], e[:, 3] - e[:, 4]], axis=2) / (2.0 * h[:, None, None])
+        e, grad = field_gradient_at(geometry, unit_volts, np.column_stack([np.full(len(p), x), p]))
+        e, jac = e[:, 1:], grad[:, 1:, 1:]  # jac[k, i, j] = d E_i / d (y, z)_j
+
+        res = np.hypot(e[:, 0], e[:, 1])
+        better = res < least[active]
+        least[active[better]] = res[better]
+        stalled[active] = np.where(better, 0, stalled[active] + 1)
+        ok = stalled[active] < _STALL_ITER
+
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         scale = np.abs(jac[:, 0, 0] * jac[:, 1, 1]) + np.abs(jac[:, 0, 1] * jac[:, 1, 0])
-        ok = np.isfinite(det) & (np.abs(det) > 1e-12 * scale)
+        ok &= np.isfinite(det) & (np.abs(det) > 1e-12 * scale)
         active, p = active[ok], p[ok]
-        step = -np.linalg.solve(jac[ok], e[ok, 0][:, :, None])[:, :, 0]
+        step = -np.linalg.solve(jac[ok], e[ok][:, :, None])[:, :, 0]
         ok = np.isfinite(step).all(axis=1)
         active, p, step = active[ok], p[ok], step[ok]
 
@@ -99,13 +103,16 @@ def find_rf_minima(
 
     Seeds a ``grid x grid`` lattice over ``window = ((y_lo, y_hi),
     (z_lo, z_hi))`` and solves E_y = E_z = 0 of the unit-volt RF field from
-    all seeds at once by a damped Newton iteration: one field evaluation per
-    iteration covers every active seed with its finite-difference
-    neighbours, and every evaluated point stays above the electrode plane.
-    Seeds that do not converge (singular Jacobian, leaving the window far
-    behind, iteration limit) are dropped. Converged nulls inside the window
-    with a positive-definite transverse curvature are kept, deduplicated
-    within ``dedup_tol`` (1 um by default), and returned sorted by y.
+    all seeds at once by a damped Newton iteration: one evaluation of the
+    field and its analytic gradient per iteration covers every active seed,
+    and every evaluated point stays above the electrode plane. Seeds that do
+    not converge (singular Jacobian, residual stalled for ``_STALL_ITER``
+    iterations, leaving the window far behind, iteration limit) are dropped;
+    a window where no seed converges gives ``[]``. Converged nulls inside
+    the window are deduplicated within ``dedup_tol`` (1 um by default) and
+    kept when the transverse curvature of the pseudopotential,
+    ``q^2 / (2 m Omega^2) (G^T G)`` at a null with ``G`` the gradient of the
+    RF field, is positive definite; they are returned sorted by y.
 
     For an RF-only drive the pseudopotential is q^2 |E|^2 / (4 m Omega^2),
     so its minima with zero value are exactly the nulls of E; minima at
@@ -128,44 +135,30 @@ def find_rf_minima(
             continue
         found.append((y0, z0))
 
-    minima = []
-    for y0, z0 in found:
-        # confirm a transverse minimum (positive-definite curvature of psi)
-        h = 0.5e-6
-        pts = np.array(
-            [
-                [x, y0, z0],
-                [x, y0 + h, z0],
-                [x, y0 - h, z0],
-                [x, y0, z0 + h],
-                [x, y0, z0 - h],
-                [x, y0 + h, z0 + h],
-                [x, y0 + h, z0 - h],
-                [x, y0 - h, z0 + h],
-                [x, y0 - h, z0 - h],
-            ]
-        )
-        p = pseudopotential(geometry, ion, drive, pts)
-        dyy = (p[1] - 2 * p[0] + p[2]) / h**2
-        dzz = (p[3] - 2 * p[0] + p[4]) / h**2
-        dyz = (p[5] - p[6] - p[7] + p[8]) / (4 * h**2)
-        eigvals = np.linalg.eigvalsh(np.array([[dyy, dyz], [dyz, dzz]]))
-        if eigvals[0] <= 0:
-            continue
+    if not found:
+        return []
+    nulls = np.array([[x, y0, z0] for y0, z0 in found])
+    e, grad = field_gradient_at(geometry, _rf_voltages(geometry, drive.v0), nulls)
+    c = ion.charge**2 / (4.0 * ion.mass * drive.omega**2)
+    psi = c * np.einsum("ij,ij->i", e, e)
+    # at a null E = 0, so Hess(psi) = 2c G^T G: confirm a transverse minimum
+    hess = 2.0 * c * np.einsum("nki,nkj->nij", grad, grad)[:, 1:, 1:]
+    keep = np.linalg.eigvalsh(hess)[:, 0] > 0
+    nulls, psi = nulls[keep], psi[keep]
 
-        # escape barrier along the vertical ray above the null
-        zs = np.linspace(z0, z_hi, 400)
-        ray = np.column_stack([np.full_like(zs, x), np.full_like(zs, y0), zs])
-        psi_ray = pseudopotential(geometry, ion, drive, ray)
-        minima.append(
-            TrapMinimum(
-                position=(x, float(y0), float(z0)),
-                height=float(z0),
-                psi_min=float(p[0]),
-                depth=float(np.max(psi_ray) - p[0]),
-            )
+    # escape barrier along the vertical ray above each null, 400 points each
+    zs = np.linspace(nulls[:, 2], z_hi, 400, axis=1)
+    rays = np.stack([np.full_like(zs, x), np.broadcast_to(nulls[:, 1:2], zs.shape), zs], axis=2)
+    psi_ray = pseudopotential(geometry, ion, drive, rays.reshape(-1, 3)).reshape(zs.shape)
+    minima = [
+        TrapMinimum(
+            position=(x, float(y0), float(z0)),
+            height=float(z0),
+            psi_min=float(p0),
+            depth=float(np.max(ray) - p0),
         )
-
+        for (_, y0, z0), p0, ray in zip(nulls, psi, psi_ray)
+    ]
     minima.sort(key=lambda m: m.position[1])
     return minima
 
@@ -190,21 +183,7 @@ class SecularModes:
         return tuple(w / (2.0 * np.pi) for w in self.omegas)
 
 
-def _hessian(f, point: np.ndarray, h: float) -> np.ndarray:
-    """3x3 Hessian by central differences with step ``h``."""
-    H = np.empty((3, 3))
-    f0 = f(point)
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = h
-        H[i, i] = (f(point + ei) - 2.0 * f0 + f(point - ei)) / h**2
-        for j in range(i + 1, 3):
-            ej = np.zeros(3)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f(point + ei + ej) - f(point + ei - ej) - f(point - ei + ej) + f(point - ei - ej)
-            ) / (4.0 * h**2)
-    return H
+_STEP_FRACTION = 1e-3  # largest difference step / height in secular_frequencies
 
 
 def secular_frequencies(
@@ -217,19 +196,31 @@ def secular_frequencies(
 ) -> SecularModes:
     """Secular modes from the curvature of the total potential at ``point``.
 
-    The Hessian of ``pseudopotential + q * phi_dc`` is taken by central
-    differences at steps ``step`` and ``step/2`` and Richardson-combined,
-    then diagonalized; ``omega_i = sqrt(lambda_i / m)`` with the sign
-    convention described on :class:`SecularModes`.
+    With ``E`` the RF field at amplitude ``drive.v0``, ``G = grad E`` and
+    ``c = q^2 / (4 m Omega^2)``, the pseudopotential ``c |E|^2`` has the
+    Hessian ``2c (G^T G + sym(sum_k E_k grad grad E_k))``, and ``q phi_dc``
+    adds ``-q G_dc`` (Wineland et al., J. Res. NIST 103, 259 (1998)). ``G``
+    and ``G_dc`` are analytic; ``grad grad E_k``, which vanishes from the
+    sum at an RF null, is the central difference of ``G`` at ``+-h`` along
+    each axis, ``h = min(step, 1e-3 z)`` so every evaluated point stays above
+    the plane. That is one kernel call, plus one for ``dc_voltages`` when
+    there are any. The Hessian is diagonalized and
+    ``omega_i = sqrt(lambda_i / m)`` with the sign convention described on
+    :class:`SecularModes`.
     """
     pt = np.asarray(point, dtype=float).reshape(3)
-
-    def u(p):
-        return total_potential(geometry, ion, drive, dc_voltages, p)
-
-    coarse = _hessian(u, pt, step)
-    fine = _hessian(u, pt, step / 2.0)
-    H = (4.0 * fine - coarse) / 3.0
+    h = min(step, _STEP_FRACTION * pt[2])
+    # the point itself goes first, so a point outside the half space is
+    # refused by its own coordinates
+    offsets = h * np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+    e, grad = field_gradient_at(geometry, _rf_voltages(geometry, drive.v0), pt + offsets)
+    # curv[i, k, j] = d^2 E_k / dx_i dx_j
+    curv = (grad[1:4] - grad[4:7]) / (2.0 * h)
+    t = np.einsum("k,ikj->ij", e[0], curv)
+    c = ion.charge**2 / (4.0 * ion.mass * drive.omega**2)
+    H = 2.0 * c * (grad[0].T @ grad[0] + 0.5 * (t + t.T))
+    if dc_voltages:
+        H -= ion.charge * field_gradient_at(geometry, dc_voltages, pt)[1]
 
     lam, vec = np.linalg.eigh(H)
     omegas = tuple(np.sign(l) * np.sqrt(abs(l) / ion.mass) for l in lam)

@@ -11,6 +11,12 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
 ``rect_field_sum(rects, volts, points)``
     Electric field ``E = -grad(phi)`` of the same set, returns ``(N, 3)``.
 
+``rect_field_grad_sum(rects, volts, points)``
+    The field and its gradient from one pass over the corners: returns
+    ``(E, G)`` with ``E`` ``(N, 3)``, bit for bit that of ``rect_field_sum``,
+    and ``G[n, i, j] = dE_i/dx_j`` ``(N, 3, 3)``, symmetric and exactly
+    traceless (``G = -Hess(phi)``).
+
 ``rect_field_superpose(rect_groups, weights, points)``
     ``sum_m weights[m] * E_m`` with ``E_m`` the field at 1 V of the non-empty
     rectangle group ``rect_groups[m]`` (such as the rectangles of one
@@ -19,12 +25,23 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
     bit that of a Python loop ``total += weights[m] * E_m``.
 
 Points are evaluated in blocks of at most about 2**16 corner terms, so memory
-stays bounded for any ``N``, in all three entry points.
+stays bounded for any ``N``, in all four entry points.
 ``BACKEND`` names the implementation in use.
 """
 
-from .rect_np import rect_field_sum, rect_field_superpose, rect_potential_sum
+from .rect_np import (
+    rect_field_grad_sum,
+    rect_field_sum,
+    rect_field_superpose,
+    rect_potential_sum,
+)
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "rect_potential_sum", "rect_field_sum", "rect_field_superpose"]
+__all__ = [
+    "BACKEND",
+    "rect_potential_sum",
+    "rect_field_sum",
+    "rect_field_grad_sum",
+    "rect_field_superpose",
+]

@@ -15,14 +15,28 @@ from the analytic gradient, with per-corner terms
     d(atan)/dY =  z X / (r (Y^2 + z^2))
     d(atan)/dz = -X Y (r^2 + z^2) / (r (X^2 + z^2) (Y^2 + z^2))
 
-where ``X = x_i - x`` and ``Y = y_j - y``.
+where ``X = x_i - x`` and ``Y = y_j - y``. The field gradient takes the
+second derivatives, with ``a = X^2 + z^2``, ``b = Y^2 + z^2`` and
+``r^2 = X^2 + Y^2 + z^2``:
+
+    d2(atan)/dX dY =  z / r^3
+    d2(atan)/dX^2  = -z X Y (a + 2 r^2) / (r^3 a^2)
+    d2(atan)/dY^2  = -z X Y (b + 2 r^2) / (r^3 b^2)
+    d2(atan)/dX dz =  Y (a (X^2 + Y^2) - 2 z^2 r^2) / (r^3 a^2)
+    d2(atan)/dY dz =  X (b (X^2 + Y^2) - 2 z^2 r^2) / (r^3 b^2)
+    d2(atan)/dz^2  = -d2(atan)/dX^2 - d2(atan)/dY^2
+
+(each corner term is harmonic). Since d/dx = -d/dX and d/dy = -d/dY, the
+gradient ``dE_i/dx_j = -d2(phi)/dx_i dx_j`` is symmetric and traceless; its
+zz entry is formed as ``-(xx + yy)``, so its trace is exactly zero.
 
 Each rectangle is stored as four signed corners in the order
 ``(x1, y1), (x1, y2), (x2, y1), (x2, y2)``, flattened to ``4M`` columns. For
 a block of ``n`` points the corner offsets are ``(n, 4M)`` arrays; the corner
 terms are summed per rectangle with their signs, giving contiguous ``(n, M)``
-per-rectangle sums. ``rect_potential_sum`` and ``rect_field_sum`` weight those
-by the voltages with one matrix-vector product. ``rect_field_superpose``
+per-rectangle sums. ``rect_potential_sum``, ``rect_field_sum`` and
+``rect_field_grad_sum`` weight those by the voltages with one matrix-vector
+product each. ``rect_field_superpose``
 instead forms each weighted term ``w_m E_m`` (``E_m`` the summed field of
 rectangle group ``m`` at 1 V) and adds the terms left to right in
 rectangle order with ``np.cumsum``, the order of a Python loop over the
@@ -39,7 +53,7 @@ documented in :mod:`trapqa.kernels`.
 
 import numpy as np
 
-__all__ = ["rect_potential_sum", "rect_field_sum", "rect_field_superpose"]
+__all__ = ["rect_potential_sum", "rect_field_sum", "rect_field_grad_sum", "rect_field_superpose"]
 
 _TWO_PI = 2.0 * np.pi
 _BLOCK_ELEMS = 2**16  # corner terms per temporary
@@ -128,6 +142,54 @@ def rect_field_sum(rects, volts, points):
         out[s, 1] = dY @ volts / _TWO_PI
         out[s, 2] = -(dz @ volts) / _TWO_PI
     return out
+
+
+def rect_field_grad_sum(rects, volts, points):
+    """Field E and its gradient ``dE_i/dx_j`` of rectangles at ``volts``.
+
+    Returns E, shape (N, 3), bit for bit that of :func:`rect_field_sum`, and
+    the gradient, shape (N, 3, 3), symmetric and exactly traceless.
+    """
+    volts = np.asarray(volts, dtype=np.float64).reshape(-1)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    e = np.empty((len(points), 3))
+    grad = np.empty((len(points), 3, 3))
+    for s, X, Y, z in _corner_blocks(rects, points):
+        # first derivatives: the expressions of _field_blocks, in its order
+        z2 = z**2
+        r2 = X**2 + Y**2 + z2
+        r = np.sqrt(r2)
+        xz, yz = X**2 + z2, Y**2 + z2
+        e[s, 0] = _per_rect(z * Y / (r * xz)) @ volts / _TWO_PI
+        e[s, 1] = _per_rect(z * X / (r * yz)) @ volts / _TWO_PI
+        dz = -X * Y * (r2 + z2) / (r * xz * yz)
+        e[s, 2] = -(_per_rect(dz) @ volts) / _TWO_PI
+        # second derivatives d2/dXdY, dX^2, dY^2, dXdz, dYdz, each reduced to
+        # per-rectangle sums before the next is formed
+        r3 = r * r2
+        ra, rb = r3 * xz**2, r3 * yz**2
+        zxy = z * X * Y
+        xy2 = X**2 + Y**2
+        zr = 2.0 * z2 * r2
+        d2 = np.stack(
+            [
+                _per_rect(z / r3),
+                _per_rect(-zxy * (xz + 2.0 * r2) / ra),
+                _per_rect(-zxy * (yz + 2.0 * r2) / rb),
+                _per_rect(Y * (xz * xy2 - zr) / ra),
+                _per_rect(X * (yz * xy2 - zr) / rb),
+            ]
+        )
+        dxy, dxx, dyy, dxz, dyz = d2 @ volts / _TWO_PI
+        # dE_i/dx_j = -d2(phi)/dx_i dx_j, with d/dx = -d/dX and d/dy = -d/dY
+        g = grad[s]
+        g[:, 0, 0] = -dxx
+        g[:, 1, 1] = -dyy
+        g[:, 2, 2] = -(g[:, 0, 0] + g[:, 1, 1])
+        g[:, 0, 1] = g[:, 1, 0] = -dxy
+        g[:, 0, 2] = g[:, 2, 0] = dxz
+        g[:, 1, 2] = g[:, 2, 1] = dyz
+    return e, grad
 
 
 def rect_field_superpose(rect_groups, weights, points):

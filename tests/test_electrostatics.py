@@ -26,6 +26,7 @@ from trapqa.electrostatics import (
     basis_field,
     basis_potential,
     field_at,
+    field_gradient_at,
     find_rf_minima,
     geometry_from_dict,
     micromotion_index,
@@ -34,6 +35,7 @@ from trapqa.electrostatics import (
     pseudopotential,
     secular_frequencies,
     stray_field,
+    total_potential,
 )
 from trapqa.kernels import rect_np
 
@@ -79,6 +81,8 @@ def reference_nulls(geometry, window, x=0.0, grid=11, dedup_tol=1e-6):
         (((0.0, 150e-6), (40e-6, 250e-6)), 0.0),  # one null
         (((100e-6, 150e-6), (40e-6, 250e-6)), 0.0),  # no null
         (NULL_WINDOW, 100e-6),
+        (NULL_WINDOW, 1.99e-3),  # near the ends of the rails
+        (((-150e-6, 150e-6), (10e-9, 250e-6)), 0.0),  # seeds down to 10 nm
     ],
 )
 def test_null_search_matches_scalar_reference(geometry, drive, window, x):
@@ -94,7 +98,7 @@ def test_null_search_matches_scalar_reference(geometry, drive, window, x):
 def _kernel_points(monkeypatch, geometry, drive):
     """Run a null search on the conftest window, recording every kernel call."""
     seen = []
-    for name in ("rect_field_sum", "rect_potential_sum"):
+    for name in ("rect_field_sum", "rect_potential_sum", "rect_field_grad_sum"):
         real = getattr(kernels, name)
 
         def recorded(rects, volts, points, real=real):
@@ -114,6 +118,12 @@ def test_null_search_stays_above_plane(monkeypatch, geometry, drive):
 
 def test_null_search_batches_kernel_calls(monkeypatch, geometry, drive):
     assert len(_kernel_points(monkeypatch, geometry, drive)) <= 100
+
+
+def test_null_search_retires_stalled_seeds(monkeypatch, geometry, drive):
+    # seeds on the symmetry axis y = 0 wander along it without converging;
+    # retired once stalled, they no longer stretch the search
+    assert len(_kernel_points(monkeypatch, geometry, drive)) <= 30
 
 
 def test_two_nulls_at_expected_height(rf_minima):
@@ -168,6 +178,123 @@ def test_axial_mode_soft_for_pure_rf(rf_minima, geometry, drive):
     freqs = np.sort(np.abs(np.array(modes.frequencies_hz)))
     # rails run +-2 mm in x; the axial curvature at the center is tiny
     assert freqs[0] < 0.05 * freqs[1]
+
+
+def _hessian(f, point: np.ndarray, h: float) -> np.ndarray:
+    """3x3 Hessian by central differences with step ``h``."""
+    H = np.empty((3, 3))
+    f0 = f(point)
+    for i in range(3):
+        ei = np.zeros(3)
+        ei[i] = h
+        H[i, i] = (f(point + ei) - 2.0 * f0 + f(point - ei)) / h**2
+        for j in range(i + 1, 3):
+            ej = np.zeros(3)
+            ej[j] = h
+            H[i, j] = H[j, i] = (
+                f(point + ei + ej) - f(point + ei - ej) - f(point - ei + ej) + f(point - ei - ej)
+            ) / (4.0 * h**2)
+    return H
+
+
+def reference_curvature(geometry, drive, dc_voltages, point, step=10e-9):
+    """Scalar reference for ``secular_frequencies``: the Hessian of the total
+    potential from one-point ``total_potential`` calls, by central
+    differences at ``step`` and ``step / 2``, Richardson-combined."""
+    pt = np.asarray(point, dtype=float)
+
+    def u(p):
+        return total_potential(geometry, CA40, drive, dc_voltages, p)
+
+    return (4.0 * _hessian(u, pt, step / 2.0) - _hessian(u, pt, step)) / 3.0
+
+
+def mode_curvature(modes):
+    """The Hessian a ``SecularModes`` was diagonalized from."""
+    w = np.array(modes.omegas)
+    return modes.axes @ np.diag(np.sign(w) * w**2 * CA40.mass) @ modes.axes.T
+
+
+# a DC well at the trap center (the diagnosis tests' well) and a point off
+# the RF null where it matters
+DC_WELL = {"DC17": 1.0, "DC18": -2.0, "DC19": 1.0, "DC52": 1.0, "DC53": -2.0, "DC54": 1.0}
+OFF_NULL = np.array([20e-6, 45e-6, 120e-6])
+
+
+def _curvature_cases(rf_minima):
+    return [({}, np.array(m.position)) for m in rf_minima] + [(DC_WELL, OFF_NULL)]
+
+
+def test_secular_curvature_matches_scalar_reference(rf_minima, geometry, drive):
+    for dc, pt in _curvature_cases(rf_minima):
+        got = mode_curvature(secular_frequencies(geometry, CA40, drive, dc, pt))
+        want = reference_curvature(geometry, drive, dc, pt)
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_secular_frequencies_independent_of_electrode_order(geometry, drive):
+    # the sums run in another order; a finite-difference Hessian moved ~5e-8
+    reversed_geometry = TrapGeometry(tuple(reversed(geometry.electrodes)))
+    a = secular_frequencies(geometry, CA40, drive, DC_WELL, OFF_NULL)
+    b = secular_frequencies(reversed_geometry, CA40, drive, DC_WELL, OFF_NULL)
+    np.testing.assert_allclose(b.omegas, a.omegas, rtol=1e-10)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    names = ("rect_potential_sum", "rect_field_sum", "rect_field_grad_sum", "rect_field_superpose")
+    for name in names:
+        real = getattr(kernels, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def test_secular_frequencies_make_two_kernel_calls(monkeypatch, geometry, drive):
+    calls = _count_kernel_calls(monkeypatch)
+    secular_frequencies(geometry, CA40, drive, DC_WELL, OFF_NULL)
+    assert len(calls) <= 2
+    del calls[:]
+    secular_frequencies(geometry, CA40, drive, {}, OFF_NULL)
+    assert len(calls) == 1
+
+
+def test_secular_frequencies_close_to_the_plane(geometry, drive):
+    # 8 nm above the plane is inside the half space; no difference point
+    # may leave it
+    pt = np.array([0.0, 42e-6, 8e-9])
+    modes = secular_frequencies(geometry, CA40, drive, DC_WELL, pt)
+    assert np.all(np.isfinite(modes.omegas))
+    finer = secular_frequencies(geometry, CA40, drive, DC_WELL, pt, step=1e-12)
+    np.testing.assert_allclose(mode_curvature(modes), mode_curvature(finer), rtol=1e-6)
+
+
+@pytest.mark.parametrize("z", [0.0, -1e-6, np.nan])
+def test_secular_frequencies_refuse_the_caller_point(geometry, drive, z):
+    with pytest.raises(ValueError, match=r"point \(0, 42, (0|-1|nan)\) um"):
+        secular_frequencies(geometry, CA40, drive, {}, np.array([0.0, 42e-6, z]))
+
+
+def test_field_gradient_at_matches_field_at(geometry, rng):
+    volts = {"DC18": 2.0, "CP1": -1.5, "RF1": 100.0}
+    pts = np.column_stack([rng.uniform(-1e-4, 1e-4, (5, 2)), rng.uniform(40e-6, 250e-6, 5)])
+    e, grad = field_gradient_at(geometry, volts, pts)
+    assert np.array_equal(e, field_at(geometry, volts, pts))
+    assert grad.shape == (5, 3, 3)
+    e1, g1 = field_gradient_at(geometry, volts, pts[0])
+    assert e1.shape == (3,) and g1.shape == (3, 3)
+    e0, g0 = field_gradient_at(geometry, {}, pts)
+    assert not e0.any() and not g0.any() and g0.shape == (5, 3, 3)
+
+
+@pytest.mark.parametrize("z", [0.0, -1e-6, np.inf])
+def test_field_gradient_at_refuses_points_off_the_half_space(geometry, z):
+    with pytest.raises(ValueError, match="outside the half space"):
+        field_gradient_at(geometry, {"DC18": 1.0}, np.array([[0.0, 0.0, 1e-4], [0.0, 0.0, z]]))
 
 
 def test_pseudopotential_formula(geometry, drive):
@@ -285,19 +412,7 @@ def test_stray_field_unknown_electrode(geometry):
 
 
 def test_stray_field_is_one_kernel_call(monkeypatch, geometry, rng):
-    calls = []
-
-    def counted(name):
-        real = getattr(kernels, name)
-
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return wrapped
-
-    for name in ("rect_field_sum", "rect_field_superpose"):
-        monkeypatch.setattr(kernels, name, counted(name))
+    calls = _count_kernel_calls(monkeypatch)
     applied, reference, pts = _stray_case(rng, geometry, 64)
     stray_field(geometry, applied, reference, pts)
     stray_field(geometry, applied, reference, pts[0])

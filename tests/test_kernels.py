@@ -315,3 +315,73 @@ def test_blocked_kernels_match_plain_expressions(rng):
     phi, e = _plain_sums(rects, volts, pts)
     assert np.array_equal(rect_np.rect_potential_sum(rects, volts, pts), phi)
     assert np.array_equal(rect_np.rect_field_sum(rects, volts, pts), e)
+
+
+def _grad_case(rng, n):
+    rects, volts = _trap_rects(rng)
+    pts = _trap_points(rng, n)
+    return rects, volts, pts, *rect_np.rect_field_grad_sum(rects, volts, pts)
+
+
+def test_field_gradient_is_traceless_and_symmetric(rng):
+    # Laplace: div E = 0 above the plane; and dE_i/dx_j = dE_j/dx_i
+    *_, e, grad = _grad_case(rng, 500)
+    assert grad.shape == (500, 3, 3)
+    trace = np.trace(grad, axis1=1, axis2=2)
+    assert np.all(np.abs(trace) <= 1e-12 * np.abs(grad).max(axis=(1, 2)))
+    assert np.array_equal(grad, grad.transpose(0, 2, 1))
+
+
+def test_field_gradient_matches_central_differences(rng):
+    rects, volts, pts, _, grad = _grad_case(rng, 200)
+    h = 5e-10
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = h
+        fd = (
+            rect_np.rect_field_sum(rects, volts, pts + step)
+            - rect_np.rect_field_sum(rects, volts, pts - step)
+        ) / (2 * h)
+        err = np.abs(fd - grad[:, :, j]).max(axis=1)
+        assert np.all(err <= 1e-8 * np.abs(grad).max(axis=(1, 2)))
+
+
+def test_field_gradient_field_is_field_sum(rng):
+    # the field part is the field kernel's arithmetic over the same blocks
+    rects, volts = _trap_rects(rng)
+    pts = _trap_points(rng, 3 * (rect_np._BLOCK_ELEMS // (4 * len(rects))) + 7)
+    e, _ = rect_np.rect_field_grad_sum(rects, volts, pts)
+    assert np.array_equal(e, rect_np.rect_field_sum(rects, volts, pts))
+
+
+def test_field_gradient_blocked_batch_matches_point_calls(rng):
+    rects, volts = _trap_rects(rng)
+    block = rect_np._BLOCK_ELEMS // (4 * len(rects))
+    for n in (1, block, 3 * block + 7):
+        pts = _trap_points(rng, n)
+        e, grad = rect_np.rect_field_grad_sum(rects, volts, pts)
+        assert e.shape == (n, 3) and grad.shape == (n, 3, 3)
+        # as for the field: BLAS may sum a row in another order within a block
+        e_tol, g_tol = 1e-13 * np.abs(e).max(), 1e-13 * np.abs(grad).max()
+        for k, pt in enumerate(pts):
+            e1, g1 = rect_np.rect_field_grad_sum(rects, volts, pt[None, :])
+            np.testing.assert_allclose(e[k], e1[0], rtol=1e-13, atol=e_tol)
+            np.testing.assert_allclose(grad[k], g1[0], rtol=1e-13, atol=g_tol)
+
+
+def test_field_gradient_of_no_points_is_empty():
+    rect = np.array([[-50e-6, 50e-6, -50e-6, 50e-6]])
+    e, grad = rect_np.rect_field_grad_sum(rect, np.ones(1), np.zeros((0, 3)))
+    assert e.shape == (0, 3) and grad.shape == (0, 3, 3)
+
+
+def test_field_gradient_memory_is_bounded(rng):
+    rects, volts = _trap_rects(rng)
+    pts = _trap_points(rng, 8192)
+    tracemalloc.start()
+    try:
+        rect_np.rect_field_grad_sum(rects, volts, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
