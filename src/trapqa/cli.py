@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,6 +58,17 @@ def _geometry(arg: str):
     if arg == "builtin":
         return paper_trap_geometry()
     return load_geometry(arg)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a number option: a float, refused unless finite."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
 
 
 def _fmt(x: float) -> str:
@@ -397,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dissipation", help="RF power loss of the bundled trap builds")
-    p.add_argument("--v0", type=float, default=dis.DEFAULT_DRIVE_V0, help="drive amplitude (V)")
-    p.add_argument("--freq-mhz", type=float, default=22.0, help="drive frequency (MHz)")
+    p.add_argument(
+        "--v0", type=_finite_float, default=dis.DEFAULT_DRIVE_V0, help="drive amplitude (V)"
+    )
+    p.add_argument("--freq-mhz", type=_finite_float, default=22.0, help="drive frequency (MHz)")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_dissipation)
 
@@ -421,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="scan potential and field on a grid")
     p.add_argument("--geometry", default="builtin", help="geometry JSON or 'builtin'")
     p.add_argument("--voltages", help="JSON electrode -> volts (default: RF at --rf-volts)")
-    p.add_argument("--rf-volts", type=float, default=1.0)
+    p.add_argument("--rf-volts", type=_finite_float, default=1.0)
     p.add_argument("--x", help="lo:hi:n in um (default single 0)")
     p.add_argument("--y", help="lo:hi:n in um (default single 0)")
     p.add_argument("--z", help="lo:hi:n in um (default single 100)")
@@ -445,8 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thermo", help="fit R(T) calibration or read back a temperature")
     p.add_argument("--calibration", help="CSV T_K,R_ohm[,sigma_ohm]")
     p.add_argument("--preset", choices=sorted(thermo.SENSOR_PRESETS), help="use a bundled model")
-    p.add_argument("--resistance", type=float, help="invert this resistance (ohm)")
-    p.add_argument("--meter-resolution", type=float, default=1.0, help="meter resolution (ohm)")
+    p.add_argument("--resistance", type=_finite_float, help="invert this resistance (ohm)")
+    p.add_argument(
+        "--meter-resolution", type=_finite_float, default=1.0, help="meter resolution (ohm)"
+    )
     p.add_argument("--out", required=True, help="result JSON path")
     p.set_defaults(func=_cmd_thermo)
 

@@ -17,6 +17,7 @@ A floating electrode and trapped charge act identically under this probe
 (a fixed potential term), so they share the class ``FLOATING_OR_CHARGE``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,9 @@ class FaultScenario:
             raise ValueError(f"{self.kind} scenario needs an electrode id")
         if self.kind == "GAP_CHARGE" and not self.charge_rects:
             raise ValueError("GAP_CHARGE scenario needs charge_rects")
+        for name in ("held_voltage", "charge_voltage"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} is not finite: {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ Lengths are meters internally; the JSON form uses micrometers (key
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,13 @@ class Electrode:
                     f"electrode {self.id!r} has a degenerate rectangle "
                     f"({x1}, {x2}, {y1}, {y2})"
                 )
+
+
+def _check_voltage(electrode_id: str, volts: float) -> None:
+    """Refuse a voltage that is not finite: the kernels would turn it into
+    NaN or infinite potentials and fields instead of failing."""
+    if not math.isfinite(volts):
+        raise ValueError(f"voltage of electrode {electrode_id!r} is not finite: {volts!r}")
 
 
 def _rects_overlap(a: Rect, b: Rect) -> bool:
@@ -86,13 +94,15 @@ class TrapGeometry:
         """Flatten to (rects (M,4), volts (M,)) for the kernels.
 
         ``voltages`` maps electrode id to volts; electrodes not mentioned are
-        grounded and skipped (their solid angle contributes nothing).
+        grounded and skipped (their solid angle contributes nothing). A
+        voltage that is not finite raises ``ValueError`` naming the electrode.
         """
         rects, volts = [], []
         for e in self.electrodes:
             v = voltages.get(e.id, 0.0)
             if v == 0.0:
                 continue
+            _check_voltage(e.id, v)
             for r in e.rects:
                 rects.append(r)
                 volts.append(v)

@@ -7,7 +7,7 @@ import numpy as np
 from .. import kernels
 from ..core import DriveParams, IonSpecies
 from .fields import _as_points
-from .geometry import TrapGeometry
+from .geometry import TrapGeometry, _check_voltage
 
 __all__ = ["stray_field", "micromotion_index", "MicromotionReport"]
 
@@ -28,10 +28,14 @@ def stray_field(
     evaluated at ``points``. Electrodes missing from either dict count as 0 V
     there. The terms are summed in sorted-id order, skipping electrodes whose
     voltage does not differ, in one kernel pass over all their rectangles; an
-    unknown id with a nonzero difference raises ``KeyError``. Returns (3,) for
-    a single point, else (N, 3).
+    unknown id with a nonzero difference raises ``KeyError`` and a voltage
+    that is not finite ``ValueError``. Returns (3,) for a single point, else
+    (N, 3).
     """
     pts, single = _as_points(points)
+    for volts in (applied, reference):
+        for eid, v in volts.items():
+            _check_voltage(eid, v)
     ids = sorted(set(applied) | set(reference))
     dv = [applied.get(eid, 0.0) - reference.get(eid, 0.0) for eid in ids]
     moved = [(geometry.electrode(eid).rects, d) for eid, d in zip(ids, dv) if d != 0.0]

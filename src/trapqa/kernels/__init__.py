@@ -24,8 +24,13 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
     in group order (``np.cumsum``), starting from 0.0, so the result is bit for
     bit that of a Python loop ``total += weights[m] * E_m``.
 
-Points are evaluated in blocks of at most about 2**16 corner terms, so memory
-stays bounded for any ``N``, in all four entry points.
+Points are evaluated in blocks of ``max(1, 2**16 // (4M))``, at most about
+2**16 corner terms, so memory stays bounded for any ``N``. All four entry
+points take their blocks from one generator that computes each per-edge term
+once per rectangle edge and each corner term in a corner-major
+``(2, 2, n, M)`` array; their outputs are bit for bit those of the plain
+corner formulas summed per rectangle with ``einsum`` (see
+:mod:`trapqa.kernels.rect_np`).
 ``BACKEND`` names the implementation in use.
 """
 

@@ -276,6 +276,73 @@ def test_strayfield_below_plane_exits_2(tmp_path, capsys, point):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_field_non_finite_voltage_exits_2(tmp_path, capsys, value):
+    volts = tmp_path / "volts.json"
+    volts.write_text(f'{{"DC01": {value}}}')
+    out = tmp_path / "scan.csv"
+    err = _refused(capsys, "field", "--voltages", volts, "--out", out)
+    assert "'DC01' is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["applied.json", "ref.json"])
+def test_strayfield_non_finite_voltage_exits_2(tmp_path, capsys, name):
+    args = _stray_inputs(tmp_path)
+    (tmp_path / name).write_text('{"CP1": 0.5, "CP2": NaN}')
+    out = tmp_path / "stray.json"
+    err = _refused(capsys, *args, "--point", "0,42.3,124.4", "--out", out)
+    assert "'CP2' is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "voltages, fault, message",
+    [
+        ({"DC18": float("nan")}, {"kind": "NOMINAL"}, "'DC18' is not finite"),
+        (
+            {},
+            {"kind": "FLOATING", "electrode": "DC19", "held_voltage": float("inf")},
+            "held_voltage",
+        ),
+        (
+            {},
+            {"kind": "GAP_CHARGE", "charge_rects_um": [[-10, 10, 30, 34]],
+             "charge_voltage": float("nan")},
+            "charge_voltage",
+        ),
+    ],
+    ids=["voltage", "held_voltage", "charge_voltage"],
+)
+def test_diagnose_non_finite_voltage_exits_2(tmp_path, capsys, voltages, fault, message):
+    spec = json.loads(_scenario(tmp_path, fault).read_text())
+    spec["voltages"].update(voltages)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "diag.json"
+    err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
+    assert message in err and "not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dissipation", "--v0", "nan"],
+        ["dissipation", "--freq-mhz", "inf"],
+        ["thermo", "--preset", "TS1", "--resistance", "nan"],
+        ["thermo", "--preset", "TS1", "--meter-resolution=-inf"],
+        ["field", "--rf-volts", "nan"],
+    ],
+    ids=["v0", "freq_mhz", "resistance", "meter_resolution", "rf_volts"],
+)
+def test_non_finite_number_option_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    err = _refused(capsys, *args, "--out", out)
+    assert "not a finite number" in err
+    assert not out.exists()
+
+
 def test_thermo_unconverged_fit_exits_2(tmp_path, capsys, starved_fit):
     cal = tmp_path / "cal.csv"
     cal.write_text("T_K,R_ohm\n4,2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")

@@ -173,13 +173,19 @@ def test_no_points_gives_empty_result():
     assert rect_np.rect_field_sum(rect, np.ones(1), np.zeros((0, 3))).shape == (0, 3)
 
 
-def test_field_memory_is_bounded(rng):
+@pytest.mark.parametrize(
+    "kernel",
+    ["rect_potential_sum", "rect_field_sum", "rect_field_grad_sum", "rect_field_superpose"],
+)
+def test_memory_is_bounded(rng, kernel):
     # an unblocked evaluation of this batch holds ~20 MB per temporary
     rects, volts = _trap_rects(rng)
     pts = _trap_points(rng, 8192)
+    if kernel == "rect_field_superpose":
+        rects = rects[:, None, :]
     tracemalloc.start()
     try:
-        rect_np.rect_field_sum(rects, volts, pts)
+        getattr(rect_np, kernel)(rects, volts, pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -287,34 +293,126 @@ def test_superpose_rejects_bad_groups(groups, weights):
         rect_np.rect_field_superpose(groups, weights, np.array([[0.0, 0.0, 1e-4]]))
 
 
-def _plain_sums(rects, volts, points):
-    """Reference for both kernels: the corner formulas of the module docstring
-    as plain numpy expressions, over the kernels' own point blocks."""
-    phi, e = np.empty(len(points)), np.empty((len(points), 3))
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # (-1)^(i+j) over the four corners
+
+
+def _per_rect(terms):
+    """Signed sum of the four corner terms of each rectangle, (n, M), from
+    corner terms flattened as (x1, y1), (x1, y2), (x2, y1), (x2, y2)."""
+    return np.einsum("nmc,c->nm", terms.reshape(len(terms), -1, 4), _SIGNS)
+
+
+def _plain_terms(rects, points):
+    """Per block of the kernels: its slice and the per-rectangle sums of the
+    corner terms of phi, d/dX, d/dY, d/dz and d2/dXdY, dX^2, dY^2, dXdz, dYdz:
+    the formulas of the module docstring as plain numpy expressions over flat
+    (n, 4M) corner arrays."""
     xs, ys = rects[:, [0, 0, 1, 1]].ravel(), rects[:, [2, 3, 2, 3]].ravel()
     block = rect_np._BLOCK_ELEMS // xs.size
     for s in range(0, len(points), block):
         p = points[s : s + block]
         X, Y, z = xs - p[:, 0:1], ys - p[:, 1:2], p[:, 2:3]
-        r2 = X**2 + Y**2 + z**2
+        z2 = z**2
+        r2 = X**2 + Y**2 + z2
         r = np.sqrt(r2)
-        xz, yz = X**2 + z**2, Y**2 + z**2
-        phi[s : s + block] = rect_np._per_rect(np.arctan2(X * Y, z * r)) @ volts / (2 * np.pi)
-        e[s : s + block, 0] = rect_np._per_rect(z * Y / (r * xz)) @ volts / (2 * np.pi)
-        e[s : s + block, 1] = rect_np._per_rect(z * X / (r * yz)) @ volts / (2 * np.pi)
-        dz = -X * Y * (r2 + z**2) / (r * xz * yz)
-        e[s : s + block, 2] = -(rect_np._per_rect(dz) @ volts) / (2 * np.pi)
-    return phi, e
+        xz, yz = X**2 + z2, Y**2 + z2
+        r3 = r * r2
+        ra, rb = r3 * xz**2, r3 * yz**2
+        zxy, xy2, zr = z * X * Y, X**2 + Y**2, 2.0 * z2 * r2
+        terms = [
+            np.arctan2(X * Y, z * r),
+            z * Y / (r * xz),
+            z * X / (r * yz),
+            -X * Y * (r2 + z2) / (r * xz * yz),
+            z / r3,
+            -zxy * (xz + 2.0 * r2) / ra,
+            -zxy * (yz + 2.0 * r2) / rb,
+            Y * (xz * xy2 - zr) / ra,
+            X * (yz * xy2 - zr) / rb,
+        ]
+        yield slice(s, s + block), [_per_rect(t) for t in terms]
+
+
+def _plain_sums(rects, volts, points):
+    """Reference for phi, E and grad E."""
+    n = len(points)
+    phi, e, grad = np.empty(n), np.empty((n, 3)), np.empty((n, 3, 3))
+    for s, (t_phi, dX, dY, dz, *d2) in _plain_terms(rects, points):
+        phi[s] = t_phi @ volts / (2 * np.pi)
+        e[s, 0] = dX @ volts / (2 * np.pi)
+        e[s, 1] = dY @ volts / (2 * np.pi)
+        e[s, 2] = -(dz @ volts) / (2 * np.pi)
+        dxy, dxx, dyy, dxz, dyz = np.stack(d2) @ volts / (2 * np.pi)
+        g = grad[s]
+        g[:, 0, 0], g[:, 1, 1] = -dxx, -dyy
+        g[:, 2, 2] = -(g[:, 0, 0] + g[:, 1, 1])
+        g[:, 0, 1] = g[:, 1, 0] = -dxy
+        g[:, 0, 2] = g[:, 2, 0] = dxz
+        g[:, 1, 2] = g[:, 2, 1] = dyz
+    return phi, e, grad
+
+
+def _plain_superpose(groups, weights, points):
+    """Reference for rect_field_superpose."""
+    rects = np.array([r for g in groups for r in g])
+    starts = np.cumsum([0] + [len(g) for g in groups][:-1])
+    out = np.zeros((len(points), 3))
+    for s, terms in _plain_terms(rects, points):
+        dX, dY, dz = (np.add.reduceat(t, starts, axis=1) for t in terms[1:4])
+        out[s, 0] += np.cumsum(weights * (dX / (2 * np.pi)), axis=1)[:, -1]
+        out[s, 1] += np.cumsum(weights * (dY / (2 * np.pi)), axis=1)[:, -1]
+        out[s, 2] += np.cumsum(weights * (-dz / (2 * np.pi)), axis=1)[:, -1]
+    return out
+
+
+def _edge_points(rng, rects, n):
+    """Trap points, about a third of them with x exactly on a rectangle's x
+    edge and a third with y on a y edge, where corner terms are +-0; the
+    first point sits on a corner."""
+    pts = _trap_points(rng, n)
+    k = rng.integers(0, len(rects), n)
+    on_x, on_y = rng.random(n) < 1 / 3, rng.random(n) < 1 / 3
+    on_x[0] = on_y[0] = True
+    pts[on_x, 0] = rects[k[on_x], rng.integers(0, 2, on_x.sum())]
+    pts[on_y, 1] = rects[k[on_y], rng.integers(2, 4, on_y.sum())]
+    return pts
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_corner_sum_is_the_einsum_sum(rng):
+    # zeros of either sign and cancelling pairs are where a change in the
+    # order of the corner sum would show
+    n, m = 50, 7
+    t = rng.standard_normal((2, 2, n, m)) * 10.0 ** rng.integers(-30, 30, (2, 2, n, m))
+    t[rng.random(t.shape) < 0.2] = 0.0
+    t[rng.random(t.shape) < 0.2] = -0.0
+    for i, j in ((1, 0), (1, 1)):
+        pair = rng.random((n, m)) < 0.2
+        t[i, j][pair] = t[0, j][pair]
+    flat = t.transpose(2, 3, 0, 1).reshape(n, 4 * m)  # corner (i, j) at column 4 m + 2 i + j
+    assert _same_bits(rect_np._corner_sum(t), _per_rect(flat))
 
 
 def test_blocked_kernels_match_plain_expressions(rng):
-    # the kernels write into per-call scratch arrays; the arithmetic must stay
-    # that of the plain expressions, operation for operation
+    # the kernels share per-edge terms and write into per-call scratch
+    # arrays; every output must stay that of the plain expressions, bit for
+    # bit, signed zeros included
     rects, volts = _trap_rects(rng)
-    pts = _trap_points(rng, 2 * (rect_np._BLOCK_ELEMS // (4 * len(rects))) + 5)
-    phi, e = _plain_sums(rects, volts, pts)
-    assert np.array_equal(rect_np.rect_potential_sum(rects, volts, pts), phi)
-    assert np.array_equal(rect_np.rect_field_sum(rects, volts, pts), e)
+    groups = [rects[i : i + 3] for i in range(0, len(rects), 3)]
+    weights = rng.uniform(-2.0, 2.0, len(groups))
+    block = rect_np._BLOCK_ELEMS // (4 * len(rects))
+    for n in (1, 64, 3 * block + 7):
+        pts = _edge_points(rng, rects, n)
+        phi, e, grad = _plain_sums(rects, volts, pts)
+        assert _same_bits(rect_np.rect_potential_sum(rects, volts, pts), phi)
+        assert _same_bits(rect_np.rect_field_sum(rects, volts, pts), e)
+        got_e, got_grad = rect_np.rect_field_grad_sum(rects, volts, pts)
+        assert _same_bits(got_e, e) and _same_bits(got_grad, grad)
+        got = rect_np.rect_field_superpose(groups, weights, pts)
+        assert _same_bits(got, _plain_superpose(groups, weights, pts))
 
 
 def _grad_case(rng, n):
@@ -373,15 +471,3 @@ def test_field_gradient_of_no_points_is_empty():
     rect = np.array([[-50e-6, 50e-6, -50e-6, 50e-6]])
     e, grad = rect_np.rect_field_grad_sum(rect, np.ones(1), np.zeros((0, 3)))
     assert e.shape == (0, 3) and grad.shape == (0, 3, 3)
-
-
-def test_field_gradient_memory_is_bounded(rng):
-    rects, volts = _trap_rects(rng)
-    pts = _trap_points(rng, 8192)
-    tracemalloc.start()
-    try:
-        rect_np.rect_field_grad_sum(rects, volts, pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
