@@ -19,33 +19,23 @@ import sys
 
 import numpy as np
 
-from . import dissipation as dis
-from . import heating as heat
-from . import thermometry as thermo
-from . import wafertest as wt
-from . import yieldmap as ym
 from ._io import atomic_write_text, dump_json
-from .core import CA40, DriveParams
-from .diagnosis import (
-    FaultScenario,
-    PositionMeasurement,
-    classify_fault,
-    simulate_positions,
-)
-from .electrostatics import (
-    field_at,
-    load_geometry,
-    paper_trap_geometry,
-    potential_at,
-    stray_field,
-)
+
+# Each command imports the analysis modules it runs inside its own function,
+# so a process pays only for the modules of the command it runs.
 
 __all__ = ["main"]
 
 DEFAULT_SEED = 20260819
 
+# Parser defaults and choices that live in analysis modules, repeated here so
+# that building the parser imports none of them; tests/test_cli.py checks
+# them against dissipation.DEFAULT_DRIVE_V0 and thermometry.SENSOR_PRESETS.
+DRIVE_V0 = 160.0
+SENSOR_PRESET_NAMES = ("TS1", "TS2")
 
-def _rng(seed: int) -> np.random.Generator:
+
+def _rng(seed: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -55,6 +45,8 @@ def _load_json(path):
 
 
 def _geometry(arg: str):
+    from .electrostatics import load_geometry, paper_trap_geometry
+
     if arg == "builtin":
         return paper_trap_geometry()
     return load_geometry(arg)
@@ -71,6 +63,14 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a number option that must be finite and above zero."""
+    x = _finite_float(text)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"must be above zero: {text!r}")
+    return x
+
+
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
@@ -79,6 +79,8 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_dissipation(args) -> int:
+    from . import dissipation as dis
+
     drive_omega = 2.0 * np.pi * args.freq_mhz * 1e6
     rows = dis.dissipation_report(v0=args.v0, omega=drive_omega)
     buf = io.StringIO()
@@ -110,6 +112,8 @@ def _cmd_dissipation(args) -> int:
 
 
 def _cmd_wafertest(args) -> int:
+    from . import wafertest as wt
+
     netlist = wt.load_netlist(args.netlist) if args.netlist else wt.default_netlist()
     faults = wt.load_faults(args.faults) if args.faults else ()
     result = wt.run_chip(netlist, faults)
@@ -150,6 +154,8 @@ def _parse_edge_boost(spec: str):
 
 
 def _cmd_yieldmap(args) -> int:
+    from . import yieldmap as ym
+
     layout = ym.DEFAULT_LAYOUT
     sites = ym.layout_wafer(layout)
     rng = _rng(args.seed)
@@ -206,10 +212,14 @@ def _cmd_yieldmap(args) -> int:
 
 def _parse_axis(spec: str):
     lo, hi, n = spec.split(":")
+    if int(n) < 1:
+        raise ValueError(f"axis {spec!r} needs lo:hi:n with n >= 1 points")
     return float(lo) * 1e-6, float(hi) * 1e-6, int(n)
 
 
 def _cmd_field(args) -> int:
+    from .electrostatics import field_at, potential_at
+
     geometry = _geometry(args.geometry)
     if args.voltages:
         voltages = {k: float(v) for k, v in _load_json(args.voltages).items()}
@@ -236,6 +246,8 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_strayfield(args) -> int:
+    from .electrostatics import stray_field
+
     geometry = _geometry(args.geometry)
     applied = {k: float(v) for k, v in _load_json(args.applied).items()}
     reference = {k: float(v) for k, v in _load_json(args.reference).items()}
@@ -260,6 +272,8 @@ def _cmd_strayfield(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .diagnosis import FaultScenario, PositionMeasurement, classify_fault, simulate_positions
+
     spec = _load_json(args.scenario)
     geometry = _geometry(spec.get("geometry", "builtin"))
     voltages = {k: float(v) for k, v in spec["voltages"].items()}
@@ -316,6 +330,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_thermo(args) -> int:
+    from . import thermometry as thermo
+
     if args.preset:
         model = thermo.SENSOR_PRESETS[args.preset]
         fit_info = {"preset": args.preset}
@@ -356,6 +372,8 @@ def _cmd_thermo(args) -> int:
 
 
 def _cmd_heating(args) -> int:
+    from . import heating as heat
+
     if args.csv:
         records = []
         with open(args.csv, "r", encoding="utf-8") as fh:
@@ -410,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dissipation", help="RF power loss of the bundled trap builds")
     p.add_argument(
-        "--v0", type=_finite_float, default=dis.DEFAULT_DRIVE_V0, help="drive amplitude (V)"
+        "--v0", type=_finite_float, default=DRIVE_V0, help="drive amplitude (V)"
     )
-    p.add_argument("--freq-mhz", type=_finite_float, default=22.0, help="drive frequency (MHz)")
+    p.add_argument("--freq-mhz", type=_positive_float, default=22.0, help="drive frequency (MHz)")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_dissipation)
 
@@ -458,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermo", help="fit R(T) calibration or read back a temperature")
     p.add_argument("--calibration", help="CSV T_K,R_ohm[,sigma_ohm]")
-    p.add_argument("--preset", choices=sorted(thermo.SENSOR_PRESETS), help="use a bundled model")
+    p.add_argument("--preset", choices=SENSOR_PRESET_NAMES, help="use a bundled model")
     p.add_argument("--resistance", type=_finite_float, help="invert this resistance (ohm)")
     p.add_argument(
-        "--meter-resolution", type=_finite_float, default=1.0, help="meter resolution (ohm)"
+        "--meter-resolution", type=_positive_float, default=1.0, help="meter resolution (ohm)"
     )
     p.add_argument("--out", required=True, help="result JSON path")
     p.set_defaults(func=_cmd_thermo)

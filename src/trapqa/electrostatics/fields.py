@@ -47,7 +47,7 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
     """``points`` as an (N, 3) array, checked to lie above the plane, and
     whether a single (3,) point was given."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
+    single = pts.shape == (3,)
     pts = pts.reshape(-1, 3)
     _check_above_plane(pts)
     return pts, single

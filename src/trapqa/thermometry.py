@@ -208,8 +208,11 @@ def invert_temperature(
     The model is strictly increasing, so the readout is a bracketed root
     find over ``bounds``; resistances outside the model's range there raise
     ValueError. The temperature resolution is ``meter_resolution / (dR/dT)``
-    at the solution.
+    at the solution; a ``meter_resolution`` that is not above zero raises
+    ValueError.
     """
+    if not meter_resolution > 0.0:
+        raise ValueError(f"meter_resolution must be above zero, got {meter_resolution!r}")
     lo, hi = bounds
     r_lo = model_resistance(model, lo)
     r_hi = model_resistance(model, hi)

@@ -445,7 +445,7 @@ def simulate_step(
     faults,
     step: TestStep,
     limits: TestLimits = DEFAULT_LIMITS,
-    rng: np.random.Generator | None = None,
+    rng: "np.random.Generator | None" = None,
 ) -> StepRecord:
     """Execute one plan step against the fault set.
 
@@ -573,7 +573,7 @@ def run_chip(
     netlist: ChipNetlist,
     faults=(),
     limits: TestLimits = DEFAULT_LIMITS,
-    rng: np.random.Generator | None = None,
+    rng: "np.random.Generator | None" = None,
 ) -> ChipResult:
     """Run the plan against one chip, aborting at the first failing step.
 

@@ -295,7 +295,7 @@ def edge_concentration(
 
 def synthesize_outcomes(
     sites,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     base_rates: dict | None = None,
     cell_boost: tuple[tuple[int, int], str, float] | None = None,
     edge_boost: tuple[str, float, float] | None = None,
@@ -308,8 +308,19 @@ def synthesize_outcomes(
     one code; ``edge_boost = (code, rate, annulus_fraction)`` raises the
     outer annulus. Codes are evaluated in sorted order and the first failure
     drawn wins, so results are reproducible for a given generator state.
+    Every rate, and the annulus fraction, must lie in [0, 1]; anything else
+    raises ValueError naming the code.
     """
     base_rates = dict(base_rates or {})
+    checks = [(f"rate of {code}", rate) for code, rate in base_rates.items()]
+    if cell_boost is not None:
+        checks.append((f"cell boost rate of {cell_boost[1]}", cell_boost[2]))
+    if edge_boost is not None:
+        checks.append((f"edge boost rate of {edge_boost[0]}", edge_boost[1]))
+        checks.append((f"edge annulus fraction of {edge_boost[0]}", edge_boost[2]))
+    for name, value in checks:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     out = {}
     r_split = None
     if edge_boost is not None:

@@ -343,6 +343,60 @@ def test_non_finite_number_option_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dissipation", "--freq-mhz", "0"],
+        ["dissipation", "--freq-mhz", "-3"],
+        ["thermo", "--preset", "TS1", "--resistance", "29500", "--meter-resolution", "-1"],
+        ["thermo", "--preset", "TS1", "--resistance", "29500", "--meter-resolution", "0"],
+    ],
+    ids=["freq_mhz_zero", "freq_mhz_negative", "meter_resolution_negative", "meter_resolution_zero"],
+)
+def test_nonpositive_number_option_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    err = _refused(capsys, *args, "--out", out)
+    assert "must be above zero" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["--x=0:0:0", "--y=42:42:0", "--z=50:150:-2"])
+def test_field_axis_without_points_exits_2(tmp_path, capsys, axis):
+    out = tmp_path / "f.csv"
+    err = _refused(capsys, "field", axis, "--out", out)
+    assert "n >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rates, args, message",
+    [
+        ({"CONTINUITY_FAIL": -0.5}, ["--rates", "rates.json"], "rate of CONTINUITY_FAIL"),
+        ({"CONTINUITY_FAIL": 1.5}, ["--rates", "rates.json"], "rate of CONTINUITY_FAIL"),
+        ({}, ["--plant-cell", "1,1,LEAK_DC_DC,1.5"], "cell boost rate of LEAK_DC_DC"),
+        ({}, ["--plant-edge", "LEAK_DC_GND,0.6,-0.2"], "edge annulus fraction of LEAK_DC_GND"),
+    ],
+    ids=["rate_negative", "rate_above_one", "plant_cell", "plant_edge"],
+)
+def test_yieldmap_rate_outside_unit_interval_exits_2(tmp_path, capsys, monkeypatch, rates, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rates.json").write_text(json.dumps(rates))
+    outs = ["w.svg", "w.csv", "w.json"]
+    err = _refused(
+        capsys, "yieldmap", *args, "--out-svg", outs[0], "--out-csv", outs[1], "--out-stats", outs[2]
+    )
+    assert message in err and "[0, 1]" in err
+    assert not any((tmp_path / o).exists() for o in outs)
+
+
+def test_parser_defaults_match_the_analysis_modules():
+    # the parser repeats these so that building it imports no analysis module
+    from trapqa import cli, dissipation, thermometry
+
+    assert cli.DRIVE_V0 == dissipation.DEFAULT_DRIVE_V0
+    assert cli.SENSOR_PRESET_NAMES == tuple(sorted(thermometry.SENSOR_PRESETS))
+
+
 def test_thermo_unconverged_fit_exits_2(tmp_path, capsys, starved_fit):
     cal = tmp_path / "cal.csv"
     cal.write_text("T_K,R_ohm\n4,2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")

@@ -4,17 +4,24 @@ Key invariants: a grounded short pins the ion to a scale-independent
 position; a fixed charge (or floating electrode) produces a displacement
 falling off as 1/scale; a healthy trap matches the nominal prediction at
 every scale. The equilibrium solver itself is checked against analytic
-minima of synthetic wells.
+minima of synthetic wells, and its bounded refine against scipy's, which it
+ports.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from trapqa.diagnosis import (
     CLASSES,
     POSITION_TOL,
+    SEARCH_TOL,
+    EquilibriumResult,
     FaultScenario,
     PositionMeasurement,
+    _fminbound,
     axial_potential,
     classify_fault,
     equilibrium_position,
@@ -45,6 +52,101 @@ def test_equilibrium_flags_boundary():
     eq = equilibrium_position(lambda x: np.asarray(x) * 1.0, WINDOW)
     assert eq.at_boundary
     assert eq.position == WINDOW[0]
+
+
+def _scipy_bounded(func, lo, hi, xatol):
+    """The scalar reference: scipy's bounded minimizer, which _fminbound ports."""
+    return optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+
+
+def _scipy_equilibrium(potential, window, tol=SEARCH_TOL, coarse=201):
+    """equilibrium_position with its refine done by scipy."""
+    xs = np.linspace(window[0], window[1], coarse)
+    vals = np.atleast_1d(potential(xs))
+    k = int(np.argmin(vals))
+    if k == 0 or k == coarse - 1:
+        return EquilibriumResult(position=float(xs[k]), value=float(vals[k]), at_boundary=True)
+    res = _scipy_bounded(lambda x: float(potential(float(x))), xs[k - 1], xs[k + 1], tol)
+    return EquilibriumResult(position=float(res.x), value=float(res.fun), at_boundary=False)
+
+
+def _battery_scenario(rng):
+    kind = ("NOMINAL", "SHORTED", "FLOATING", "GAP_CHARGE")[int(rng.integers(4))]
+    electrode = str(rng.choice(sorted(WELL)))
+    if kind == "SHORTED":
+        return FaultScenario(kind=kind, electrode=electrode)
+    if kind == "FLOATING":
+        return FaultScenario(kind=kind, electrode=electrode, held_voltage=float(rng.uniform(-1, 1)))
+    if kind == "GAP_CHARGE":
+        x0 = float(rng.uniform(-80e-6, 80e-6))
+        return FaultScenario(
+            kind=kind,
+            charge_rects=((x0, x0 + 8e-6, 40e-6, 135e-6),),
+            charge_voltage=float(rng.uniform(-1, 1)),
+        )
+    return FaultScenario(kind=kind)
+
+
+def test_equilibrium_matches_scipy_on_seeded_battery(geometry):
+    # 60 seeded wells and faults at three scales: every position and value
+    # is scipy's, bit for bit
+    refined = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        well = {k: v * float(rng.uniform(0.8, 1.2)) for k, v in WELL.items()}
+        scenario = _battery_scenario(rng)
+        for s in SCALES:
+            phi = axial_potential(geometry, well, scenario, s)
+            eq = equilibrium_position(phi, WINDOW)
+            assert eq == _scipy_equilibrium(phi, WINDOW), (seed, scenario, s)
+            refined += not eq.at_boundary
+    assert refined >= 150
+
+
+def _synthetic(rng):
+    c = float(rng.uniform(-1, 1))
+    family = int(rng.integers(6))
+    if family == 0:
+        k = float(10 ** rng.uniform(-3, 3))
+        return lambda x: k * (x - c) ** 2
+    if family == 1:
+        t = float(rng.uniform(-0.5, 0.5))
+        return lambda x: (x - c) ** 4 + t * x
+    if family == 2:
+        p = float(rng.uniform(0.3, 3.0))
+        return lambda x: abs(x - c) ** p
+    if family == 3:
+        w = float(rng.uniform(1, 40))
+        return lambda x: math.cos(w * x) + 0.1 * x * x
+    q = float(rng.uniform(0.01, 0.5))
+    if family == 4:
+        return lambda x: math.floor(abs(x - c) / q)
+    return lambda x: min(abs(x - c), q)  # flat outside a narrow well: ties
+
+
+def test_fminbound_matches_scipy_on_synthetic_functions():
+    rng = np.random.default_rng(20260819)
+    for i in range(600):
+        func = _synthetic(rng)
+        lo = float(rng.uniform(-2, 1))
+        hi = lo + float(10 ** rng.uniform(-6, 0.5))
+        xatol = float(rng.choice([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]))
+        want = _scipy_bounded(func, lo, hi, xatol)
+        assert _fminbound(func, lo, hi, xatol) == (want.x, want.fun), i
+
+
+def test_fminbound_stops_at_the_evaluation_cap():
+    # |x| with xatol = 0 never meets the tolerance: both stop at 500 calls
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return abs(x)
+
+    want = _scipy_bounded(abs, -1.0, 2.0, 0.0)
+    assert want.nfev == 500 and not want.success
+    assert _fminbound(func, -1.0, 2.0, 0.0) == (want.x, want.fun)
+    assert len(calls) == 500
 
 
 def test_displacement_inverse_in_scale():

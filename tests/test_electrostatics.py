@@ -297,6 +297,18 @@ def test_field_gradient_at_refuses_points_off_the_half_space(geometry, z):
         field_gradient_at(geometry, {"DC18": 1.0}, np.array([[0.0, 0.0, 1e-4], [0.0, 0.0, z]]))
 
 
+def test_only_a_3_vector_is_a_single_point(geometry):
+    # an empty or flat array is a batch of points, not one point
+    volts = {"DC18": 1.0}
+    assert potential_at(geometry, volts, np.empty(0)).shape == (0,)
+    assert field_at(geometry, volts, np.empty(0)).shape == (0, 3)
+    pts = np.array([[0.0, 0.0, 1e-4], [1e-5, 2e-5, 8e-5]])
+    assert np.array_equal(potential_at(geometry, volts, pts.ravel()), potential_at(geometry, volts, pts))
+    assert np.array_equal(field_at(geometry, volts, pts.ravel()), field_at(geometry, volts, pts))
+    assert potential_at(geometry, volts, pts[1]) == potential_at(geometry, volts, pts)[1]
+    assert field_at(geometry, volts, pts[1]).shape == (3,)
+
+
 def test_pseudopotential_formula(geometry, drive):
     pts = np.array([[0.0, 30e-6, 90e-6], [10e-6, -50e-6, 140e-6]])
     rf_volts = {i: drive.v0 for i in geometry.ids(role="rf")}

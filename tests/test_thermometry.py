@@ -116,6 +116,13 @@ def test_invert_out_of_range_raises():
         invert_temperature(model, model_resistance(model, 320.0) * 1.5)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1.0, np.nan])
+def test_invert_refuses_nonpositive_meter_resolution(resolution):
+    model = SENSOR_PRESETS["TS1"]
+    with pytest.raises(ValueError, match="meter_resolution must be above zero"):
+        invert_temperature(model, model_resistance(model, 12.0), meter_resolution=resolution)
+
+
 def test_preset_sensitivities():
     # the two bundled sensors: ~2.5 and ~1.0 ohm/K in the 10-15 K window
     assert sensitivity(SENSOR_PRESETS["TS1"]) == pytest.approx(2.5, abs=0.5)

@@ -124,6 +124,26 @@ def test_edge_null_not_flagged(sites, rng):
     assert not edge.flagged
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"base_rates": {"LEAK_DC_DC": 0.2, "CONTINUITY_FAIL": -0.5}}, "rate of CONTINUITY_FAIL"),
+        ({"base_rates": {"CONTINUITY_FAIL": 1.5}}, "rate of CONTINUITY_FAIL"),
+        ({"base_rates": {"LEAK_RF": float("nan")}}, "rate of LEAK_RF"),
+        ({"cell_boost": ((1, 1), "LEAK_DC_DC", 1.01)}, "cell boost rate of LEAK_DC_DC"),
+        ({"edge_boost": ("LEAK_DC_GND", -0.1, 0.2)}, "edge boost rate of LEAK_DC_GND"),
+        ({"edge_boost": ("LEAK_DC_GND", 0.6, 1.2)}, "edge annulus fraction of LEAK_DC_GND"),
+    ],
+    ids=["base_negative", "base_above_one", "base_nan", "cell_boost", "edge_rate", "edge_fraction"],
+)
+def test_synthesize_refuses_rates_outside_unit_interval(sites, kwargs, message):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    with pytest.raises(ValueError, match=message):
+        synthesize_outcomes(sites, rng, **kwargs)
+    # refused before any draw
+    assert rng.random() == np.random.Generator(np.random.Philox(key=5)).random()
+
+
 def test_synthesize_is_deterministic(sites):
     a = synthesize_outcomes(
         sites, np.random.Generator(np.random.Philox(key=5)), base_rates={"LEAK_DC_DC": 0.3}
