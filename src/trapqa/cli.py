@@ -427,9 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dissipation", help="RF power loss of the bundled trap builds")
-    p.add_argument(
-        "--v0", type=_finite_float, default=DRIVE_V0, help="drive amplitude (V)"
-    )
+    p.add_argument("--v0", type=_positive_float, default=DRIVE_V0, help="drive amplitude (V)")
     p.add_argument("--freq-mhz", type=_positive_float, default=22.0, help="drive frequency (MHz)")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_dissipation)

@@ -157,6 +157,8 @@ def equilibrium_position(
     usually means the window missed the well.
     """
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("window ends must be finite")
     if not hi > lo:
         raise ValueError("window must satisfy lo < hi")
     xs = np.linspace(lo, hi, coarse)

@@ -157,8 +157,11 @@ def dissipation_report(
 
     The exact reference evaluates the lumped network with the effective
     series resistance R/3 so that both columns describe the same distributed
-    feed.
+    feed. Raises ``ValueError`` unless ``v0`` is above zero: at zero drive
+    there is no power to split and the relative error is undefined.
     """
+    if not v0 > 0.0:
+        raise ValueError(f"drive amplitude v0 must be above zero, got {v0!r}")
     if presets is None:
         presets = TRAP_PRESETS
     rows = []

@@ -581,22 +581,38 @@ def run_chip(
     the very first step reports 1. Elapsed time is the fixed per-step cost
     times the number of executed steps. Raises ``ValueError`` for a fault on
     a net the netlist lacks or an ``HW_FAIL`` step beyond the plan.
+
+    ``faults`` may be any iterable; it is read once. Without faults and
+    without ``rng`` the result depends only on the netlist and the limits,
+    so it is computed once per ``(netlist, limits)`` and the same immutable
+    ``ChipResult`` is returned to every such call.
     """
+    faults = tuple(faults)
+    if not faults and rng is None:
+        return _clean_chip(netlist, limits)
     plan = build_plan(netlist)
     _check_faults(netlist, faults, len(plan))
+    return _walk_plan(plan, netlist, faults, limits, rng)
+
+
+@functools.lru_cache(maxsize=16)
+def _clean_chip(netlist: ChipNetlist, limits: TestLimits) -> ChipResult:
+    """The noiseless fault-free result, cached like ``build_plan``.
+
+    A clean chip can still abort, e.g. against swapped sensor bands; the
+    aborted result is then what is shared.
+    """
+    return _walk_plan(build_plan(netlist), netlist, (), limits, None)
+
+
+def _walk_plan(plan, netlist: ChipNetlist, faults: tuple, limits: TestLimits, rng) -> ChipResult:
     log = []
     for step in plan:
-        rec = simulate_step(netlist, faults, step, limits, rng)
-        log.append(rec)
-        if rec.verdict != "PASS":
-            return ChipResult(
-                outcome=rec.verdict,
-                steps_executed=len(log),
-                elapsed_s=len(log) * limits.step_time,
-                log=tuple(log),
-            )
+        log.append(simulate_step(netlist, faults, step, limits, rng))
+        if log[-1].verdict != "PASS":
+            break
     return ChipResult(
-        outcome="PASS",
+        outcome=log[-1].verdict if log else "PASS",
         steps_executed=len(log),
         elapsed_s=len(log) * limits.step_time,
         log=tuple(log),

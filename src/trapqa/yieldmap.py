@@ -11,6 +11,7 @@ edge exclusion 3.25 mm with the shot grid centered on the wafer give exactly
 477 productive sites; the count is stable for exclusions in 3.20..3.35 mm.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,8 +309,8 @@ def synthesize_outcomes(
     one code; ``edge_boost = (code, rate, annulus_fraction)`` raises the
     outer annulus. Codes are evaluated in sorted order and the first failure
     drawn wins, so results are reproducible for a given generator state.
-    Every rate, and the annulus fraction, must lie in [0, 1]; anything else
-    raises ValueError naming the code.
+    Every rate, and the annulus fraction, must be a number in [0, 1];
+    anything else raises ValueError naming the code.
     """
     base_rates = dict(base_rates or {})
     checks = [(f"rate of {code}", rate) for code, rate in base_rates.items()]
@@ -319,8 +320,8 @@ def synthesize_outcomes(
         checks.append((f"edge boost rate of {edge_boost[0]}", edge_boost[1]))
         checks.append((f"edge annulus fraction of {edge_boost[0]}", edge_boost[2]))
     for name, value in checks:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
     out = {}
     r_split = None
     if edge_boost is not None:

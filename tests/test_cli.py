@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -348,10 +349,19 @@ def test_non_finite_number_option_exits_2(tmp_path, capsys, args):
     [
         ["dissipation", "--freq-mhz", "0"],
         ["dissipation", "--freq-mhz", "-3"],
+        ["dissipation", "--v0", "0"],
+        ["dissipation", "--v0", "-160"],
         ["thermo", "--preset", "TS1", "--resistance", "29500", "--meter-resolution", "-1"],
         ["thermo", "--preset", "TS1", "--resistance", "29500", "--meter-resolution", "0"],
     ],
-    ids=["freq_mhz_zero", "freq_mhz_negative", "meter_resolution_negative", "meter_resolution_zero"],
+    ids=[
+        "freq_mhz_zero",
+        "freq_mhz_negative",
+        "v0_zero",
+        "v0_negative",
+        "meter_resolution_negative",
+        "meter_resolution_zero",
+    ],
 )
 def test_nonpositive_number_option_exits_2(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -389,6 +399,15 @@ def test_yieldmap_rate_outside_unit_interval_exits_2(tmp_path, capsys, monkeypat
     assert not any((tmp_path / o).exists() for o in outs)
 
 
+@pytest.mark.parametrize("rate", ["0.2", None, True, [0.2]], ids=["string", "null", "bool", "list"])
+def test_yieldmap_non_number_rate_exits_2(tmp_path, capsys, monkeypatch, rate):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rates.json").write_text(json.dumps({"LEAK_DC_DC": 0.2, "CONTINUITY_FAIL": rate}))
+    err = _refused(capsys, "yieldmap", "--rates", "rates.json", "--out-svg", "w.svg", "--out-csv", "w.csv")
+    assert "rate of CONTINUITY_FAIL must be a number" in err
+    assert not (tmp_path / "w.svg").exists() and not (tmp_path / "w.csv").exists()
+
+
 def test_parser_defaults_match_the_analysis_modules():
     # the parser repeats these so that building it imports no analysis module
     from trapqa import cli, dissipation, thermometry
@@ -424,6 +443,23 @@ def test_diagnose_window_missing_well_exits_2(tmp_path, capsys):
     out = tmp_path / "diag.json"
     err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
     assert "scale 1:" in err and "window edge 400 um" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "window", [[float("-inf"), 300], [-300, float("inf")], [float("nan"), 300]], ids=["-inf", "inf", "nan"]
+)
+def test_diagnose_non_finite_window_exits_2(tmp_path, capsys, window):
+    spec = json.loads(_scenario(tmp_path, {"kind": "SHORTED", "electrode": "DC19"}).read_text())
+    spec["window_um"] = window
+    scenario = tmp_path / "unbounded.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "diag.json"
+    with warnings.catch_warnings():
+        # numpy used to warn on the unbounded scan before the misleading refusal
+        warnings.simplefilter("error")
+        err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
+    assert "window ends must be finite" in err
     assert not out.exists()
 
 

@@ -54,6 +54,17 @@ def test_equilibrium_flags_boundary():
     assert eq.position == WINDOW[0]
 
 
+@pytest.mark.parametrize(
+    "window", [(-math.inf, 300e-6), (-300e-6, math.inf), (math.nan, 300e-6), (-300e-6, math.nan)]
+)
+def test_equilibrium_refuses_non_finite_window(window):
+    def potential(x):
+        pytest.fail("potential evaluated on a non-finite window")
+
+    with pytest.raises(ValueError, match="window ends must be finite"):
+        equilibrium_position(potential, window)
+
+
 def _scipy_bounded(func, lo, hi, xatol):
     """The scalar reference: scipy's bounded minimizer, which _fminbound ports."""
     return optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})

@@ -106,6 +106,13 @@ def test_dielectric_power_scales_with_tan_delta():
     assert doubled[0] == pytest.approx(base[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("v0", [0.0, -160.0, float("nan")])
+def test_report_refuses_nonpositive_drive(v0):
+    # at zero drive the relative error was a ZeroDivisionError
+    with pytest.raises(ValueError, match="v0 must be above zero"):
+        dissipation_report(v0=v0)
+
+
 def test_preset_rejects_other_temperatures():
     with pytest.raises(ValueError):
         TRAP_PRESETS[0].circuit(77.0)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from trapqa.wafertest import (
+    DEFAULT_LIMITS,
     FAILURE_CODES,
     ChipNetlist,
     Fault,
@@ -307,3 +308,53 @@ def test_netlist_pickled_elsewhere_hashes_here(netlist):
     copy = pickle.loads(proc.stdout)
     assert copy == netlist and hash(copy) == hash(netlist)
     assert build_plan(copy) is build_plan(netlist)
+
+
+def _per_step_reference(netlist, faults, limits, rng=None):
+    """The plan walked step by step with simulate_step, up to the first failure."""
+    log = []
+    for step in build_plan(netlist):
+        log.append(simulate_step(netlist, faults, step, limits, rng))
+        if log[-1].verdict != "PASS":
+            break
+    return tuple(log)
+
+
+def test_run_chip_reads_a_generator_of_faults_once(netlist):
+    # the fault check used to exhaust a generator, so the plan saw no fault
+    result = run_chip(netlist, (f for f in [Fault.open("DC05")]))
+    assert result == run_chip(netlist, (Fault.open("DC05"),))
+    assert result.outcome == "CONTINUITY_FAIL"
+
+
+@pytest.mark.parametrize(
+    "limits", [DEFAULT_LIMITS, TestLimits(swap_sensor_bands=True)], ids=["default", "swapped_bands"]
+)
+def test_clean_chip_equals_per_step_reference(netlist, limits):
+    result = run_chip(netlist, (), limits)
+    log = _per_step_reference(netlist, (), limits)
+    assert result.log == log
+    assert result.outcome == log[-1].verdict
+    assert result.steps_executed == len(log)
+    assert result.elapsed_s == len(log) * limits.step_time
+
+
+def test_clean_chip_result_is_shared(netlist):
+    first = run_chip(netlist)
+    assert run_chip(netlist) is first
+    assert run_chip(netlist, []) is first
+    assert run_chip(default_netlist(), (f for f in ()), TestLimits()) is first
+    # an aborting clean run is cached as it aborted
+    swapped = run_chip(netlist, (), TestLimits(swap_sensor_bands=True))
+    assert swapped.outcome == "RES_FAIL_TS"
+    assert run_chip(netlist, (), TestLimits(swap_sensor_bands=True)) is swapped
+
+
+@pytest.mark.parametrize("faults", [(), (Fault.short("DC05", "DC09", 1e6),)], ids=["clean", "short"])
+def test_seeded_run_walks_the_plan_step_by_step(netlist, faults):
+    rng, ref_rng = (np.random.Generator(np.random.Philox(key=13)) for _ in range(2))
+    result = run_chip(netlist, faults, rng=rng)
+    assert result.log == _per_step_reference(netlist, faults, DEFAULT_LIMITS, ref_rng)
+    # both generators were left in the same state
+    assert rng.random(4).tolist() == ref_rng.random(4).tolist()
+    assert result is not run_chip(netlist, faults, rng=np.random.Generator(np.random.Philox(key=13)))

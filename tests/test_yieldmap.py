@@ -144,6 +144,14 @@ def test_synthesize_refuses_rates_outside_unit_interval(sites, kwargs, message):
     assert rng.random() == np.random.Generator(np.random.Philox(key=5)).random()
 
 
+@pytest.mark.parametrize("rate", ["0.2", None, True], ids=["string", "none", "bool"])
+def test_synthesize_refuses_a_rate_that_is_not_a_number(sites, rate):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    with pytest.raises(ValueError, match="rate of CONTINUITY_FAIL must be a number"):
+        synthesize_outcomes(sites, rng, base_rates={"CONTINUITY_FAIL": rate})
+    assert rng.random() == np.random.Generator(np.random.Philox(key=5)).random()
+
+
 def test_synthesize_is_deterministic(sites):
     a = synthesize_outcomes(
         sites, np.random.Generator(np.random.Philox(key=5)), base_rates={"LEAK_DC_DC": 0.3}
