@@ -44,6 +44,23 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _voltage_map(data, what: str) -> dict:
+    """Electrode id -> volts from a JSON object of finite numbers.
+
+    Any other shape raises ``ValueError`` naming ``what`` or the electrode.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object of electrode -> volts, got {type(data).__name__}")
+    volts = {}
+    for electrode, v in data.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"voltage of electrode {electrode!r} must be a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"voltage of electrode {electrode!r} is not finite: {v!r}")
+        volts[electrode] = float(v)
+    return volts
+
+
 def _geometry(arg: str):
     from .electrostatics import load_geometry, paper_trap_geometry
 
@@ -222,7 +239,7 @@ def _cmd_field(args) -> int:
 
     geometry = _geometry(args.geometry)
     if args.voltages:
-        voltages = {k: float(v) for k, v in _load_json(args.voltages).items()}
+        voltages = _voltage_map(_load_json(args.voltages), "--voltages")
     else:
         voltages = {i: args.rf_volts for i in geometry.ids(role="rf")}
     xs = np.linspace(*_parse_axis(args.x)) if args.x else np.array([0.0])
@@ -249,8 +266,8 @@ def _cmd_strayfield(args) -> int:
     from .electrostatics import stray_field
 
     geometry = _geometry(args.geometry)
-    applied = {k: float(v) for k, v in _load_json(args.applied).items()}
-    reference = {k: float(v) for k, v in _load_json(args.reference).items()}
+    applied = _voltage_map(_load_json(args.applied), "--applied")
+    reference = _voltage_map(_load_json(args.reference), "--reference")
     point = np.array([float(c) * 1e-6 for c in args.point.split(",")])
     if point.shape != (3,):
         raise ValueError(f"--point needs x,y,z in um, got {args.point!r}")
@@ -275,8 +292,10 @@ def _cmd_diagnose(args) -> int:
     from .diagnosis import FaultScenario, PositionMeasurement, classify_fault, simulate_positions
 
     spec = _load_json(args.scenario)
+    if not isinstance(spec, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(spec).__name__}")
     geometry = _geometry(spec.get("geometry", "builtin"))
-    voltages = {k: float(v) for k, v in spec["voltages"].items()}
+    voltages = _voltage_map(spec["voltages"], "scenario 'voltages'")
     scales = [float(s) for s in spec.get("scales", [1.0, 2.0, 4.0])]
     window = tuple(float(v) * 1e-6 for v in spec["window_um"])
     axis = spec.get("axis_um")

@@ -59,6 +59,11 @@ class RTModel:
             raise ValueError("theta must be positive")
 
 
+def _bg_integrand(x: float) -> float:
+    """x^5 / ((e^x - 1)(1 - e^-x)): the Bloch-Grueneisen integrand, J'(x)."""
+    return x**5 / ((np.exp(x) - 1.0) * (1.0 - np.exp(-x)))
+
+
 def bg_integral(upper: float) -> float:
     """Integral of x^5 / ((e^x - 1)(1 - e^-x)) from 0 to ``upper``.
 
@@ -70,7 +75,7 @@ def bg_integral(upper: float) -> float:
     from scipy import integrate
 
     val, _ = integrate.quad(
-        lambda x: x**5 / ((np.exp(x) - 1.0) * (1.0 - np.exp(-x))),
+        _bg_integrand,
         0.0,
         upper,
         limit=200,
@@ -111,7 +116,7 @@ def d_resistance_d_t(model: RTModel, temperature: float) -> float:
         raise ValueError("temperature must be positive")
     u = model.theta / temperature
     j = bg_integral(u)
-    jprime = u**5 / ((np.exp(u) - 1.0) * (1.0 - np.exp(-u))) if u < 700 else 0.0
+    jprime = _bg_integrand(u) if u < 700 else 0.0
     return float(
         model.amplitude * temperature**4 / model.theta**5 * (5.0 * j - u * jprime)
     )

@@ -29,6 +29,7 @@ noise is off unless an explicit RNG is provided.
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -339,8 +340,19 @@ def load_netlist(path) -> ChipNetlist:
 
 
 def faults_from_dict(data: dict) -> tuple[Fault, ...]:
+    """Faults from ``{"faults": [{...}, ...]}``; a missing list plants none.
+
+    Any other shape raises ``ValueError`` naming the part that is wrong.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a fault set must be a JSON object, got {type(data).__name__}")
+    entries = data.get("faults", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"'faults' must be a list of objects, got {type(entries).__name__}")
     out = []
-    for f in data.get("faults", []):
+    for k, f in enumerate(entries):
+        if not isinstance(f, dict):
+            raise ValueError(f"fault {k} must be a JSON object, got {f!r}")
         kind = f["kind"]
         out.append(
             Fault(
@@ -393,39 +405,53 @@ def build_plan(netlist: ChipNetlist) -> tuple[TestStep, ...]:
     return tuple(steps)
 
 
-def _shift_factor(net_id: str, faults) -> float:
-    f = 1.0
-    for fault in faults:
-        if fault.kind == "RESISTANCE_SHIFT" and fault.net == net_id:
-            f *= fault.factor
-    return f
+_SHORT_CODES = {"rf": "LEAK_DC_RF", "gnd": "LEAK_DC_GND"}
 
 
-def _is_open(net_id: str, faults) -> bool:
-    return any(f.kind == "OPEN" and f.net == net_id for f in faults)
+class _FaultIndex(NamedTuple):
+    """A chip's faults, read once: what each net and step of the plan sees.
 
-
-def _leak_paths(net_id: str, netlist: ChipNetlist, faults):
-    """(path_resistance, code_class) for every defect path touching ``net_id``.
-
-    ``code_class`` is the failure code the path maps to when sensed from a
-    DC-class net.
+    ``leaks`` maps a net to its defect paths ``(path_resistance, code)`` in
+    fault order; ``code`` is the failure code the path maps to when sensed
+    from a DC-class net, set by the role of the path's other end.
     """
-    paths = []
+
+    hw_fail: frozenset
+    open: frozenset
+    shift: dict
+    leaks: dict
+
+
+def _index_faults(netlist: ChipNetlist, faults, plan_length: int) -> _FaultIndex:
+    """Index ``faults`` in one pass, refusing those the chip cannot host.
+
+    Unknown nets and an ``HW_FAIL`` past the plan raise ``ValueError``: left
+    in, such a fault is never exercised and the chip would report a
+    confident PASS, or fail on a lookup of the unknown net.
+    """
+    hw_fail, opens, shift, leaks = set(), set(), {}, {}
     for f in faults:
-        if f.kind == "SHORT" and net_id in (f.net, f.other):
-            other = f.other if f.net == net_id else f.net
-            role = netlist.net(other).role
-            if role == "rf":
-                code = "LEAK_DC_RF"
-            elif role == "gnd":
-                code = "LEAK_DC_GND"
-            else:
-                code = "LEAK_DC_DC"
-            paths.append((f.resistance, code))
-        elif f.kind == "LEAK_TO_GND" and f.net == net_id:
-            paths.append((f.resistance, "LEAK_DC_GND"))
-    return paths
+        if f.kind == "HW_FAIL":
+            if f.step_index >= plan_length:
+                raise ValueError(
+                    f"HW_FAIL fault at step {f.step_index} is past the {plan_length}-step plan"
+                )
+            hw_fail.add(f.step_index)
+            continue
+        for net_id in (f.net, f.other) if f.kind == "SHORT" else (f.net,):
+            if net_id not in netlist._index:
+                raise ValueError(f"{f.kind} fault names net {net_id!r}, which is not in the netlist")
+        if f.kind == "OPEN":
+            opens.add(f.net)
+        elif f.kind == "RESISTANCE_SHIFT":
+            shift[f.net] = shift.get(f.net, 1.0) * f.factor
+        elif f.kind == "LEAK_TO_GND":
+            leaks[f.net] = leaks.get(f.net, ()) + ((f.resistance, "LEAK_DC_GND"),)
+        else:  # SHORT: a path from each end, coded by the role of the other
+            for net_id, other in ((f.net, f.other), (f.other, f.net)):
+                code = _SHORT_CODES.get(netlist.net(other).role, "LEAK_DC_DC")
+                leaks[net_id] = leaks.get(net_id, ()) + ((f.resistance, code),)
+    return _FaultIndex(frozenset(hw_fail), frozenset(opens), shift, leaks)
 
 
 def _in(value: float, band: tuple[float, float]) -> bool:
@@ -449,27 +475,33 @@ def simulate_step(
 ) -> StepRecord:
     """Execute one plan step against the fault set.
 
+    ``faults`` is any iterable of ``Fault``; it is indexed and checked like
+    ``run_chip`` does, so a fault the chip cannot host raises ``ValueError``.
+    A plan walk passes the index it built once for the chip instead.
     Deterministic unless ``rng`` is given, in which case Gaussian meter noise
     (1 uV, 0.1 nA one sigma) is added to the measured values.
     """
-    for f in faults:
-        if f.kind == "HW_FAIL" and f.step_index == step.index:
-            return StepRecord(
-                index=step.index,
-                net=step.net,
-                test_kind=_kind_label(step),
-                forced=0.0,
-                measured_v=0.0,
-                measured_i=0.0,
-                verdict="HW_FAIL",
-            )
+    if not isinstance(faults, _FaultIndex):
+        faults = _index_faults(netlist, faults, len(build_plan(netlist)))
+    if step.index in faults.hw_fail:
+        return StepRecord(
+            index=step.index,
+            net=step.net,
+            test_kind=_kind_label(step),
+            forced=0.0,
+            measured_v=0.0,
+            measured_i=0.0,
+            verdict="HW_FAIL",
+        )
 
     net = netlist.net(step.net)
-    shift = _shift_factor(step.net, faults)
+    shift = faults.shift.get(step.net, 1.0)
+    is_open = step.net in faults.open
+    paths = faults.leaks.get(step.net, ())
 
     if step.kind == "CONTINUITY":
         forced = limits.continuity_force
-        if _is_open(step.net, faults):
+        if is_open:
             v, i = limits.compliance_v, 0.0
         else:
             loop = net.loop_resistance * shift
@@ -484,7 +516,6 @@ def simulate_step(
 
     elif step.kind == "LEAKAGE":
         forced = limits.leakage_bias_dc
-        paths = _leak_paths(step.net, netlist, faults)
         i = sum(forced / r for r, _ in paths)
         v = 0.0  # sense node held at virtual ground
         v, i = _noise(v, i, rng)
@@ -493,12 +524,10 @@ def simulate_step(
             verdict = "PASS"
         else:
             # attribute the failure to the strongest defect path
-            paths.sort(key=lambda p: (p[0], p[1]))
-            verdict = paths[0][1] if paths else "LEAK_DC_DC"
+            verdict = min(paths, key=lambda p: (p[0], p[1]))[1] if paths else "LEAK_DC_DC"
 
     elif step.kind == "LEAKAGE_RF":
         forced = limits.leakage_bias_rf
-        paths = _leak_paths(step.net, netlist, faults)
         i = sum(forced / r for r, _ in paths)
         v = 0.0
         v, i = _noise(v, i, rng)
@@ -511,7 +540,7 @@ def simulate_step(
             r_nominal = net.element_resistance
         else:
             r_nominal = net.loop_resistance
-        if _is_open(step.net, faults):
+        if is_open:
             i = 0.0
             r_meas = np.inf
         else:
@@ -551,24 +580,6 @@ def _noise(v: float, i: float, rng) -> tuple[float, float]:
     return v + rng.normal(0.0, 1e-6), i + rng.normal(0.0, 1e-10)
 
 
-def _check_faults(netlist: ChipNetlist, faults, plan_length: int) -> None:
-    """Refuse faults the chip cannot host: unknown nets, HW_FAIL past the plan.
-
-    Left in, such a fault is never exercised and the chip would report a
-    confident PASS, or fail on a lookup of the unknown net.
-    """
-    for f in faults:
-        if f.kind == "HW_FAIL":
-            if f.step_index >= plan_length:
-                raise ValueError(
-                    f"HW_FAIL fault at step {f.step_index} is past the {plan_length}-step plan"
-                )
-            continue
-        for net_id in (f.net, f.other) if f.kind == "SHORT" else (f.net,):
-            if net_id not in netlist._index:
-                raise ValueError(f"{f.kind} fault names net {net_id!r}, which is not in the netlist")
-
-
 def run_chip(
     netlist: ChipNetlist,
     faults=(),
@@ -582,17 +593,17 @@ def run_chip(
     times the number of executed steps. Raises ``ValueError`` for a fault on
     a net the netlist lacks or an ``HW_FAIL`` step beyond the plan.
 
-    ``faults`` may be any iterable; it is read once. Without faults and
-    without ``rng`` the result depends only on the netlist and the limits,
-    so it is computed once per ``(netlist, limits)`` and the same immutable
+    ``faults`` may be any iterable; it is read once, into one fault index
+    that every step of the walk consults, and the walk calls
+    ``simulate_step`` once per executed step. Without faults and without
+    ``rng`` the result depends only on the netlist and the limits, so it is
+    computed once per ``(netlist, limits)`` and the same immutable
     ``ChipResult`` is returned to every such call.
     """
     faults = tuple(faults)
     if not faults and rng is None:
         return _clean_chip(netlist, limits)
-    plan = build_plan(netlist)
-    _check_faults(netlist, faults, len(plan))
-    return _walk_plan(plan, netlist, faults, limits, rng)
+    return _walk_plan(build_plan(netlist), netlist, faults, limits, rng)
 
 
 @functools.lru_cache(maxsize=16)
@@ -606,9 +617,10 @@ def _clean_chip(netlist: ChipNetlist, limits: TestLimits) -> ChipResult:
 
 
 def _walk_plan(plan, netlist: ChipNetlist, faults: tuple, limits: TestLimits, rng) -> ChipResult:
+    index = _index_faults(netlist, faults, len(plan))
     log = []
     for step in plan:
-        log.append(simulate_step(netlist, faults, step, limits, rng))
+        log.append(simulate_step(netlist, index, step, limits, rng))
         if log[-1].verdict != "PASS":
             break
     return ChipResult(

@@ -12,6 +12,7 @@ edge exclusion 3.25 mm with the shot grid centered on the wafer give exactly
 """
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,8 +311,11 @@ def synthesize_outcomes(
     outer annulus. Codes are evaluated in sorted order and the first failure
     drawn wins, so results are reproducible for a given generator state.
     Every rate, and the annulus fraction, must be a number in [0, 1];
-    anything else raises ValueError naming the code.
+    anything else raises ValueError naming the code, and so does a
+    ``base_rates`` that is not a mapping.
     """
+    if base_rates is not None and not isinstance(base_rates, Mapping):
+        raise ValueError(f"base rates must map failure codes to rates, got {type(base_rates).__name__}")
     base_rates = dict(base_rates or {})
     checks = [(f"rate of {code}", rate) for code, rate in base_rates.items()]
     if cell_boost is not None:

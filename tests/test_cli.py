@@ -490,3 +490,40 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+_SCENARIO = {"voltages": {"DC18": -2.0}, "window_um": [-300, 300], "fault": {"kind": "NOMINAL"}}
+_STRAY = ["--reference", "ref.json", "--point", "0,42.3,124.4", "--out", "out.json"]
+
+
+@pytest.mark.parametrize(
+    "args, document, message",
+    [
+        (["wafertest", "--faults", "bad.json", "--out", "out.csv"],
+         {"faults": {"kind": "OPEN", "net": "DC05"}}, "'faults' must be a list"),
+        (["wafertest", "--faults", "bad.json", "--out", "out.csv"],
+         [{"kind": "OPEN", "net": "DC05"}], "fault set must be a JSON object"),
+        (["wafertest", "--faults", "bad.json", "--out", "out.csv"], {"faults": [1]}, "fault 0"),
+        (["yieldmap", "--rates", "bad.json", "--out-svg", "out.svg", "--out-csv", "out.csv"],
+         [0.2], "base rates must map"),
+        (["field", "--voltages", "bad.json", "--out", "out.csv"], [1.0], "--voltages must be a JSON object"),
+        (["field", "--voltages", "bad.json", "--out", "out.csv"], {"DC18": None}, "'DC18' must be a number"),
+        (["strayfield", "--applied", "bad.json", *_STRAY], [0.5], "--applied must be a JSON object"),
+        (["diagnose", "--scenario", "bad.json", "--out", "out.json"], "DC18", "scenario must be a JSON object"),
+        (["diagnose", "--scenario", "bad.json", "--out", "out.json"],
+         {**_SCENARIO, "voltages": [1.0, -2.0]}, "scenario 'voltages' must be a JSON object"),
+    ],
+    ids=[
+        "faults_object", "faults_list_document", "fault_number", "rates_list", "voltages_list",
+        "voltage_null", "applied_list", "scenario_string", "scenario_voltages_list",
+    ],
+)
+def test_malformed_json_document_exits_2(tmp_path, capsys, monkeypatch, args, document, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ref.json").write_text(json.dumps({"CP1": 0.0}))
+    (tmp_path / "bad.json").write_text(json.dumps(document))
+    err = _refused(capsys, *args)
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("trapqa: bad input:")
+    assert message in err
+    assert not list(tmp_path.glob("out.*"))

@@ -5,6 +5,7 @@ The fault sweep in here is representative; the exhaustive soundness sweep
 suite where its runtime budget lives.
 """
 
+import itertools
 import json
 import os
 import pickle
@@ -18,9 +19,15 @@ from trapqa.wafertest import (
     DEFAULT_LIMITS,
     FAILURE_CODES,
     ChipNetlist,
+    ChipResult,
     Fault,
     Net,
+    StepRecord,
     TestLimits,
+    _in,
+    _kind_label,
+    _noise,
+    _ts_band,
     build_plan,
     default_netlist,
     faults_from_dict,
@@ -358,3 +365,275 @@ def test_seeded_run_walks_the_plan_step_by_step(netlist, faults):
     # both generators were left in the same state
     assert rng.random(4).tolist() == ref_rng.random(4).tolist()
     assert result is not run_chip(netlist, faults, rng=np.random.Generator(np.random.Philox(key=13)))
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: the step simulation as it was when every step scanned the
+# whole fault list. The indexed walk must reproduce it record for record.
+
+
+def _ref_shift_factor(net_id, faults):
+    f = 1.0
+    for fault in faults:
+        if fault.kind == "RESISTANCE_SHIFT" and fault.net == net_id:
+            f *= fault.factor
+    return f
+
+
+def _ref_is_open(net_id, faults):
+    return any(f.kind == "OPEN" and f.net == net_id for f in faults)
+
+
+def _ref_leak_paths(net_id, netlist, faults):
+    paths = []
+    for f in faults:
+        if f.kind == "SHORT" and net_id in (f.net, f.other):
+            other = f.other if f.net == net_id else f.net
+            role = netlist.net(other).role
+            if role == "rf":
+                code = "LEAK_DC_RF"
+            elif role == "gnd":
+                code = "LEAK_DC_GND"
+            else:
+                code = "LEAK_DC_DC"
+            paths.append((f.resistance, code))
+        elif f.kind == "LEAK_TO_GND" and f.net == net_id:
+            paths.append((f.resistance, "LEAK_DC_GND"))
+    return paths
+
+
+def _ref_check_faults(netlist, faults, plan_length):
+    for f in faults:
+        if f.kind == "HW_FAIL":
+            if f.step_index >= plan_length:
+                raise ValueError(
+                    f"HW_FAIL fault at step {f.step_index} is past the {plan_length}-step plan"
+                )
+            continue
+        for net_id in (f.net, f.other) if f.kind == "SHORT" else (f.net,):
+            if net_id not in netlist._index:
+                raise ValueError(f"{f.kind} fault names net {net_id!r}, which is not in the netlist")
+
+
+def _ref_simulate_step(netlist, faults, step, limits, rng):
+    for f in faults:
+        if f.kind == "HW_FAIL" and f.step_index == step.index:
+            return StepRecord(
+                index=step.index, net=step.net, test_kind=_kind_label(step),
+                forced=0.0, measured_v=0.0, measured_i=0.0, verdict="HW_FAIL",
+            )
+
+    net = netlist.net(step.net)
+    shift = _ref_shift_factor(step.net, faults)
+
+    if step.kind == "CONTINUITY":
+        forced = limits.continuity_force
+        if _ref_is_open(step.net, faults):
+            v, i = limits.compliance_v, 0.0
+        else:
+            loop = net.loop_resistance * shift
+            v_would = forced * loop
+            if v_would >= limits.compliance_v:
+                v, i = limits.compliance_v, limits.compliance_v / loop
+            else:
+                v, i = v_would, forced
+        v, i = _noise(v, i, rng)
+        ok = _in(v, limits.continuity_v) and _in(i, limits.continuity_i)
+        verdict = "PASS" if ok else "CONTINUITY_FAIL"
+
+    elif step.kind == "LEAKAGE":
+        forced = limits.leakage_bias_dc
+        paths = _ref_leak_paths(step.net, netlist, faults)
+        i = sum(forced / r for r, _ in paths)
+        v = 0.0
+        v, i = _noise(v, i, rng)
+        ok = i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window
+        if ok:
+            verdict = "PASS"
+        else:
+            paths.sort(key=lambda p: (p[0], p[1]))
+            verdict = paths[0][1] if paths else "LEAK_DC_DC"
+
+    elif step.kind == "LEAKAGE_RF":
+        forced = limits.leakage_bias_rf
+        paths = _ref_leak_paths(step.net, netlist, faults)
+        i = sum(forced / r for r, _ in paths)
+        v = 0.0
+        v, i = _noise(v, i, rng)
+        ok = i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window
+        verdict = "PASS" if ok else "LEAK_RF"
+
+    else:  # RESISTANCE
+        forced = limits.resistance_force
+        r_nominal = net.element_resistance if net.role == "ts" else net.loop_resistance
+        if _ref_is_open(step.net, faults):
+            i = 0.0
+            r_meas = np.inf
+        else:
+            r_meas = r_nominal * shift
+            i = forced / r_meas
+        v = forced
+        v, i = _noise(v, i, rng)
+        r_meas = v / i if i > 0 else np.inf
+        if net.role == "ts":
+            band = _ts_band(netlist, step.net, limits)
+            code = "RES_FAIL_TS"
+        else:
+            band = limits.loop_band
+            code = "RES_FAIL_RF" if net.role == "rf" else "RES_FAIL_DC"
+        verdict = "PASS" if _in(r_meas, band) else code
+
+    return StepRecord(
+        index=step.index, net=step.net, test_kind=_kind_label(step),
+        forced=forced, measured_v=v, measured_i=i, verdict=verdict,
+    )
+
+
+def _ref_run_chip(netlist, faults, limits=DEFAULT_LIMITS, rng=None):
+    plan = build_plan(netlist)
+    _ref_check_faults(netlist, faults, len(plan))
+    log = []
+    for step in plan:
+        log.append(_ref_simulate_step(netlist, faults, step, limits, rng))
+        if log[-1].verdict != "PASS":
+            break
+    return ChipResult(
+        outcome=log[-1].verdict if log else "PASS",
+        steps_executed=len(log),
+        elapsed_s=len(log) * limits.step_time,
+        log=tuple(log),
+    )
+
+
+def _bits(value):
+    """A field as compared: a float by ``float.hex``, anything else with its type."""
+    return value.hex() if type(value) is float else (type(value).__name__, value)
+
+
+def _fields(result):
+    head = (result.outcome, result.steps_executed, _bits(result.elapsed_s))
+    return [head] + [
+        (r.index, r.net, r.test_kind, _bits(r.forced), _bits(r.measured_v), _bits(r.measured_i), r.verdict)
+        for r in result.log
+    ]
+
+
+def _assert_matches_reference(netlist, faults, seed=None):
+    if seed is None:
+        got, want = run_chip(netlist, faults), _ref_run_chip(netlist, faults)
+        assert _fields(got) == _fields(want), faults
+        return
+    rng, ref_rng = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+    got = run_chip(netlist, faults, rng=rng)
+    want = _ref_run_chip(netlist, faults, rng=ref_rng)
+    assert _fields(got) == _fields(want), (seed, faults)
+    # the generators end in the same state: same counter, key and buffer
+    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+def _sweep_faults(netlist):
+    """The 3877 single faults of acceptance criterion 05."""
+    loop_ids = netlist.ids("dc", "comp", "ts", "rf")
+    shift_factor = {"dc": 4.0, "comp": 4.0, "rf": 12.0, "ts": 1.5}
+    sweep = [Fault.open(n) for n in loop_ids]
+    sweep += [Fault.leak_to_gnd(n, 1e6) for n in loop_ids]
+    sweep += [Fault.resistance_shift(n, shift_factor[netlist.net(n).role]) for n in loop_ids]
+    sweep += [Fault.short(a, b, 1e6) for a, b in itertools.combinations(netlist.ids(), 2)]
+    sweep += [Fault.hw_fail(i) for i in range(len(build_plan(netlist)))]
+    return sweep
+
+
+def test_indexed_walk_equals_reference_on_the_fault_sweep(netlist):
+    sweep = _sweep_faults(netlist)
+    assert len(sweep) == 3877
+    for fault in sweep:
+        _assert_matches_reference(netlist, (fault,))
+
+
+# Nets drawn from a few of each role, so that faults often share a net.
+_DRAW_NETS = ("DC01", "DC02", "DC40", "CP3", "TS1", "TS2", "RF", "GND")
+
+
+def _random_fault(rng, plan_length):
+    kind = rng.choice(["OPEN", "SHORT", "LEAK_TO_GND", "RESISTANCE_SHIFT", "HW_FAIL"])
+    loops = [n for n in _DRAW_NETS if n != "GND"]
+    # path resistances on both sides of the 500 kOhm / 3 MOhm leak thresholds
+    resistance = float(10.0 ** rng.uniform(5.0, 9.5))
+    if kind == "OPEN":
+        return Fault.open(str(rng.choice(loops)))
+    if kind == "SHORT":
+        a, b = rng.choice(_DRAW_NETS, size=2, replace=False)
+        return Fault.short(str(a), str(b), resistance)
+    if kind == "LEAK_TO_GND":
+        return Fault.leak_to_gnd(str(rng.choice(loops)), resistance)
+    if kind == "RESISTANCE_SHIFT":
+        return Fault.resistance_shift(str(rng.choice(loops)), float(rng.uniform(0.3, 3.0)))
+    return Fault.hw_fail(int(rng.integers(plan_length)))
+
+
+def _seeded_chips(netlist, count=500):
+    rng = np.random.Generator(np.random.Philox(key=20261019))
+    plan_length = len(build_plan(netlist))
+    chips = [
+        # two shifts on one net, multiplied in fault order
+        (Fault.resistance_shift("DC02", 1.7), Fault.resistance_shift("DC02", 1.9)),
+        (Fault.resistance_shift("TS1", 0.9), Fault.resistance_shift("TS1", 1.13)),
+        # two leak paths on one net, attributed to the stronger (a tie: by code)
+        (Fault.leak_to_gnd("DC01", 2e6), Fault.short("DC01", "RF", 1.5e6)),
+        (Fault.short("DC01", "DC40", 9e5), Fault.leak_to_gnd("DC01", 9e5)),
+        # a DC-DC short, both ends
+        (Fault.short("DC40", "DC02", 1e6),),
+        # an open with an instrument failure after it (step 30) and before it (step 1)
+        (Fault.open("CP3"), Fault.hw_fail(30)),
+        (Fault.hw_fail(1), Fault.open("RF")),
+    ]
+    while len(chips) < count:
+        chips.append(tuple(_random_fault(rng, plan_length) for _ in range(int(rng.integers(1, 5)))))
+    return chips
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["noiseless", "metered"])
+def test_indexed_walk_equals_reference_on_seeded_chips(netlist, noise):
+    for k, chip in enumerate(_seeded_chips(netlist)):
+        _assert_matches_reference(netlist, chip, seed=k if noise else None)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        (Fault.open("DC01"), Fault.short("DC01", "XX", 1e6), Fault.hw_fail(999)),
+        (Fault.hw_fail(999), Fault.open("DC99")),
+        (Fault.resistance_shift("XX", 2.0), Fault.leak_to_gnd("YY", 1e6)),
+    ],
+)
+def test_refusals_match_reference(netlist, faults):
+    with pytest.raises(ValueError) as want:
+        _ref_run_chip(netlist, faults)
+    with pytest.raises(ValueError) as got:
+        run_chip(netlist, faults)
+    assert str(got.value) == str(want.value)
+
+
+def test_walk_calls_simulate_step_once_per_executed_step(monkeypatch, netlist):
+    import trapqa.wafertest as wt
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].index)
+        return simulate_step(*args)
+
+    monkeypatch.setattr(wt, "simulate_step", counted)
+    result = run_chip(netlist, (Fault.hw_fail(250), Fault.resistance_shift("DC05", 1.2)))
+    assert calls == list(range(result.steps_executed)) == list(range(251))
+
+
+def test_simulate_step_indexes_plain_faults(netlist, plan):
+    # a plain fault tuple gives the same record as the walk, and is checked
+    faults = (Fault.short("DC05", "RF", 1e6), Fault.leak_to_gnd("DC05", 2e6))
+    leak = next(s for s in plan if s.kind == "LEAKAGE" and s.net == "DC05")
+    rec = simulate_step(netlist, faults, leak)
+    assert rec == run_chip(netlist, faults).log[-1]
+    assert rec.verdict == "LEAK_DC_RF"
+    with pytest.raises(ValueError, match="'XX'"):
+        simulate_step(netlist, (Fault.open("XX"),), leak)
