@@ -11,15 +11,14 @@ non-nominal fault class, out-of-range readout), 2 for usage or input errors.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 
 import numpy as np
 
-from ._io import atomic_write_text, dump_json
+from ._io import as_list, as_number, as_object, as_text, atomic_write_text, csv_text, dump_json
+from ._io import read_csv, read_json
 
 # Each command imports the analysis modules it runs inside its own function,
 # so a process pays only for the modules of the command it runs.
@@ -39,26 +38,13 @@ def _rng(seed: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _voltage_map(data, what: str) -> dict:
-    """Electrode id -> volts from a JSON object of finite numbers.
-
-    Any other shape raises ``ValueError`` naming ``what`` or the electrode.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object of electrode -> volts, got {type(data).__name__}")
-    volts = {}
-    for electrode, v in data.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"voltage of electrode {electrode!r} must be a number, got {v!r}")
-        if not math.isfinite(v):
-            raise ValueError(f"voltage of electrode {electrode!r} is not finite: {v!r}")
-        volts[electrode] = float(v)
-    return volts
+def _voltage_map(data, what: str, geometry) -> dict:
+    """Electrode id -> volts from a JSON object of finite numbers; any other
+    shape, and an electrode ``geometry`` lacks, is refused naming it."""
+    return {
+        geometry.electrode(electrode).id: as_number(v, f"voltage of electrode {electrode!r}")
+        for electrode, v in as_object(data, what).items()
+    }
 
 
 def _geometry(arg: str):
@@ -100,24 +86,14 @@ def _cmd_dissipation(args) -> int:
 
     drive_omega = 2.0 * np.pi * args.freq_mhz * 1e6
     rows = dis.dissipation_report(v0=args.v0, omega=drive_omega)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["trap", "temperature_K", "p_ohmic_mW", "p_diel_mW", "p_total_mW", "p_exact_mW", "rel_error"]
+    text = csv_text(
+        ["trap", "temperature_K", "p_ohmic_mW", "p_diel_mW", "p_total_mW", "p_exact_mW", "rel_error"],
+        (
+            [r.name, *map(_fmt, (r.temperature, r.p_ohmic * 1e3, r.p_diel * 1e3, r.p_total * 1e3,
+                                 r.p_exact * 1e3, r.rel_error))]
+            for r in rows
+        ),
     )
-    for r in rows:
-        w.writerow(
-            [
-                r.name,
-                _fmt(r.temperature),
-                _fmt(r.p_ohmic * 1e3),
-                _fmt(r.p_diel * 1e3),
-                _fmt(r.p_total * 1e3),
-                _fmt(r.p_exact * 1e3),
-                _fmt(r.rel_error),
-            ]
-        )
-    text = buf.getvalue()
     if args.out:
         atomic_write_text(args.out, text)
     else:
@@ -134,14 +110,16 @@ def _cmd_wafertest(args) -> int:
     netlist = wt.load_netlist(args.netlist) if args.netlist else wt.default_netlist()
     faults = wt.load_faults(args.faults) if args.faults else ()
     result = wt.run_chip(netlist, faults)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["step_index", "net", "test_kind", "forced", "measured_V", "measured_I", "verdict"])
-    for rec in result.log:
-        w.writerow(
-            [rec.index, rec.net, rec.test_kind, _fmt(rec.forced), _fmt(rec.measured_v), _fmt(rec.measured_i), rec.verdict]
-        )
-    atomic_write_text(args.out, buf.getvalue())
+    atomic_write_text(
+        args.out,
+        csv_text(
+            ["step_index", "net", "test_kind", "forced", "measured_V", "measured_I", "verdict"],
+            (
+                [r.index, r.net, r.test_kind, _fmt(r.forced), _fmt(r.measured_v), _fmt(r.measured_i), r.verdict]
+                for r in result.log
+            ),
+        ),
+    )
     if args.summary:
         atomic_write_text(
             args.summary,
@@ -178,7 +156,7 @@ def _cmd_yieldmap(args) -> int:
     rng = _rng(args.seed)
     # Defaults chosen so the expected pass fraction is ~0.54, the measured
     # full-wafer yield of the reference lot.
-    rates = _load_json(args.rates) if args.rates else {
+    rates = read_json(args.rates) if args.rates else {
         "CONTINUITY_FAIL": 0.20,
         "LEAK_DC_DC": 0.22,
         "LEAK_DC_GND": 0.09,
@@ -239,7 +217,7 @@ def _cmd_field(args) -> int:
 
     geometry = _geometry(args.geometry)
     if args.voltages:
-        voltages = _voltage_map(_load_json(args.voltages), "--voltages")
+        voltages = _voltage_map(read_json(args.voltages), "--voltages", geometry)
     else:
         voltages = {i: args.rf_volts for i in geometry.ids(role="rf")}
     xs = np.linspace(*_parse_axis(args.x)) if args.x else np.array([0.0])
@@ -248,14 +226,13 @@ def _cmd_field(args) -> int:
     pts = np.array([(x, y, z) for x in xs for y in ys for z in zs])
     phi = np.atleast_1d(potential_at(geometry, voltages, pts))
     e = np.atleast_2d(field_at(geometry, voltages, pts))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["x_um", "y_um", "z_um", "phi_V", "Ex_V_per_m", "Ey_V_per_m", "Ez_V_per_m"])
-    for p, f, ev in zip(pts, phi, e):
-        w.writerow(
-            [_fmt(p[0] * 1e6), _fmt(p[1] * 1e6), _fmt(p[2] * 1e6), _fmt(f), _fmt(ev[0]), _fmt(ev[1]), _fmt(ev[2])]
-        )
-    atomic_write_text(args.out, buf.getvalue())
+    atomic_write_text(
+        args.out,
+        csv_text(
+            ["x_um", "y_um", "z_um", "phi_V", "Ex_V_per_m", "Ey_V_per_m", "Ez_V_per_m"],
+            (list(map(_fmt, (*p * 1e6, f, *ev))) for p, f, ev in zip(pts, phi, e)),
+        ),
+    )
     return 0
 
 
@@ -266,8 +243,8 @@ def _cmd_strayfield(args) -> int:
     from .electrostatics import stray_field
 
     geometry = _geometry(args.geometry)
-    applied = _voltage_map(_load_json(args.applied), "--applied")
-    reference = _voltage_map(_load_json(args.reference), "--reference")
+    applied = _voltage_map(read_json(args.applied), "--applied", geometry)
+    reference = _voltage_map(read_json(args.reference), "--reference", geometry)
     point = np.array([float(c) * 1e-6 for c in args.point.split(",")])
     if point.shape != (3,):
         raise ValueError(f"--point needs x,y,z in um, got {args.point!r}")
@@ -291,42 +268,45 @@ def _cmd_strayfield(args) -> int:
 def _cmd_diagnose(args) -> int:
     from .diagnosis import FaultScenario, PositionMeasurement, classify_fault, simulate_positions
 
-    spec = _load_json(args.scenario)
-    if not isinstance(spec, dict):
-        raise ValueError(f"a scenario must be a JSON object, got {type(spec).__name__}")
-    geometry = _geometry(spec.get("geometry", "builtin"))
-    voltages = _voltage_map(spec["voltages"], "scenario 'voltages'")
-    scales = [float(s) for s in spec.get("scales", [1.0, 2.0, 4.0])]
-    window = tuple(float(v) * 1e-6 for v in spec["window_um"])
+    spec = as_object(read_json(args.scenario), "a scenario")
+    geometry = _geometry(as_text(spec.get("geometry", "builtin"), "scenario 'geometry'"))
+    voltages = _voltage_map(spec["voltages"], "scenario 'voltages'", geometry)
+    scales = as_list(spec.get("scales", [1.0, 2.0, 4.0]), "scenario 'scales'")
+    scales = [as_number(s, "scenario 'scales'") for s in scales]
+    # an infinite end passes here: equilibrium_position refuses it by name
+    window = tuple(
+        as_number(v, "scenario 'window_um'", finite=False) * 1e-6
+        for v in as_list(spec["window_um"], "scenario 'window_um'", 2)
+    )
     axis = spec.get("axis_um")
     if axis is not None:
-        axis = (float(axis["y"]) * 1e-6, float(axis["z"]) * 1e-6)
+        axis = as_object(axis, "scenario 'axis_um'")
+        axis = tuple(as_number(axis[c], f"scenario 'axis_um' {c}") * 1e-6 for c in ("y", "z"))
 
     nominal = simulate_positions(
         geometry, voltages, FaultScenario(kind="NOMINAL"), scales, window, axis=axis
     )
 
     if args.measurements:
-        measured = []
         with open(args.measurements, "r", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                measured.append(
-                    PositionMeasurement(
-                        scale=float(rec["scale"]), position=float(rec["position_um"]) * 1e-6
-                    )
-                )
+            rows = read_csv(fh, "--measurements", ("scale", "position_um"))
+        measured = [PositionMeasurement(r["scale"], r["position_um"] * 1e-6) for r in rows]
     else:
         fault = spec.get("fault")
         if fault is None:
             raise ValueError("scenario has no 'fault'; give one or pass --measurements")
+        fault = as_object(fault, "scenario 'fault'")
+        electrode = as_text(fault.get("electrode"), "fault 'electrode'", optional=True)
+        rects = as_list(fault.get("charge_rects_um", []), "fault 'charge_rects_um'")
         scenario = FaultScenario(
-            kind=fault["kind"],
-            electrode=fault.get("electrode"),
-            held_voltage=float(fault.get("held_voltage", 0.0)),
+            kind=as_text(fault["kind"], "fault 'kind'"),
+            electrode=None if electrode is None else geometry.electrode(electrode).id,
+            held_voltage=as_number(fault.get("held_voltage", 0.0), "fault 'held_voltage'"),
             charge_rects=tuple(
-                tuple(float(c) * 1e-6 for c in r) for r in fault.get("charge_rects_um", [])
+                tuple(as_number(c, "fault 'charge_rects_um'") * 1e-6 for c in as_list(r, "a charge rectangle", 4))
+                for r in rects
             ),
-            charge_voltage=float(fault.get("charge_voltage", 0.0)),
+            charge_voltage=as_number(fault.get("charge_voltage", 0.0), "fault 'charge_voltage'"),
         )
         measured = simulate_positions(geometry, voltages, scenario, scales, window, axis=axis)
 
@@ -357,14 +337,10 @@ def _cmd_thermo(args) -> int:
     else:
         if not args.calibration:
             raise ValueError("thermo needs --preset or --calibration")
-        t, r, s = [], [], []
         with open(args.calibration, "r", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                t.append(float(rec["T_K"]))
-                r.append(float(rec["R_ohm"]))
-                if "sigma_ohm" in rec and rec["sigma_ohm"]:
-                    s.append(float(rec["sigma_ohm"]))
-        fit = thermo.fit_rt_curve(t, r, sigma=s if s else None)
+            rows = read_csv(fh, "--calibration", ("T_K", "R_ohm"), ("sigma_ohm",))
+        s = [r["sigma_ohm"] for r in rows if r["sigma_ohm"] is not None]
+        fit = thermo.fit_rt_curve([r["T_K"] for r in rows], [r["R_ohm"] for r in rows], sigma=s if s else None)
         model = fit.model
         fit_info = {"chi2": fit.chi2, "dof": fit.dof}
 
@@ -393,22 +369,9 @@ def _cmd_thermo(args) -> int:
 def _cmd_heating(args) -> int:
     from . import heating as heat
 
-    if args.csv:
-        records = []
-        with open(args.csv, "r", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                records.append(
-                    heat.HeatingRecord(
-                        site=int(rec.get("site", 0)),
-                        frequency_mhz=float(rec["frequency_mhz"]),
-                        rate=float(rec["rate_quanta_per_s"]),
-                        sigma=float(rec["sigma_quanta_per_s"]),
-                    )
-                )
-        if args.site is not None:
-            records = [r for r in records if r.site == args.site]
-    else:
-        records = list(heat.site_rates(args.site if args.site is not None else 10))
+    # without --site, a --csv table is fitted whole and the bundled one at site 10
+    site = 10 if args.site is None and not args.csv else args.site
+    records = [r for r in heat.load_heating_table(args.csv) if site is None or r.site == site]
     if len(records) < 3:
         raise ValueError(f"power-law fit needs at least 3 records, got {len(records)}")
     fit = heat.power_law_fit(

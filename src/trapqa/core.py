@@ -5,10 +5,11 @@ accept the unit-suffixed keys used in the JSON configs (``*_um``, ``*_mm``)
 and convert on the way in.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._io import as_list, as_number, as_object, as_text, read_json
 
 __all__ = [
     "Material",
@@ -147,16 +148,20 @@ def material_from_dict(data: dict) -> Material:
     Expected keys: ``name``, optional ``tan_delta``, optional ``resistivity``
     as a list of ``[T_K, rho_ohm_m]`` pairs.
     """
+    data = as_object(data, "a material")
+    knots = as_list(data.get("resistivity", []), "material 'resistivity'")
     return Material(
-        name=data["name"],
-        resistivity=tuple((float(t), float(r)) for t, r in data.get("resistivity", [])),
-        tan_delta=float(data.get("tan_delta", 0.0)),
+        name=as_text(data["name"], "material 'name'"),
+        resistivity=tuple(
+            tuple(as_number(x, "material 'resistivity'") for x in as_list(k, "a resistivity knot", 2))
+            for k in knots
+        ),
+        tan_delta=as_number(data.get("tan_delta", 0.0), "material 'tan_delta'"),
     )
 
 
 def load_material(path) -> Material:
-    with open(path, "r", encoding="utf-8") as fh:
-        return material_from_dict(json.load(fh))
+    return material_from_dict(read_json(path))
 
 
 # Bundled materials. The 10 K resistivities are measured values for the two

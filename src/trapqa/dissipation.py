@@ -151,9 +151,9 @@ class DissipationRow:
 
 
 def dissipation_report(
-    presets=None, v0: float = DEFAULT_DRIVE_V0, omega: float = DEFAULT_DRIVE_OMEGA
+    v0: float = DEFAULT_DRIVE_V0, omega: float = DEFAULT_DRIVE_OMEGA
 ) -> list[DissipationRow]:
-    """Approximate-vs-exact dissipation for each preset at 300 K and 10 K.
+    """Approximate-vs-exact dissipation for each of ``TRAP_PRESETS`` at 300 K and 10 K.
 
     The exact reference evaluates the lumped network with the effective
     series resistance R/3 so that both columns describe the same distributed
@@ -162,10 +162,8 @@ def dissipation_report(
     """
     if not v0 > 0.0:
         raise ValueError(f"drive amplitude v0 must be above zero, got {v0!r}")
-    if presets is None:
-        presets = TRAP_PRESETS
     rows = []
-    for preset in presets:
+    for preset in TRAP_PRESETS:
         for temperature in (300.0, 10.0):
             model = preset.circuit(temperature)
             p_ohm, p_diel = power_approx(model, v0, omega)

@@ -5,11 +5,12 @@ Lengths are meters internally; the JSON form uses micrometers (key
 (compensation) and ``"gnd"``.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .._io import as_list, as_number, as_object, as_objects, as_text, read_json
 
 __all__ = ["Electrode", "TrapGeometry", "load_geometry", "paper_trap_geometry"]
 
@@ -113,48 +114,52 @@ class TrapGeometry:
 
 def load_geometry(path) -> TrapGeometry:
     """Read a geometry JSON file (rect coordinates in um)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return geometry_from_dict(data)
+    return geometry_from_dict(read_json(path))
 
 
 def geometry_from_dict(data: dict) -> TrapGeometry:
-    unit = data.get("length_unit", "um")
+    """A geometry from its JSON form; lengths in ``length_unit`` (default um)."""
+    data = as_object(data, "a geometry")
+    unit = as_text(data.get("length_unit", "um"), "geometry 'length_unit'")
     scale = {"um": 1e-6, "mm": 1e-3, "m": 1.0}.get(unit)
     if scale is None:
         raise ValueError(f"unsupported length_unit {unit!r}")
     electrodes = tuple(
         Electrode(
-            id=e["id"],
-            role=e["role"],
-            rects=tuple(tuple(float(c) * scale for c in r) for r in e["rects"]),
+            id=as_text(e["id"], f"{at} 'id'"),
+            role=as_text(e["role"], f"{at} 'role'"),
+            rects=tuple(
+                tuple(as_number(c, f"{at} 'rects'") * scale for c in as_list(r, f"{at} rectangle", 4))
+                for r in as_list(e["rects"], f"{at} 'rects'")
+            ),
         )
-        for e in data["electrodes"]
+        for at, e in as_objects(data["electrodes"], "geometry 'electrodes'", "electrode")
     )
     axis = data.get("ion_axis")
     if axis is not None:
-        axis = (float(axis["y"]) * scale, float(axis["z"]) * scale)
-    return TrapGeometry(electrodes=electrodes, ion_axis=axis, name=data.get("name", ""))
+        axis = as_object(axis, "geometry 'ion_axis'")
+        axis = tuple(as_number(axis[c], f"geometry 'ion_axis' {c}") * scale for c in ("y", "z"))
+    name = as_text(data.get("name", ""), "geometry 'name'", optional=True)
+    return TrapGeometry(electrodes=electrodes, ion_axis=axis, name=name)
 
 
-def paper_trap_geometry(
-    n_dc_per_row: int = 35,
-    rail_half_length: float = 2.0e-3,
-    dc_pad: float = 95e-6,
-    dc_gap: float = 8e-6,
-) -> TrapGeometry:
+def paper_trap_geometry() -> TrapGeometry:
     """Linear-trap layout with three RF rails and DC rows in the rail gaps.
 
     Rails run along x: a 64 um center rail and two 245 um outer rails,
-    separated by 111 um gaps. Each gap holds a row of ``dc_pad`` square DC
-    electrodes at pitch ``dc_pad + dc_gap`` (95 + 8 = 103 um pitch fills the
-    111 um gap with 8 um clearance on both sides). Three compensation
+    separated by 111 um gaps, all 4 mm long. Each gap holds a row of 35
+    square 95 um DC electrodes at a 103 um pitch, which leaves 8 um
+    clearance on both sides of the 111 um gap. Three compensation
     electrodes run alongside each outer rail.
 
     The two trapping axes sit above the gaps; ``ion_axis`` records the RF
-    null on the positive-y side for the default parameters (y = 42.3 um,
-    z = 124.4 um, found with :func:`trapqa.electrostatics.find_rf_minima`).
+    null on the positive-y side (y = 42.3 um, z = 124.4 um, found with
+    :func:`trapqa.electrostatics.find_rf_minima`).
     """
+    rail_half_length = 2.0e-3
+    n_dc_per_row = 35
+    dc_pad = 95e-6
+    dc_gap = 8e-6
     rails_y = [(-32e-6, 32e-6), (143e-6, 388e-6), (-388e-6, -143e-6)]
     electrodes = [
         Electrode(

@@ -31,6 +31,7 @@ class TrapMinimum:
 _STEP_TOL = 1e-12  # converged once the step is below this / height
 _MAX_ITER = 60
 _STALL_ITER = 8  # a seed retires after this many iterations without a new least residual
+_DEDUP_TOL = 1e-6  # m: nulls this close in y and in z are one null
 
 
 def _newton_nulls(geometry, x, window, grid):
@@ -97,7 +98,6 @@ def find_rf_minima(
     window: tuple[tuple[float, float], tuple[float, float]],
     x: float = 0.0,
     grid: int = 11,
-    dedup_tol: float = 1e-6,
 ) -> list[TrapMinimum]:
     """Locate RF nulls in the transverse (y, z) plane at fixed ``x``.
 
@@ -109,8 +109,8 @@ def find_rf_minima(
     not converge (singular Jacobian, residual stalled for ``_STALL_ITER``
     iterations, leaving the window far behind, iteration limit) are dropped;
     a window where no seed converges gives ``[]``. Converged nulls inside
-    the window are deduplicated within ``dedup_tol`` (1 um by default) and
-    kept when the transverse curvature of the pseudopotential,
+    the window are deduplicated within ``_DEDUP_TOL`` (1 um) and kept when
+    the transverse curvature of the pseudopotential,
     ``q^2 / (2 m Omega^2) (G^T G)`` at a null with ``G`` the gradient of the
     RF field, is positive definite; they are returned sorted by y.
 
@@ -127,11 +127,11 @@ def find_rf_minima(
 
     found = []
     for y0, z0 in _newton_nulls(geometry, x, window, grid):
-        if not (y_lo - dedup_tol <= y0 <= y_hi + dedup_tol):
+        if not (y_lo - _DEDUP_TOL <= y0 <= y_hi + _DEDUP_TOL):
             continue
-        if not (z_lo - dedup_tol <= z0 <= z_hi + dedup_tol):
+        if not (z_lo - _DEDUP_TOL <= z0 <= z_hi + _DEDUP_TOL):
             continue
-        if any(abs(y0 - fy) < dedup_tol and abs(z0 - fz) < dedup_tol for fy, fz in found):
+        if any(abs(y0 - fy) < _DEDUP_TOL and abs(z0 - fz) < _DEDUP_TOL for fy, fz in found):
             continue
         found.append((y0, z0))
 

@@ -6,11 +6,12 @@ measurements against wait time give the heating rate; rates across mode
 frequencies are fitted to a power law ``rate ~ omega^-alpha`` in log space.
 """
 
-import csv
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
+
+from ._io import as_int, read_csv
 
 __all__ = [
     "Nbar",
@@ -180,22 +181,23 @@ class HeatingRecord:
     sigma: float
 
 
-def load_heating_table() -> tuple[HeatingRecord, ...]:
-    """The bundled heating-rate table (fused-silica trap, all sites)."""
-    text = (
-        resources.files("trapqa").joinpath("data/heating_rates_fs.csv").read_text()
-    )
-    rows = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append(
-            HeatingRecord(
-                site=int(rec["site"]),
-                frequency_mhz=float(rec["frequency_mhz"]),
-                rate=float(rec["rate_quanta_per_s"]),
-                sigma=float(rec["sigma_quanta_per_s"]),
-            )
+def load_heating_table(path=None) -> tuple[HeatingRecord, ...]:
+    """Heating records of the CSV table at ``path``, by default the bundled
+    one (fused-silica trap, all sites); a table without sites is site 0."""
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data", "heating_rates_fs.csv")
+    columns = ("frequency_mhz", "rate_quanta_per_s", "sigma_quanta_per_s")
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = read_csv(fh, f"heating table {path}", columns, ("site",))
+    return tuple(
+        HeatingRecord(
+            site=0 if r["site"] is None else as_int(r["site"], f"heating table {path} site"),
+            frequency_mhz=r["frequency_mhz"],
+            rate=r["rate_quanta_per_s"],
+            sigma=r["sigma_quanta_per_s"],
         )
-    return tuple(rows)
+        for r in rows
+    )
 
 
 def site_rates(site: int, table=None) -> tuple[HeatingRecord, ...]:

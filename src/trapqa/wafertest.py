@@ -27,11 +27,12 @@ noise is off unless an explicit RNG is provided.
 """
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from ._io import as_int, as_list, as_number, as_object, as_objects, as_text, read_json
 
 __all__ = [
     "Net",
@@ -313,63 +314,55 @@ def default_netlist() -> ChipNetlist:
 
 
 def netlist_from_dict(data: dict) -> ChipNetlist:
+    """A netlist from ``{"name": ..., "nets": [{...}, ...]}``, resistances in ohm."""
+    data = as_object(data, "a netlist")
     nets = tuple(
         Net(
-            id=n["id"],
-            role=n["role"],
-            pads=tuple(n["pads"]),
+            id=as_text(n["id"], f"{at} 'id'"),
+            role=as_text(n["role"], f"{at} 'role'"),
+            pads=tuple(as_text(p, f"{at} 'pads'") for p in as_list(n["pads"], f"{at} 'pads'")),
             # the ground plane is not probed as a loop; its resistance entry
             # is a placeholder and may be omitted in configs
-            loop_resistance=(
-                float(n["loop_resistance_ohm"]) if n["role"] != "gnd"
-                else float(n.get("loop_resistance_ohm", 1.0))
+            loop_resistance=as_number(
+                n["loop_resistance_ohm"] if n["role"] != "gnd" else n.get("loop_resistance_ohm", 1.0),
+                f"{at} 'loop_resistance_ohm'",
             ),
             element_resistance=(
-                float(n["element_resistance_ohm"]) if "element_resistance_ohm" in n else None
+                as_number(n["element_resistance_ohm"], f"{at} 'element_resistance_ohm'")
+                if "element_resistance_ohm" in n else None
             ),
-            group=n.get("group"),
+            group=as_text(n.get("group"), f"{at} 'group'", optional=True),
         )
-        for n in data["nets"]
+        for at, n in as_objects(data["nets"], "'nets'", "net")
     )
-    return ChipNetlist(nets=nets, name=data.get("name", ""))
+    return ChipNetlist(nets=nets, name=as_text(data.get("name", ""), "netlist 'name'", optional=True))
 
 
 def load_netlist(path) -> ChipNetlist:
-    with open(path, "r", encoding="utf-8") as fh:
-        return netlist_from_dict(json.load(fh))
+    return netlist_from_dict(read_json(path))
 
 
 def faults_from_dict(data: dict) -> tuple[Fault, ...]:
     """Faults from ``{"faults": [{...}, ...]}``; a missing list plants none.
 
-    Any other shape raises ``ValueError`` naming the part that is wrong.
+    Any other shape or type, and a number that is not finite, raises
+    ``ValueError`` naming the fault and the field.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"a fault set must be a JSON object, got {type(data).__name__}")
-    entries = data.get("faults", [])
-    if not isinstance(entries, list):
-        raise ValueError(f"'faults' must be a list of objects, got {type(entries).__name__}")
-    out = []
-    for k, f in enumerate(entries):
-        if not isinstance(f, dict):
-            raise ValueError(f"fault {k} must be a JSON object, got {f!r}")
-        kind = f["kind"]
-        out.append(
-            Fault(
-                kind=kind,
-                net=f.get("net"),
-                other=f.get("other"),
-                resistance=float(f.get("resistance_ohm", 0.0)),
-                factor=float(f.get("factor", 1.0)),
-                step_index=int(f.get("step_index", -1)),
-            )
+    return tuple(
+        Fault(
+            kind=as_text(f["kind"], f"{at} 'kind'"),
+            net=as_text(f.get("net"), f"{at} 'net'", optional=True),
+            other=as_text(f.get("other"), f"{at} 'other'", optional=True),
+            resistance=as_number(f.get("resistance_ohm", 0.0), f"{at} 'resistance_ohm'"),
+            factor=as_number(f.get("factor", 1.0), f"{at} 'factor'"),
+            step_index=as_int(f.get("step_index", -1), f"{at} 'step_index'"),
         )
-    return tuple(out)
+        for at, f in as_objects(as_object(data, "a fault set").get("faults", []), "'faults'", "fault")
+    )
 
 
 def load_faults(path) -> tuple[Fault, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return faults_from_dict(json.load(fh))
+    return faults_from_dict(read_json(path))
 
 
 @functools.lru_cache(maxsize=16)

@@ -72,6 +72,9 @@ class WaferLayout:
 
 DEFAULT_LAYOUT = WaferLayout()
 
+#: Outer fraction of the usable radius that ``edge_concentration`` tests.
+_EDGE_ANNULUS = 0.2
+
 
 @dataclass(frozen=True)
 class ChipSite:
@@ -248,13 +251,12 @@ def edge_concentration(
     sites,
     outcomes: dict,
     code: str | None = None,
-    annulus_fraction: float = 0.2,
     alpha: float = 0.01,
     layout: WaferLayout = DEFAULT_LAYOUT,
 ) -> EdgeStat:
     """One-sided test for failures concentrating in the outer annulus.
 
-    Sites beyond ``(1 - annulus_fraction)`` of the usable radius form the
+    Sites in the outer ``_EDGE_ANNULUS`` (20%) of the usable radius form the
     edge group; a pooled two-proportion z test asks whether their failure
     rate exceeds the interior's.
     """
@@ -262,7 +264,7 @@ def edge_concentration(
     def is_hit(outcome: str) -> bool:
         return outcome == code if code is not None else outcome != "PASS"
 
-    r_split = (1.0 - annulus_fraction) * layout.usable_radius
+    r_split = (1.0 - _EDGE_ANNULUS) * layout.usable_radius
     ne = ni = fe = fi = 0
     for s in sites:
         hit = is_hit(outcomes[s.chip_id])
@@ -273,7 +275,7 @@ def edge_concentration(
             ni += 1
             fi += hit
     if ne == 0 or ni == 0:
-        raise ValueError("annulus split left one group empty; adjust annulus_fraction")
+        raise ValueError("annulus split left one group empty")
     pe, pi = fe / ne, fi / ni
     pooled = (fe + fi) / (ne + ni)
     var = pooled * (1.0 - pooled) * (1.0 / ne + 1.0 / ni)
@@ -377,7 +379,6 @@ def render_svg(
     outcomes: dict,
     layout: WaferLayout = DEFAULT_LAYOUT,
     flagged_cells=(),
-    title: str = "",
 ) -> str:
     """Wafer map as a self-contained SVG string.
 
@@ -395,7 +396,7 @@ def render_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{-rmm - margin:.2f} {-rmm - margin:.2f} {size:.2f} {size:.2f}">',
-        f'<title>{title or "wafer map"}</title>',
+        "<title>wafer map</title>",
         f'<circle cx="0" cy="0" r="{rmm:.2f}" fill="#f8f9fa" stroke="#495057" '
         f'stroke-width="0.5"/>',
         f'<circle cx="0" cy="0" r="{layout.usable_radius * 1e3:.2f}" fill="none" '

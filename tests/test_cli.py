@@ -496,27 +496,135 @@ _SCENARIO = {"voltages": {"DC18": -2.0}, "window_um": [-300, 300], "fault": {"ki
 _STRAY = ["--reference", "ref.json", "--point", "0,42.3,124.4", "--out", "out.json"]
 
 
+_FAULTS = ["wafertest", "--faults", "bad.json", "--out", "out.csv"]
+_NETLIST = ["wafertest", "--netlist", "bad.json", "--out", "out.csv"]
+_GEOMETRY = ["field", "--geometry", "bad.json", "--out", "out.csv"]
+_VOLTAGES = ["field", "--voltages", "bad.json", "--out", "out.csv"]
+_DIAGNOSE = ["diagnose", "--scenario", "bad.json", "--out", "out.json"]
+
+
+def _fault(**fields):
+    return {"faults": [fields]}
+
+
+def _net(**fields):
+    return {"nets": [{"id": "DC01", "role": "dc", "pads": ["A", "B"], "loop_resistance_ohm": 20.0, **fields}]}
+
+
+def _electrode(**fields):
+    return {"electrodes": [{"id": "E1", "role": "rf", "rects": [[-10, 10, -5, 5]], **fields}]}
+
+
+def _scenario_fault(**fields):
+    return {**_SCENARIO, "fault": {"kind": "FLOATING", "electrode": "DC19", **fields}}
+
+
+# (id, command, document, a part of the one-line refusal)
+_MALFORMED = [
+    ("faults_object", _FAULTS, {"faults": {"kind": "OPEN", "net": "DC05"}}, "'faults' must be a list"),
+    ("faults_list_document", _FAULTS, [{"kind": "OPEN", "net": "DC05"}], "fault set must be a JSON object"),
+    ("fault_number", _FAULTS, {"faults": [1]}, "fault 0"),
+    ("rates_list", ["yieldmap", "--rates", "bad.json", "--out-svg", "out.svg", "--out-csv", "out.csv"],
+     [0.2], "base rates must map"),
+    ("voltages_list", _VOLTAGES, [1.0], "--voltages must be a JSON object"),
+    ("voltage_null", _VOLTAGES, {"DC18": None}, "'DC18' must be a number"),
+    ("applied_list", ["strayfield", "--applied", "bad.json", *_STRAY], [0.5], "--applied must be a JSON object"),
+    ("scenario_string", _DIAGNOSE, "DC18", "scenario must be a JSON object"),
+    ("scenario_voltages_list", _DIAGNOSE, {**_SCENARIO, "voltages": [1.0, -2.0]},
+     "scenario 'voltages' must be a JSON object"),
+    # faults: field types and numbers
+    ("fault_resistance_null", _FAULTS, _fault(kind="SHORT", net="DC01", other="RF", resistance_ohm=None),
+     "fault 0 'resistance_ohm' must be a number"),
+    ("fault_resistance_string", _FAULTS, _fault(kind="LEAK_TO_GND", net="DC01", resistance_ohm="1e6"),
+     "fault 0 'resistance_ohm' must be a number"),
+    ("fault_resistance_bool", _FAULTS, _fault(kind="LEAK_TO_GND", net="DC01", resistance_ohm=True),
+     "fault 0 'resistance_ohm' must be a number"),
+    ("fault_short_resistance_infinite", _FAULTS,
+     _fault(kind="SHORT", net="DC05", other="RF", resistance_ohm=float("inf")), "'resistance_ohm' is not finite"),
+    ("fault_factor_nan", _FAULTS, _fault(kind="RESISTANCE_SHIFT", net="DC01", factor=float("nan")),
+     "'factor' is not finite"),
+    ("fault_step_index_overflow", _FAULTS, _fault(kind="HW_FAIL", step_index=float("inf")),
+     "'step_index' is not finite"),
+    ("fault_step_index_huge_int", _FAULTS, _fault(kind="HW_FAIL", step_index=10**400),
+     "'step_index' is too large for a float"),
+    ("fault_step_index_fraction", _FAULTS, _fault(kind="HW_FAIL", step_index=2.5),
+     "'step_index' must be a whole number"),
+    ("fault_step_index_string", _FAULTS, _fault(kind="HW_FAIL", step_index="3"),
+     "'step_index' must be a number"),
+    ("fault_net_list", _FAULTS, _fault(kind="OPEN", net=["DC01"]), "fault 0 'net' must be a string"),
+    ("fault_other_number", _FAULTS, _fault(kind="SHORT", net="DC01", other=5, resistance_ohm=1e6),
+     "fault 0 'other' must be a string"),
+    ("fault_kind_null", _FAULTS, _fault(kind=None, net="DC01"), "fault 0 'kind' must be a string"),
+    ("faults_null", _FAULTS, {"faults": None}, "'faults' must be a list"),
+    # netlists
+    ("netlist_list_document", _NETLIST, [], "netlist must be a JSON object"),
+    ("netlist_nets_object", _NETLIST, {"nets": {"id": "DC01"}}, "'nets' must be a list"),
+    ("netlist_net_number", _NETLIST, {"nets": [5]}, "net 0 must be a JSON object"),
+    ("netlist_loop_resistance_nan", _NETLIST, _net(loop_resistance_ohm=float("nan")),
+     "net 0 'loop_resistance_ohm' is not finite"),
+    ("netlist_loop_resistance_string", _NETLIST, _net(loop_resistance_ohm="20"),
+     "net 0 'loop_resistance_ohm' must be a number"),
+    ("netlist_element_resistance_null", _NETLIST, _net(role="ts", pads=["A", "B", "C", "D"], element_resistance_ohm=None),
+     "net 0 'element_resistance_ohm' must be a number"),
+    ("netlist_pads_string", _NETLIST, _net(pads="AB"), "net 0 'pads' must be a list"),
+    ("netlist_id_number", _NETLIST, _net(id=1), "net 0 'id' must be a string"),
+    ("netlist_group_list", _NETLIST, _net(group=["SUP1"]), "net 0 'group' must be a string"),
+    # geometries
+    ("geometry_list_document", _GEOMETRY, [], "geometry must be a JSON object"),
+    ("geometry_electrodes_string", _GEOMETRY, {"electrodes": "E1"}, "geometry 'electrodes' must be a list"),
+    ("geometry_rect_nan", _GEOMETRY, _electrode(rects=[[-10, 10, -5, float("nan")]]),
+     "electrode 0 'rects' is not finite"),
+    ("geometry_rect_string", _GEOMETRY, _electrode(rects=[["-10", 10, -5, 5]]), "electrode 0 'rects' must be a number"),
+    ("geometry_rect_three_corners", _GEOMETRY, _electrode(rects=[[-10, 10, -5]]),
+     "electrode 0 rectangle must have 4 entries"),
+    ("geometry_id_null", _GEOMETRY, _electrode(id=None), "electrode 0 'id' must be a string"),
+    ("geometry_length_unit_list", _GEOMETRY, {**_electrode(), "length_unit": ["um"]},
+     "geometry 'length_unit' must be a string"),
+    ("geometry_ion_axis_list", _GEOMETRY, {**_electrode(), "ion_axis": [0, 50]},
+     "geometry 'ion_axis' must be a JSON object"),
+    ("geometry_ion_axis_infinite", _GEOMETRY, {**_electrode(), "ion_axis": {"y": 0, "z": float("inf")}},
+     "geometry 'ion_axis' z is not finite"),
+    # scenarios
+    ("scenario_window_string", _DIAGNOSE, {**_SCENARIO, "window_um": "300"}, "scenario 'window_um' must be a list"),
+    ("scenario_window_one_end", _DIAGNOSE, {**_SCENARIO, "window_um": [-300]},
+     "scenario 'window_um' must have 2 entries"),
+    ("scenario_window_null_end", _DIAGNOSE, {**_SCENARIO, "window_um": [-300, None]},
+     "scenario 'window_um' must be a number"),
+    ("scenario_scales_number", _DIAGNOSE, {**_SCENARIO, "scales": 2}, "scenario 'scales' must be a list"),
+    ("scenario_scale_string", _DIAGNOSE, {**_SCENARIO, "scales": [1, "2", 4]}, "scenario 'scales' must be a number"),
+    ("scenario_scale_nan", _DIAGNOSE, {**_SCENARIO, "scales": [1, float("nan"), 4]},
+     "scenario 'scales' is not finite"),
+    ("scenario_axis_list", _DIAGNOSE, {**_SCENARIO, "axis_um": [42.3, 124.4]},
+     "scenario 'axis_um' must be a JSON object"),
+    ("scenario_axis_string", _DIAGNOSE, {**_SCENARIO, "axis_um": {"y": "42.3", "z": 124.4}},
+     "scenario 'axis_um' y must be a number"),
+    ("scenario_fault_string", _DIAGNOSE, {**_SCENARIO, "fault": "SHORTED"}, "scenario 'fault' must be a JSON object"),
+    ("scenario_fault_kind_number", _DIAGNOSE, {**_SCENARIO, "fault": {"kind": 5}}, "fault 'kind' must be a string"),
+    ("scenario_fault_electrode_list", _DIAGNOSE, _scenario_fault(electrode=["DC19"]),
+     "fault 'electrode' must be a string"),
+    ("scenario_held_voltage_string", _DIAGNOSE, _scenario_fault(held_voltage="1"),
+     "fault 'held_voltage' must be a number"),
+    ("scenario_charge_rects_string", _DIAGNOSE, {**_SCENARIO, "fault": {"kind": "GAP_CHARGE", "charge_rects_um": "x"}},
+     "fault 'charge_rects_um' must be a list"),
+    ("scenario_charge_rect_three_corners", _DIAGNOSE,
+     {**_SCENARIO, "fault": {"kind": "GAP_CHARGE", "charge_rects_um": [[-10, 10, 30]], "charge_voltage": 1.0}},
+     "a charge rectangle must have 4 entries"),
+    ("scenario_charge_rect_null", _DIAGNOSE,
+     {**_SCENARIO, "fault": {"kind": "GAP_CHARGE", "charge_rects_um": [[-10, 10, 30, None]], "charge_voltage": 1.0}},
+     "fault 'charge_rects_um' must be a number"),
+    ("scenario_geometry_number", _DIAGNOSE, {**_SCENARIO, "geometry": 5}, "scenario 'geometry' must be a string"),
+    ("scenario_geometry_zero", _DIAGNOSE, {**_SCENARIO, "geometry": 0}, "scenario 'geometry' must be a string"),
+    # voltages: overflow and unknown electrode ids
+    ("voltage_huge_int", _VOLTAGES, {"DC18": 10**400}, "'DC18' is too large for a float"),
+    ("voltage_unknown_electrode", _VOLTAGES, {"XX": 5}, "no electrode 'XX'"),
+    ("scenario_voltage_unknown_electrode", _DIAGNOSE, {**_SCENARIO, "voltages": {"XX": 1.0}}, "no electrode 'XX'"),
+    ("scenario_fault_unknown_electrode", _DIAGNOSE, {**_SCENARIO, "fault": {"kind": "SHORTED", "electrode": "NOPE"}},
+     "no electrode 'NOPE'"),
+]
+
+
 @pytest.mark.parametrize(
-    "args, document, message",
-    [
-        (["wafertest", "--faults", "bad.json", "--out", "out.csv"],
-         {"faults": {"kind": "OPEN", "net": "DC05"}}, "'faults' must be a list"),
-        (["wafertest", "--faults", "bad.json", "--out", "out.csv"],
-         [{"kind": "OPEN", "net": "DC05"}], "fault set must be a JSON object"),
-        (["wafertest", "--faults", "bad.json", "--out", "out.csv"], {"faults": [1]}, "fault 0"),
-        (["yieldmap", "--rates", "bad.json", "--out-svg", "out.svg", "--out-csv", "out.csv"],
-         [0.2], "base rates must map"),
-        (["field", "--voltages", "bad.json", "--out", "out.csv"], [1.0], "--voltages must be a JSON object"),
-        (["field", "--voltages", "bad.json", "--out", "out.csv"], {"DC18": None}, "'DC18' must be a number"),
-        (["strayfield", "--applied", "bad.json", *_STRAY], [0.5], "--applied must be a JSON object"),
-        (["diagnose", "--scenario", "bad.json", "--out", "out.json"], "DC18", "scenario must be a JSON object"),
-        (["diagnose", "--scenario", "bad.json", "--out", "out.json"],
-         {**_SCENARIO, "voltages": [1.0, -2.0]}, "scenario 'voltages' must be a JSON object"),
-    ],
-    ids=[
-        "faults_object", "faults_list_document", "fault_number", "rates_list", "voltages_list",
-        "voltage_null", "applied_list", "scenario_string", "scenario_voltages_list",
-    ],
+    "args, document, message", [pytest.param(*case[1:], id=case[0]) for case in _MALFORMED]
 )
 def test_malformed_json_document_exits_2(tmp_path, capsys, monkeypatch, args, document, message):
     monkeypatch.chdir(tmp_path)
@@ -527,3 +635,77 @@ def test_malformed_json_document_exits_2(tmp_path, capsys, monkeypatch, args, do
     assert err.count("\n") == 1 and err.startswith("trapqa: bad input:")
     assert message in err
     assert not list(tmp_path.glob("out.*"))
+
+
+_CALIBRATION = ["T_K,R_ohm", "4,2000.1", "77,2400.5", "150,3900.2", "295,6800.9"]
+_HEATING = ["site,frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s", "3,0.5,80,2", "3,1.0,20,0.5", "3,2.0,5,0.2"]
+_POSITIONS = ["scale,position_um", "1.0,14.4", "2.0,14.4", "4.0,14.4"]
+
+
+@pytest.mark.parametrize(
+    "command, rows, message",
+    [
+        (["thermo", "--calibration", "bad.csv"], _CALIBRATION[:2] + ["77"] + _CALIBRATION[3:], "line 3 has 1 cells"),
+        (["thermo", "--calibration", "bad.csv"], _CALIBRATION[:2] + ["77,nan"] + _CALIBRATION[3:],
+         "line 3: R_ohm is not finite"),
+        (["thermo", "--calibration", "bad.csv"], ["T_K,R"] + _CALIBRATION[1:], "no column 'R_ohm'"),
+        (["heating", "--csv", "bad.csv"], _HEATING[:2] + ["3,1.0,20"] + _HEATING[3:], "line 3 has 3 cells"),
+        (["heating", "--csv", "bad.csv"], _HEATING[:2] + ["3,1.0,NaN,0.5"] + _HEATING[3:],
+         "line 3: rate_quanta_per_s is not finite"),
+        (["heating", "--csv", "bad.csv"], ["site,frequency_mhz,rate_quanta_per_s"] + [r[:r.rindex(",")] for r in _HEATING[1:]],
+         "no column 'sigma_quanta_per_s'"),
+        (["diagnose", "--scenario", "scenario.json", "--measurements", "bad.csv"],
+         _POSITIONS[:2] + ["2.0,14.4,1"] + _POSITIONS[3:], "line 3 has 3 cells"),
+        (["diagnose", "--scenario", "scenario.json", "--measurements", "bad.csv"],
+         _POSITIONS[:2] + ["2.0,inf"] + _POSITIONS[3:], "line 3: position_um is not finite"),
+        (["diagnose", "--scenario", "scenario.json", "--measurements", "bad.csv"],
+         ["scale,position"] + _POSITIONS[1:], "no column 'position_um'"),
+    ],
+    ids=[
+        "calibration_short_row", "calibration_nan", "calibration_missing_column",
+        "heating_short_row", "heating_nan", "heating_missing_column",
+        "measurements_long_row", "measurements_infinite", "measurements_missing_column",
+    ],
+)
+def test_malformed_csv_table_exits_2(tmp_path, capsys, monkeypatch, command, rows, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(json.dumps(_SCENARIO))
+    (tmp_path / "bad.csv").write_text("\n".join(rows) + "\n")
+    err = _refused(capsys, *command, "--out", "out.json")
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("trapqa: bad input:")
+    assert message in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        {"kind": "OPEN", "net": "DC05"},
+        {"kind": "SHORT", "net": "DC05", "other": "RF", "resistance_ohm": 1e6},
+        {"kind": "LEAK_TO_GND", "net": "TS1", "resistance_ohm": 2e5},
+        {"kind": "RESISTANCE_SHIFT", "net": "RF", "factor": 12.0},
+        {"kind": "HW_FAIL", "step_index": 77},
+    ],
+    ids=["open", "short", "leak", "shift", "hw_fail"],
+)
+def test_fault_with_explicit_defaults_writes_the_same_log(tmp_path, fault):
+    # the defaults a fault file may spell out, as fault-set writers do
+    explicit = {"net": None, "other": None, "resistance_ohm": 0.0, "factor": 1.0, "step_index": -1, **fault}
+    logs = []
+    for name, spec in (("minimal", fault), ("explicit", explicit)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"faults": [spec]}))
+        log = tmp_path / f"{name}.csv"
+        assert run_cli("wafertest", "--faults", tmp_path / f"{name}.json", "--out", log) == 1
+        logs.append(log.read_bytes())
+    assert logs[0] == logs[1]
+
+
+def test_heating_csv_without_site_column_fits_every_row(tmp_path):
+    table = tmp_path / "rates.csv"
+    table.write_text("frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s\n" + "".join(
+        f"{f},{20.0 * f**-2},{0.5 * f**-2}\n" for f in (0.5, 1.0, 2.0, 4.0)))
+    out = tmp_path / "fit.json"
+    assert run_cli("heating", "--csv", table, "--out", out) == 0
+    blob = json.loads(out.read_text())
+    assert blob["n_points"] == 4 and blob["alpha"] == pytest.approx(2.0, abs=1e-6)
