@@ -10,6 +10,14 @@ import os
 import tempfile
 
 
+class UnknownName(KeyError):
+    """A name from the input that its table lacks. It prints as its
+    message, where a plain ``KeyError`` prints the repr of its key."""
+
+    def __str__(self):
+        return str(self.args[0])
+
+
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

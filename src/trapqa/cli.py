@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ._io import as_list, as_number, as_object, as_text, atomic_write_text, csv_text, dump_json
-from ._io import read_csv, read_json
+from ._io import UnknownName, read_csv, read_json
 
 # Each command imports the analysis modules it runs inside its own function,
 # so a process pays only for the modules of the command it runs.
@@ -480,7 +480,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         parser.exit(2, f"trapqa: input not found: {exc.filename}\n")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except UnknownName as exc:
+        parser.exit(2, f"trapqa: bad input: {exc}\n")
+    except KeyError as exc:  # a required key the input document lacks
+        parser.exit(2, f"trapqa: bad input: missing key {exc}\n")
+    except (ValueError, json.JSONDecodeError) as exc:
         parser.exit(2, f"trapqa: bad input: {exc}\n")
 
 

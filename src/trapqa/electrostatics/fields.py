@@ -32,6 +32,26 @@ def _check_above_plane(pts: np.ndarray) -> None:
         )
 
 
+def _checked(what: str, kernel, *args):
+    """``kernel(*args)``, refused with ``ValueError`` unless every value is
+    finite.
+
+    The points and voltages are finite, so a value that is not comes from
+    the arithmetic: a voltage near the float range overflows the sums, and
+    a point too close to the plane underflows ``z``. numpy's warnings for
+    these are silenced, here and in the kernel's threads, which run in a
+    copy of this context; the refusal speaks instead.
+    """
+    with np.errstate(all="ignore"):
+        out = kernel(*args)
+    for a in out if isinstance(out, tuple) else (out,):
+        if not np.isfinite(a).all():
+            raise ValueError(
+                f"the {what} is not finite: a voltage is too large or a point too close to the plane"
+            )
+    return out
+
+
 def rect_potential(rect, voltage: float, point) -> float:
     """Potential of a single rectangle ``(x1, x2, y1, y2)`` at one point.
 
@@ -57,14 +77,15 @@ def potential_at(geometry: TrapGeometry, voltages: dict, points):
     """Total potential (V) of the geometry under ``voltages`` at ``points``.
 
     ``points`` may be one (3,) point or an (N, 3) array; the result matches
-    (scalar or (N,)).
+    (scalar or (N,)). A result that is not finite, from a voltage near the
+    float range, raises ``ValueError``; so it does in the functions below.
     """
     pts, single = _as_points(points)
     rects, volts = geometry.rect_arrays(voltages)
     if len(rects) == 0:
         out = np.zeros(len(pts))
     else:
-        out = kernels.rect_potential_sum(rects, volts, pts)
+        out = _checked("potential", kernels.rect_potential_sum, rects, volts, pts)
     return float(out[0]) if single else out
 
 
@@ -75,7 +96,7 @@ def field_at(geometry: TrapGeometry, voltages: dict, points):
     if len(rects) == 0:
         out = np.zeros((len(pts), 3))
     else:
-        out = kernels.rect_field_sum(rects, volts, pts)
+        out = _checked("field", kernels.rect_field_sum, rects, volts, pts)
     return out[0] if single else out
 
 
@@ -90,7 +111,7 @@ def field_gradient_at(geometry: TrapGeometry, voltages: dict, points):
     if len(rects) == 0:
         e, grad = np.zeros((len(pts), 3)), np.zeros((len(pts), 3, 3))
     else:
-        e, grad = kernels.rect_field_grad_sum(rects, volts, pts)
+        e, grad = _checked("field gradient", kernels.rect_field_grad_sum, rects, volts, pts)
     return (e[0], grad[0]) if single else (e, grad)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._io import as_list, as_number, as_object, as_objects, as_text, read_json
+from .._io import UnknownName, as_list, as_number, as_object, as_objects, as_text, read_json
 
 __all__ = ["Electrode", "TrapGeometry", "load_geometry", "paper_trap_geometry"]
 
@@ -86,7 +86,7 @@ class TrapGeometry:
         try:
             return self._index[electrode_id]
         except KeyError:
-            raise KeyError(f"no electrode {electrode_id!r}") from None
+            raise UnknownName(f"no electrode {electrode_id!r}") from None
 
     def ids(self, role: str | None = None) -> list[str]:
         return [e.id for e in self.electrodes if role is None or e.role == role]

@@ -6,7 +6,7 @@ import numpy as np
 
 from .. import kernels
 from ..core import DriveParams, IonSpecies
-from .fields import _as_points
+from .fields import _as_points, _checked
 from .geometry import TrapGeometry, _check_voltage
 
 __all__ = ["stray_field", "micromotion_index", "MicromotionReport"]
@@ -28,9 +28,9 @@ def stray_field(
     evaluated at ``points``. Electrodes missing from either dict count as 0 V
     there. The terms are summed in sorted-id order, skipping electrodes whose
     voltage does not differ, in one kernel pass over all their rectangles; an
-    unknown id with a nonzero difference raises ``KeyError`` and a voltage
-    that is not finite ``ValueError``. Returns (3,) for a single point, else
-    (N, 3).
+    unknown id with a nonzero difference raises ``KeyError``, and a voltage
+    that is not finite, or a field that overflows, ``ValueError``. Returns
+    (3,) for a single point, else (N, 3).
     """
     pts, single = _as_points(points)
     for volts in (applied, reference):
@@ -39,8 +39,12 @@ def stray_field(
     ids = sorted(set(applied) | set(reference))
     dv = [applied.get(eid, 0.0) - reference.get(eid, 0.0) for eid in ids]
     moved = [(geometry.electrode(eid).rects, d) for eid, d in zip(ids, dv) if d != 0.0]
-    total = -kernels.rect_field_superpose(
-        [rects for rects, _ in moved], [d for _, d in moved], pts
+    total = -_checked(
+        "stray field",
+        kernels.rect_field_superpose,
+        [rects for rects, _ in moved],
+        [d for _, d in moved],
+        pts,
     )
     return total[0] if single else total
 

@@ -25,9 +25,18 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
     bit that of a Python loop ``total += weights[m] * E_m``.
 
 Points are evaluated in blocks of ``max(1, 2**16 // (4M))``, at most about
-2**16 corner terms, so memory stays bounded for any ``N``. All four entry
-points take their blocks from one generator that computes each per-edge term
-once per rectangle edge and each corner term in a corner-major
+2**16 corner terms, so memory stays bounded for any ``N``. A call of more
+than one block runs them on one thread per usable CPU, at most one per
+block: each thread takes a contiguous run of whole blocks and splits the
+elementwise passes into sub-blocks of ``ceil(block / threads)`` rows, so
+the threads together hold about one block's elementwise scratch. The
+``@ volts`` products run once per whole block, whose shapes BLAS results
+depend on, so every output is the same at every thread count. Each thread
+keeps its whole block's per-rectangle sums, so the thread count is also
+capped to hold at most 2 MB of them, whatever the number of CPUs. A call of one block, or on
+one CPU, starts no thread, and there is no setting. All four entry points
+go through one runner and one block generator that computes each per-edge
+term once per rectangle edge and each corner term in a corner-major
 ``(2, 2, n, M)`` array; their outputs are bit for bit those of the plain
 corner formulas summed per rectangle with ``einsum`` (see
 :mod:`trapqa.kernels.rect_np`).

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._io import as_int, as_list, as_number, as_object, as_objects, as_text, read_json
+from ._io import UnknownName, as_int, as_list, as_number, as_object, as_objects, as_text, read_json
 
 __all__ = [
     "Net",
@@ -132,7 +132,7 @@ class ChipNetlist:
         try:
             return self._index[net_id]
         except KeyError:
-            raise KeyError(f"no net {net_id!r}") from None
+            raise UnknownName(f"no net {net_id!r}") from None
 
     def ids(self, *roles: str) -> list[str]:
         """Net ids with any of the given roles (all if none given), ascending."""
@@ -371,6 +371,8 @@ def build_plan(netlist: ChipNetlist) -> tuple[TestStep, ...]:
 
     The plan depends only on the (frozen) netlist, so it is built once per
     netlist and the same tuple of frozen steps is returned to every caller.
+    A netlist without a net to test raises ``ValueError``: its empty plan
+    would pass every chip.
     """
     steps = []
 
@@ -395,6 +397,8 @@ def build_plan(netlist: ChipNetlist) -> tuple[TestStep, ...]:
     for nid in loop_ids:
         add("RESISTANCE", nid)
 
+    if not steps:
+        raise ValueError("the netlist has no dc, comp, ts or rf net to test")
     return tuple(steps)
 
 
@@ -584,7 +588,8 @@ def run_chip(
     ``steps_executed`` counts the aborting step itself, so a defect caught at
     the very first step reports 1. Elapsed time is the fixed per-step cost
     times the number of executed steps. Raises ``ValueError`` for a fault on
-    a net the netlist lacks or an ``HW_FAIL`` step beyond the plan.
+    a net the netlist lacks, an ``HW_FAIL`` step beyond the plan, or a
+    netlist with no net to test.
 
     ``faults`` may be any iterable; it is read once, into one fault index
     that every step of the walk consults, and the walk calls
@@ -617,7 +622,7 @@ def _walk_plan(plan, netlist: ChipNetlist, faults: tuple, limits: TestLimits, rn
         if log[-1].verdict != "PASS":
             break
     return ChipResult(
-        outcome=log[-1].verdict if log else "PASS",
+        outcome=log[-1].verdict,
         steps_executed=len(log),
         elapsed_s=len(log) * limits.step_time,
         log=tuple(log),

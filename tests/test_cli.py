@@ -620,6 +620,16 @@ _MALFORMED = [
     ("scenario_voltage_unknown_electrode", _DIAGNOSE, {**_SCENARIO, "voltages": {"XX": 1.0}}, "no electrode 'XX'"),
     ("scenario_fault_unknown_electrode", _DIAGNOSE, {**_SCENARIO, "fault": {"kind": "SHORTED", "electrode": "NOPE"}},
      "no electrode 'NOPE'"),
+    # finite voltages whose field overflows: a numpy RuntimeWarning fails the
+    # test (pyproject's filterwarnings), and the scan is two kernel blocks, so
+    # the kernel's threads must not warn either
+    ("voltage_overflow", [*_VOLTAGES, "--x=-100:100:30", "--y=-50:50:30", "--z=50:150:20"], {"DC18": 1e308},
+     "the field is not finite"),
+    ("applied_overflow", ["strayfield", "--applied", "bad.json", *_STRAY], {"CP1": 1e308},
+     "the stray field is not finite"),
+    # a netlist with nothing to test
+    ("netlist_no_nets", _NETLIST, {"nets": []}, "the netlist has no dc, comp, ts or rf net to test"),
+    ("netlist_gnd_only", _NETLIST, _net(role="gnd"), "the netlist has no dc, comp, ts or rf net to test"),
 ]
 
 
@@ -635,6 +645,38 @@ def test_malformed_json_document_exits_2(tmp_path, capsys, monkeypatch, args, do
     assert err.count("\n") == 1 and err.startswith("trapqa: bad input:")
     assert message in err
     assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize(
+    "args, document, line",
+    [
+        (_DIAGNOSE, {k: v for k, v in _SCENARIO.items() if k != "window_um"}, "missing key 'window_um'"),
+        (_VOLTAGES, {"XX": 5}, "no electrode 'XX'"),
+    ],
+    ids=["missing_key", "unknown_electrode"],
+)
+def test_key_errors_print_plainly(tmp_path, capsys, monkeypatch, args, document, line):
+    # the message, not the repr of a KeyError: no quotes around it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(document))
+    assert _refused(capsys, *args) == f"trapqa: bad input: {line}\n"
+
+
+def test_field_csv_is_the_same_at_every_thread_count(tmp_path, monkeypatch, geometry):
+    # all 79 electrodes driven: 8000 points are 39 kernel blocks
+    from trapqa.kernels import rect_np
+
+    volts = tmp_path / "volts.json"
+    volts.write_text(json.dumps({eid: 0.1 * (k % 7 - 3) + 0.05 for k, eid in enumerate(geometry.ids())}))
+    scans = []
+    for threads in (1, 2):
+        monkeypatch.setattr(rect_np, "_usable_cpus", lambda: threads)
+        out = tmp_path / f"scan{threads}.csv"
+        assert run_cli(
+            "field", "--voltages", volts, "--x=-100:100:20", "--y=-50:50:20", "--z=50:150:20", "--out", out
+        ) == 0
+        scans.append(out.read_bytes())
+    assert scans[0] == scans[1]
 
 
 _CALIBRATION = ["T_K,R_ohm", "4,2000.1", "77,2400.5", "150,3900.2", "295,6800.9"]

@@ -20,13 +20,13 @@ SRC = str(Path(trapqa.__file__).resolve().parent.parent)
 
 REPORT_MODULES = (
     "import sys; print(' '.join(sorted(m for m in sys.modules"
-    " if m.split('.')[0] in ('scipy', 'trapqa') or m.startswith('numpy.random'))))"
+    " if m.split('.')[0] in ('scipy', 'trapqa', 'concurrent') or m.startswith('numpy.random'))))"
 )
 
 
 def _modules_after(code, cwd):
-    """The scipy, trapqa and numpy.random modules loaded after running
-    ``code`` in a fresh interpreter."""
+    """The scipy, trapqa, concurrent and numpy.random modules loaded after
+    running ``code`` in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
@@ -63,6 +63,13 @@ def test_import_loads_no_scipy(module, tmp_path):
 def test_cli_import_loads_no_analysis_module(tmp_path):
     # the analysis modules, numpy.random and scipy wait for a command
     assert _modules_after("import trapqa.cli", tmp_path) == ["trapqa", "trapqa._io", "trapqa.cli"]
+
+
+def test_kernels_import_loads_no_executor(tmp_path):
+    # the kernels run their blocks on plain threads: concurrent.futures
+    # would add import time to every process that computes a field
+    loaded = _modules_after("import trapqa.kernels", tmp_path)
+    assert [m for m in loaded if m.split(".")[0] == "concurrent"] == []
 
 
 SCENARIO = {

@@ -10,6 +10,7 @@ to ~1e-12 for the smooth integrands at z >= 20 um. The closed form under
 test must agree everywhere above the plane.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -167,16 +168,16 @@ def test_blocked_batch_matches_point_calls(rng):
             )
 
 
+_KERNELS = ("rect_potential_sum", "rect_field_sum", "rect_field_grad_sum", "rect_field_superpose")
+
+
 def test_no_points_gives_empty_result():
     rect = np.array([[-50e-6, 50e-6, -50e-6, 50e-6]])
     assert rect_np.rect_potential_sum(rect, np.ones(1), np.zeros((0, 3))).shape == (0,)
     assert rect_np.rect_field_sum(rect, np.ones(1), np.zeros((0, 3))).shape == (0, 3)
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    ["rect_potential_sum", "rect_field_sum", "rect_field_grad_sum", "rect_field_superpose"],
-)
+@pytest.mark.parametrize("kernel", _KERNELS)
 def test_memory_is_bounded(rng, kernel):
     # an unblocked evaluation of this batch holds ~20 MB per temporary
     rects, volts = _trap_rects(rng)
@@ -190,6 +191,93 @@ def test_memory_is_bounded(rng, kernel):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("threads", [2, 4, 8, 64])
+@pytest.mark.parametrize("kernel", _KERNELS)
+def test_memory_is_bounded_on_threads(rng, monkeypatch, kernel, threads):
+    # the threads share one block's elementwise scratch between them, and
+    # the thread count is capped so that their whole-block sums stay bounded
+    monkeypatch.setattr(rect_np, "_usable_cpus", lambda: threads)
+    test_memory_is_bounded(rng, kernel)
+
+
+def _every_kernel(rects, volts, pts):
+    """The outputs of the four kernels, superpose with one group per rectangle."""
+    return [
+        rect_np.rect_potential_sum(rects, volts, pts),
+        rect_np.rect_field_sum(rects, volts, pts),
+        *rect_np.rect_field_grad_sum(rects, volts, pts),
+        rect_np.rect_field_superpose(rects[:, None, :], volts, pts),
+    ]
+
+
+def test_threads_keep_the_bits(rng, monkeypatch):
+    # BLAS sums a row differently in another block shape, so the threads
+    # split the points at the block boundaries and only the elementwise
+    # passes into sub-blocks; no output may change at any thread count
+    rects, volts = _trap_rects(rng)
+    block = rect_np._BLOCK_ELEMS // (4 * len(rects))
+    for n in (1, block - 1, block, block + 1, 2 * block, 3 * block + 7, 32768):
+        pts = _edge_points(rng, rects, n)
+        monkeypatch.setattr(rect_np, "_usable_cpus", lambda: 1)
+        want = _every_kernel(rects, volts, pts)
+        for threads in (2, 3, 4):
+            monkeypatch.setattr(rect_np, "_usable_cpus", lambda: threads)
+            got = _every_kernel(rects, volts, pts)
+            assert all(_same_bits(a, b) for a, b in zip(got, want)), (n, threads)
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a kernel call started a thread")
+
+
+def test_one_block_or_one_cpu_starts_no_thread(rng, monkeypatch):
+    rects, volts = _trap_rects(rng)
+    block = rect_np._BLOCK_ELEMS // (4 * len(rects))
+    monkeypatch.setattr(rect_np.threading, "Thread", _no_thread)
+    monkeypatch.setattr(rect_np, "_usable_cpus", lambda: 4)
+    _every_kernel(rects, volts, _trap_points(rng, block))
+    monkeypatch.setattr(rect_np, "_usable_cpus", lambda: 1)
+    _every_kernel(rects, volts, _trap_points(rng, 3 * block + 7))
+
+
+def test_sums_cap_the_thread_count(rng, monkeypatch):
+    # each thread keeps a whole block's sums: 1, 3 and 8 per point and
+    # rectangle, so with M = 79 at most 16, 5 and 2 threads hold 2 MB
+    rects, volts = _trap_rects(rng)
+    pts = _trap_points(rng, 40 * rect_np._BLOCK_ELEMS // (4 * len(rects)))
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(rect_np.threading, "Thread", Counted)
+    monkeypatch.setattr(rect_np, "_usable_cpus", lambda: 64)
+    for kernel, threads in zip(_KERNELS, (16, 5, 2, 5)):
+        started.clear()
+        getattr(rect_np, kernel)(rects[:, None, :] if kernel == _KERNELS[3] else rects, volts, pts)
+        assert len(started) == threads - 1, kernel
+
+
+def test_worker_exception_reaches_the_caller(rng, monkeypatch):
+    rects, volts = _trap_rects(rng)
+    pts = _trap_points(rng, 2 * rect_np._BLOCK_ELEMS // (4 * len(rects)))
+    put_field = rect_np._put_field
+
+    def fail_off_the_calling_thread(b, volts, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        put_field(b, volts, out)
+
+    monkeypatch.setattr(rect_np, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rect_np, "_put_field", fail_off_the_calling_thread)
+    running = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        rect_np.rect_field_sum(rects, volts, pts)
+    assert threading.active_count() == running
 
 
 # 3 x 3 abutting cells of 100 um: a gapless plane without overlaps
