@@ -35,6 +35,8 @@ SENSOR_PRESET_NAMES = ("TS1", "TS2")
 
 
 def _rng(seed: int) -> "np.random.Generator":
+    if not 0 <= seed < 2**128:  # the range of a Philox key
+        raise ValueError(f"--seed needs a whole number in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -72,6 +74,19 @@ def _positive_float(text: str) -> float:
     if not x > 0.0:
         raise argparse.ArgumentTypeError(f"must be above zero: {text!r}")
     return x
+
+
+def _fields(option: str, spec: str, form: str, *types) -> tuple:
+    """The value ``spec`` of ``option``, split at the separator of ``form``
+    (``:`` if it has one, else ``,``) into one field per type in ``types``;
+    any other shape is refused naming the option and its form."""
+    parts = spec.split(":" if ":" in form else ",")
+    try:
+        if len(parts) == len(types):
+            return tuple(t(p) for t, p in zip(types, parts))
+    except ValueError:
+        pass
+    raise ValueError(f"{option} needs {form}, got {spec!r}")
 
 
 def _fmt(x: float) -> str:
@@ -138,16 +153,6 @@ def _cmd_wafertest(args) -> int:
 # ------------------------------------------------------------------ yieldmap
 
 
-def _parse_cell_boost(spec: str):
-    cx, cy, code, rate = spec.split(",")
-    return (int(cx), int(cy)), code, float(rate)
-
-
-def _parse_edge_boost(spec: str):
-    code, rate, frac = spec.split(",")
-    return code, float(rate), float(frac)
-
-
 def _cmd_yieldmap(args) -> int:
     from . import yieldmap as ym
 
@@ -162,8 +167,12 @@ def _cmd_yieldmap(args) -> int:
         "LEAK_DC_GND": 0.09,
         "LEAK_DC_RF": 0.05,
     }
-    cell_boost = _parse_cell_boost(args.plant_cell) if args.plant_cell else None
-    edge_boost = _parse_edge_boost(args.plant_edge) if args.plant_edge else None
+    cell_boost = edge_boost = None
+    if args.plant_cell is not None:
+        cx, cy, code, rate = _fields("--plant-cell", args.plant_cell, "cx,cy,CODE,rate", int, int, str, float)
+        cell_boost = (cx, cy), code, rate
+    if args.plant_edge is not None:
+        edge_boost = _fields("--plant-edge", args.plant_edge, "CODE,rate,annulus_fraction", str, float, float)
     outcomes = ym.synthesize_outcomes(
         sites, rng, base_rates=rates, cell_boost=cell_boost, edge_boost=edge_boost, layout=layout
     )
@@ -205,11 +214,15 @@ def _cmd_yieldmap(args) -> int:
 # --------------------------------------------------------------------- field
 
 
-def _parse_axis(spec: str):
-    lo, hi, n = spec.split(":")
-    if int(n) < 1:
-        raise ValueError(f"axis {spec!r} needs lo:hi:n with n >= 1 points")
-    return float(lo) * 1e-6, float(hi) * 1e-6, int(n)
+def _axis(option: str, spec: str | None, default: float) -> np.ndarray:
+    """The points of an axis option ``lo:hi:n`` in um, in m; without the
+    option, the one point ``default``."""
+    if spec is None:
+        return np.array([default])
+    lo, hi, n = _fields(option, spec, "lo:hi:n in um", float, float, int)
+    if n < 1:
+        raise ValueError(f"{option} {spec!r} needs lo:hi:n with n >= 1 points")
+    return np.linspace(lo * 1e-6, hi * 1e-6, n)
 
 
 def _cmd_field(args) -> int:
@@ -220,10 +233,8 @@ def _cmd_field(args) -> int:
         voltages = _voltage_map(read_json(args.voltages), "--voltages", geometry)
     else:
         voltages = {i: args.rf_volts for i in geometry.ids(role="rf")}
-    xs = np.linspace(*_parse_axis(args.x)) if args.x else np.array([0.0])
-    ys = np.linspace(*_parse_axis(args.y)) if args.y else np.array([0.0])
-    zs = np.linspace(*_parse_axis(args.z)) if args.z else np.array([100e-6])
-    pts = np.array([(x, y, z) for x in xs for y in ys for z in zs])
+    axes = _axis("--x", args.x, 0.0), _axis("--y", args.y, 0.0), _axis("--z", args.z, 100e-6)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     phi = np.atleast_1d(potential_at(geometry, voltages, pts))
     e = np.atleast_2d(field_at(geometry, voltages, pts))
     atomic_write_text(
@@ -245,9 +256,7 @@ def _cmd_strayfield(args) -> int:
     geometry = _geometry(args.geometry)
     applied = _voltage_map(read_json(args.applied), "--applied", geometry)
     reference = _voltage_map(read_json(args.reference), "--reference", geometry)
-    point = np.array([float(c) * 1e-6 for c in args.point.split(",")])
-    if point.shape != (3,):
-        raise ValueError(f"--point needs x,y,z in um, got {args.point!r}")
+    point = np.array(_fields("--point", args.point, "x,y,z in um", float, float, float)) * 1e-6
     e = stray_field(geometry, applied, reference, point)
     atomic_write_text(
         args.out,

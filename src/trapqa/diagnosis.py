@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .electrostatics.fields import _check_above_plane
+from .electrostatics.fields import _as_points, _evaluate
 from .electrostatics.geometry import TrapGeometry
 
 # The bounded refine is a port of scipy's fminbound (below), so diagnosis
@@ -117,14 +117,15 @@ def axial_potential(
     ``axis`` is the (y, z) of the line scanned; defaults to the geometry's
     ``ion_axis``. Charge rectangles contribute at their fixed effective
     voltage regardless of ``scale``. Raises ``ValueError`` when the axis is
-    not finite or not above the electrode plane (z > 0).
+    not finite or not above the electrode plane (z > 0); the callable raises
+    it when the potential is not finite.
     """
     if axis is None:
         axis = geometry.ion_axis
     if axis is None:
         raise ValueError("geometry has no ion_axis; pass axis=(y, z)")
     y0, z0 = axis
-    _check_above_plane(np.array([[0.0, y0, z0]], dtype=float))
+    _as_points((0.0, y0, z0))
     volts = scenario_voltages(voltages, scenario, scale)
     rects, vals = geometry.rect_arrays(volts)
     if scenario.kind == "GAP_CHARGE" and scenario.charge_voltage != 0.0:
@@ -135,10 +136,7 @@ def axial_potential(
     def phi(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         pts = np.column_stack([xs, np.full_like(xs, y0), np.full_like(xs, z0)])
-        if len(rects) == 0:
-            out = np.zeros(len(pts))
-        else:
-            out = kernels.rect_potential_sum(rects, vals, pts)
+        out = _evaluate("potential", kernels.rect_potential_sum, rects, vals, pts, ((),))
         return float(out[0]) if np.isscalar(x) else out
 
     return phi

@@ -4,7 +4,7 @@ import numpy as np
 
 from .. import kernels
 from ..core import DriveParams, IonSpecies
-from .geometry import TrapGeometry
+from .geometry import TrapGeometry, _check_voltage
 
 __all__ = [
     "rect_potential",
@@ -18,18 +18,23 @@ __all__ = [
 ]
 
 
-def _check_above_plane(pts: np.ndarray) -> None:
-    """Refuse points that are not finite or not above the electrode plane.
+def _as_points(points) -> tuple[np.ndarray, bool]:
+    """``points`` as an (N, 3) array and whether a single (3,) point was given.
 
-    The closed forms hold only in the half space z > 0; below the plane they
+    Points that are not finite or not above the electrode plane are refused:
+    the closed forms hold only in the half space z > 0; below the plane they
     return values that break the maximum principle instead of failing.
     """
+    pts = np.asarray(points, dtype=float)
+    single = pts.shape == (3,)
+    pts = pts.reshape(-1, 3)
     ok = np.isfinite(pts).all(axis=1) & (pts[:, 2] > 0.0)
     if not ok.all():
         x, y, z = pts[np.argmin(ok)] * 1e6
         raise ValueError(
             f"point ({x:g}, {y:g}, {z:g}) um is outside the half space z > 0 above the electrodes"
         )
+    return pts, single
 
 
 def _checked(what: str, kernel, *args):
@@ -52,25 +57,29 @@ def _checked(what: str, kernel, *args):
     return out
 
 
+def _evaluate(what: str, kernel, rects, volts, pts, zeros):
+    """``kernel(rects, volts, pts)`` through :func:`_checked`, or, with no
+    rectangle driven, +0.0 arrays of the per-point shapes ``zeros``, one per
+    array the kernel returns. Every kernel call on geometry inputs but the
+    stray field's superposition comes here."""
+    if len(rects) == 0:
+        out = tuple(np.zeros((len(pts), *z)) for z in zeros)
+        return out if len(out) > 1 else out[0]
+    return _checked(what, kernel, rects, volts, pts)
+
+
 def rect_potential(rect, voltage: float, point) -> float:
     """Potential of a single rectangle ``(x1, x2, y1, y2)`` at one point.
 
-    Gapless-plane closed form; ``point`` is ``(x, y, z)`` with ``z > 0``.
+    Gapless-plane closed form; ``point`` is ``(x, y, z)`` with ``z > 0``. A
+    voltage that is not finite, or a potential that is not, raises
+    ``ValueError``.
     """
     rects = np.asarray(rect, dtype=float).reshape(1, 4)
-    pts = np.asarray(point, dtype=float).reshape(1, 3)
-    _check_above_plane(pts)
-    return float(kernels.rect_potential_sum(rects, np.array([voltage]), pts)[0])
-
-
-def _as_points(points) -> tuple[np.ndarray, bool]:
-    """``points`` as an (N, 3) array, checked to lie above the plane, and
-    whether a single (3,) point was given."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.shape == (3,)
-    pts = pts.reshape(-1, 3)
-    _check_above_plane(pts)
-    return pts, single
+    _check_voltage(rects[0].tolist(), voltage, "rectangle")
+    pts, _ = _as_points(np.reshape(point, (1, 3)))
+    volts = np.array([voltage], dtype=float)
+    return float(_evaluate("potential", kernels.rect_potential_sum, rects, volts, pts, ((),))[0])
 
 
 def potential_at(geometry: TrapGeometry, voltages: dict, points):
@@ -82,10 +91,7 @@ def potential_at(geometry: TrapGeometry, voltages: dict, points):
     """
     pts, single = _as_points(points)
     rects, volts = geometry.rect_arrays(voltages)
-    if len(rects) == 0:
-        out = np.zeros(len(pts))
-    else:
-        out = _checked("potential", kernels.rect_potential_sum, rects, volts, pts)
+    out = _evaluate("potential", kernels.rect_potential_sum, rects, volts, pts, ((),))
     return float(out[0]) if single else out
 
 
@@ -93,10 +99,7 @@ def field_at(geometry: TrapGeometry, voltages: dict, points):
     """Electric field E = -grad(phi) (V/m) at ``points``; (3,) or (N, 3)."""
     pts, single = _as_points(points)
     rects, volts = geometry.rect_arrays(voltages)
-    if len(rects) == 0:
-        out = np.zeros((len(pts), 3))
-    else:
-        out = _checked("field", kernels.rect_field_sum, rects, volts, pts)
+    out = _evaluate("field", kernels.rect_field_sum, rects, volts, pts, ((3,),))
     return out[0] if single else out
 
 
@@ -108,10 +111,9 @@ def field_gradient_at(geometry: TrapGeometry, voltages: dict, points):
     """
     pts, single = _as_points(points)
     rects, volts = geometry.rect_arrays(voltages)
-    if len(rects) == 0:
-        e, grad = np.zeros((len(pts), 3)), np.zeros((len(pts), 3, 3))
-    else:
-        e, grad = _checked("field gradient", kernels.rect_field_grad_sum, rects, volts, pts)
+    e, grad = _evaluate(
+        "field gradient", kernels.rect_field_grad_sum, rects, volts, pts, ((3,), (3, 3))
+    )
     return (e[0], grad[0]) if single else (e, grad)
 
 
@@ -155,9 +157,6 @@ def total_potential(
     points,
 ):
     """Pseudopotential plus q times the static potential, in joules."""
-    pts, single = _as_points(points)
-    u = pseudopotential(geometry, ion, drive, pts)
-    u = np.atleast_1d(u) + ion.charge * np.atleast_1d(
-        potential_at(geometry, dc_voltages, pts)
-    )
+    pts, single = _as_points(points)  # (N, 3): both terms are (N,) arrays
+    u = pseudopotential(geometry, ion, drive, pts) + ion.charge * potential_at(geometry, dc_voltages, pts)
     return float(u[0]) if single else u

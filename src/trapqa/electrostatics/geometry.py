@@ -40,11 +40,12 @@ class Electrode:
                 )
 
 
-def _check_voltage(electrode_id: str, volts: float) -> None:
-    """Refuse a voltage that is not finite: the kernels would turn it into
-    NaN or infinite potentials and fields instead of failing."""
+def _check_voltage(name, volts: float, what: str = "electrode") -> None:
+    """Refuse a voltage that is not finite, naming the ``what`` it drives:
+    the kernels would turn it into NaN or infinite potentials and fields
+    instead of failing."""
     if not math.isfinite(volts):
-        raise ValueError(f"voltage of electrode {electrode_id!r} is not finite: {volts!r}")
+        raise ValueError(f"voltage of {what} {name!r} is not finite: {volts!r}")
 
 
 def _rects_overlap(a: Rect, b: Rect) -> bool:

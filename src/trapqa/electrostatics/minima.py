@@ -50,7 +50,7 @@ def _newton_nulls(geometry, x, window, grid):
     """
     (y_lo, y_hi), (z_lo, z_hi) = window
     dy, dz = y_hi - y_lo, z_hi - z_lo
-    unit_volts = {i: 1.0 for i in geometry.ids(role="rf")}
+    unit_volts = _rf_voltages(geometry, 1.0)
     ys, zs = np.meshgrid(np.linspace(y_lo, y_hi, grid), np.linspace(z_lo, z_hi, grid), indexing="ij")
     yz = np.column_stack([ys.ravel(), zs.ravel()])
     converged = np.zeros(len(yz), dtype=bool)
@@ -122,8 +122,6 @@ def find_rf_minima(
     (y_lo, y_hi), (z_lo, z_hi) = window
     if not (y_hi > y_lo and z_hi > z_lo and z_lo > 0):
         raise ValueError("window must be (y_lo < y_hi, 0 < z_lo < z_hi)")
-    if not geometry.ids(role="rf"):
-        raise ValueError("geometry has no RF electrodes")
 
     found = []
     for y0, z0 in _newton_nulls(geometry, x, window, grid):

@@ -236,17 +236,12 @@ def _run(rects, points, field, n_tmp, n_sums, body):
     n_blocks = -(-len(points) // block)
     cap = max(1, _SUMS_ELEMS // (n_sums * block * m))
     threads = min(_usable_cpus(), n_blocks, cap) if n_blocks > 1 else 1
-    if threads == 1:  # most calls are of one block: no thread machinery
-        full, sums = _scratch(len(points), block, block, m, field, n_tmp, n_sums)
-        body(_blocks(edges, points, range(0, len(points), block), field, full, sums))
-        return
     sub = -(-block // threads)
-    cuts = [n_blocks * i // threads for i in range(threads + 1)]
     runs = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        starts = range(lo * block, hi * block, block)
-        full, sums = _scratch(len(points) - starts[0], block, sub, m, field, n_tmp, n_sums)
-        runs.append(_blocks(edges, points, starts, field, full, sums))
+    for t in range(threads):
+        lo, hi = n_blocks * t // threads, n_blocks * (t + 1) // threads
+        full, sums = _scratch(len(points) - lo * block, block, sub, m, field, n_tmp, n_sums)
+        runs.append(_blocks(edges, points, range(lo * block, hi * block, block), field, full, sums))
     errors = []
     workers = [
         threading.Thread(

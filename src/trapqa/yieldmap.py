@@ -314,7 +314,9 @@ def synthesize_outcomes(
     drawn wins, so results are reproducible for a given generator state.
     Every rate, and the annulus fraction, must be a number in [0, 1];
     anything else raises ValueError naming the code, and so does a
-    ``base_rates`` that is not a mapping.
+    ``base_rates`` that is not a mapping. A boosted cell that holds none of
+    the ``sites`` (a test cell, or one outside the 3x3 reticle) raises
+    ValueError naming the cell.
     """
     if base_rates is not None and not isinstance(base_rates, Mapping):
         raise ValueError(f"base rates must map failure codes to rates, got {type(base_rates).__name__}")
@@ -328,6 +330,9 @@ def synthesize_outcomes(
     for name, value in checks:
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    if cell_boost is not None and not any(s.cell == cell_boost[0] for s in sites):
+        cx, cy = cell_boost[0]
+        raise ValueError(f"boosted reticle cell ({cx}, {cy}) holds no chip")
     out = {}
     r_split = None
     if edge_boost is not None:

@@ -242,21 +242,47 @@ def _stray_inputs(tmp_path):
     return ["strayfield", "--applied", applied, "--reference", reference]
 
 
-@pytest.mark.parametrize("case", ["strayfield_point", "heating_few", "diagnose_no_fault", "thermo_no_input"])
-def test_input_errors_exit_2_with_message(tmp_path, capsys, case):
-    out = tmp_path / "out.json"
-    if case == "strayfield_point":
-        args = _stray_inputs(tmp_path) + ["--point", "1,2", "--out", out]
-    elif case == "heating_few":
-        table = tmp_path / "rates.csv"
-        table.write_text("site,frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s\n3,1.0,20.0,0.5\n")
-        args = ["heating", "--csv", table, "--out", out]
-    elif case == "diagnose_no_fault":
-        args = ["diagnose", "--scenario", _scenario(tmp_path, None), "--out", out]
-    else:
-        args = ["thermo", "--resistance", 1000.0, "--out", out]
-    _refused(capsys, *args)
-    assert not out.exists()
+_YIELDMAP_OUT = ["--out-svg", "out.svg", "--out-csv", "out.csv"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["strayfield", "--applied", "applied.json", "--reference", "ref.json", "--point", "1,2",
+                      "--out", "out.json"], "--point needs x,y,z in um, got '1,2'", id="strayfield_point"),
+        pytest.param(["heating", "--csv", "rates.csv", "--out", "out.json"], "at least 3 records, got 1",
+                     id="heating_few"),
+        pytest.param(["diagnose", "--scenario", "scenario.json", "--out", "out.json"], "scenario has no 'fault'",
+                     id="diagnose_no_fault"),
+        pytest.param(["thermo", "--resistance", "1000.0", "--out", "out.json"], "thermo needs --preset or",
+                     id="thermo_no_input"),
+        # option strings of the wrong form name the option and the form
+        pytest.param(["field", "--x", "0:10", "--out", "out.csv"], "--x needs lo:hi:n in um, got '0:10'",
+                     id="field_axis_two_fields"),
+        pytest.param(["field", "--z", "50:150:ten", "--out", "out.csv"], "--z needs lo:hi:n in um",
+                     id="field_axis_count_not_a_number"),
+        pytest.param(["yieldmap", "--plant-cell", "1,2,LEAK_DC_DC", *_YIELDMAP_OUT],
+                     "--plant-cell needs cx,cy,CODE,rate, got '1,2,LEAK_DC_DC'", id="plant_cell_three_fields"),
+        pytest.param(["yieldmap", "--plant-cell", "1,b,LEAK_DC_DC,0.9", *_YIELDMAP_OUT],
+                     "--plant-cell needs cx,cy,CODE,rate", id="plant_cell_not_a_number"),
+        pytest.param(["yieldmap", "--plant-edge", "LEAK_DC_DC,0.9", *_YIELDMAP_OUT],
+                     "--plant-edge needs CODE,rate,annulus_fraction, got 'LEAK_DC_DC,0.9'",
+                     id="plant_edge_two_fields"),
+        pytest.param(["--seed", "-1", "yieldmap", *_YIELDMAP_OUT], "--seed needs a whole number in [0, 2**128)",
+                     id="seed_negative"),
+        pytest.param(["--seed", str(2**128), "yieldmap", *_YIELDMAP_OUT], "--seed needs a whole number",
+                     id="seed_too_large"),
+    ],
+)
+def test_input_errors_exit_2_with_message(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    _stray_inputs(tmp_path)
+    (tmp_path / "rates.csv").write_text("site,frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s\n3,1.0,20.0,0.5\n")
+    _scenario(tmp_path, None)
+    err = _refused(capsys, *args)
+    assert err.count("\n") == 1 and err.startswith("trapqa: bad input:")
+    assert message in err
+    assert not list(tmp_path.glob("out.*"))
 
 
 @pytest.mark.parametrize("z", ["-50:-50:1", "0:0:1", "nan:nan:1", "-10:90:3"])
@@ -397,6 +423,16 @@ def test_yieldmap_rate_outside_unit_interval_exits_2(tmp_path, capsys, monkeypat
     )
     assert message in err and "[0, 1]" in err
     assert not any((tmp_path / o).exists() for o in outs)
+
+
+@pytest.mark.parametrize("cell", ["0,0,LEAK_DC_DC,1.0", "5,2,LEAK_DC_DC,0.9"], ids=["test_cell", "outside_reticle"])
+def test_yieldmap_plant_cell_without_chip_exits_2(tmp_path, capsys, monkeypatch, cell):
+    # a process-control cell and a cell outside the 3x3 reticle hold no chip to plant
+    monkeypatch.chdir(tmp_path)
+    err = _refused(capsys, "yieldmap", "--plant-cell", cell, *_YIELDMAP_OUT)
+    cx, cy = cell.split(",")[:2]
+    assert f"cell ({cx}, {cy}) holds no chip" in err
+    assert not list(tmp_path.glob("out.*"))
 
 
 @pytest.mark.parametrize("rate", ["0.2", None, True, [0.2]], ids=["string", "null", "bool", "list"])
@@ -627,6 +663,10 @@ _MALFORMED = [
      "the field is not finite"),
     ("applied_overflow", ["strayfield", "--applied", "bad.json", *_STRAY], {"CP1": 1e308},
      "the stray field is not finite"),
+    # the axial potential overflows to a -inf plateau, whose "minimum" is no ion position
+    ("scenario_potential_overflow", _DIAGNOSE,
+     {**_SCENARIO, "voltages": {f"DC{k}": -1.7e308 for k in range(16, 21)}, "scales": [1.0, 0.5]},
+     "the potential is not finite"),
     # a netlist with nothing to test
     ("netlist_no_nets", _NETLIST, {"nets": []}, "the netlist has no dc, comp, ts or rf net to test"),
     ("netlist_gnd_only", _NETLIST, _net(role="gnd"), "the netlist has no dc, comp, ts or rf net to test"),

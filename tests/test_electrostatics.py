@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 
 from trapqa import kernels
 from trapqa.core import CA40, DriveParams
+from trapqa.diagnosis import FaultScenario, axial_potential
 from trapqa.electrostatics import (
     Electrode,
     TrapGeometry,
@@ -33,6 +34,7 @@ from trapqa.electrostatics import (
     paper_trap_geometry,
     potential_at,
     pseudopotential,
+    rect_potential,
     secular_frequencies,
     stray_field,
     total_potential,
@@ -307,6 +309,31 @@ def test_only_a_3_vector_is_a_single_point(geometry):
     assert np.array_equal(field_at(geometry, volts, pts.ravel()), field_at(geometry, volts, pts))
     assert potential_at(geometry, volts, pts[1]) == potential_at(geometry, volts, pts)[1]
     assert field_at(geometry, volts, pts[1]).shape == (3,)
+
+
+# one 100 um pad, and a point 1 um above its center, where it subtends
+# almost 2 pi: at 1e308 V every result there overflows
+_PAD = TrapGeometry(electrodes=(Electrode("E1", "dc", ((-50e-6, 50e-6, -50e-6, 50e-6),)),))
+_LOW = (0.0, 0.0, 1e-6)
+_EVALUATE = {
+    "rect_potential": lambda v: rect_potential(_PAD.electrodes[0].rects[0], v, _LOW),
+    "potential_at": lambda v: potential_at(_PAD, {"E1": v}, _LOW),
+    "field_at": lambda v: field_at(_PAD, {"E1": v}, _LOW),
+    "field_gradient_at": lambda v: field_gradient_at(_PAD, {"E1": v}, _LOW),
+    "stray_field": lambda v: stray_field(_PAD, {"E1": v}, {}, _LOW),
+    "axial_potential": lambda v: axial_potential(_PAD, {"E1": v}, FaultScenario("NOMINAL"), 1.0, _LOW[1:])(0.0),
+}
+
+
+@pytest.mark.parametrize(
+    "name, volts",
+    [(name, 1e308) for name in _EVALUATE] + [("rect_potential", v) for v in (np.nan, np.inf, -np.inf)],
+)
+def test_a_result_that_is_not_finite_is_refused(name, volts):
+    # pyproject turns numpy's RuntimeWarning into an error: the refusal must not warn
+    _EVALUATE[name](1.0)
+    with pytest.raises(ValueError, match="is not finite"):
+        _EVALUATE[name](volts)
 
 
 def test_pseudopotential_formula(geometry, drive):
