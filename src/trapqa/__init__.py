@@ -2,7 +2,7 @@
 
 The package is organized around the life cycle of a trap wafer:
 
-* :mod:`trapqa.core` - materials, trace geometries, ions, drive parameters.
+* :mod:`trapqa.core` - ion species, RF drive parameters.
 * :mod:`trapqa.dissipation` - lumped RF loss model for the trap drive.
 * :mod:`trapqa.electrostatics` - gapless-plane trap fields, pseudopotential
   minima, secular frequencies, stray-field reconstruction.

@@ -7,11 +7,12 @@ atomically.
 
 Exit codes: 0 when the analysis ran and found nothing wrong, 1 when it ran
 and detected a failure condition (failed chip, flagged spatial defect,
-non-nominal fault class, out-of-range readout), 2 for usage or input errors.
+non-nominal fault class, out-of-range readout), 2 for usage or input errors
+(an unreadable input or unwritable output path included), 3 for an
+unexpected error, with its traceback.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -32,6 +33,10 @@ DEFAULT_SEED = 20260819
 # them against dissipation.DEFAULT_DRIVE_V0 and thermometry.SENSOR_PRESETS.
 DRIVE_V0 = 160.0
 SENSOR_PRESET_NAMES = ("TS1", "TS2")
+
+# Options whose value may start with "-" (a negative coordinate); argparse
+# would take such a value for an option (see _join_signed).
+SIGNED_OPTIONS = ("--x", "--y", "--z", "--point", "--plant-cell", "--plant-edge")
 
 
 def _rng(seed: int) -> "np.random.Generator":
@@ -235,8 +240,8 @@ def _cmd_field(args) -> int:
         voltages = {i: args.rf_volts for i in geometry.ids(role="rf")}
     axes = _axis("--x", args.x, 0.0), _axis("--y", args.y, 0.0), _axis("--z", args.z, 100e-6)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    phi = np.atleast_1d(potential_at(geometry, voltages, pts))
-    e = np.atleast_2d(field_at(geometry, voltages, pts))
+    phi = potential_at(geometry, voltages, pts)
+    e = field_at(geometry, voltages, pts)
     atomic_write_text(
         args.out,
         csv_text(
@@ -482,19 +487,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed(argv: list[str]) -> list[str]:
+    """``argv`` with each option of ``SIGNED_OPTIONS`` joined to its value,
+    so that ``--x -100:100:20`` reads as ``--x=-100:100:20``; a next
+    argument that starts with ``--`` is left to argparse as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in SIGNED_OPTIONS and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        parser.exit(2, f"trapqa: input not found: {exc.filename}\n")
     except UnknownName as exc:
         parser.exit(2, f"trapqa: bad input: {exc}\n")
     except KeyError as exc:  # a required key the input document lacks
         parser.exit(2, f"trapqa: bad input: missing key {exc}\n")
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         parser.exit(2, f"trapqa: bad input: {exc}\n")
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # a path from the command line
+            parser.exit(2, f"trapqa: cannot use {exc.filename}: {exc.strerror}\n")
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

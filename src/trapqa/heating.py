@@ -21,7 +21,6 @@ __all__ = [
     "nbar_from_sidebands",
     "heating_rate_fit",
     "power_law_fit",
-    "filtered_noise_shape",
     "load_heating_table",
     "site_rates",
 ]
@@ -160,15 +159,6 @@ def power_law_fit(frequencies, rates, sigmas) -> PowerLaw:
         chi2=chi2,
         dof=max(len(f) - 2, 0),
     )
-
-
-def filtered_noise_shape(omega, omega_c: float):
-    """Single-pole low-pass noise shape 1 / (1 + (omega/omega_c)^2)."""
-    if omega_c <= 0:
-        raise ValueError("omega_c must be positive")
-    w = np.asarray(omega, dtype=float)
-    out = 1.0 / (1.0 + (w / omega_c) ** 2)
-    return float(out) if np.isscalar(omega) else out
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "fit_rt_curve",
     "sensitivity",
     "invert_temperature",
-    "wafer_spread_projection",
     "SENSOR_PRESETS",
 ]
 
@@ -234,19 +233,6 @@ def invert_temperature(
     slope = d_resistance_d_t(model, t)
     sigma_t = meter_resolution / slope if slope > 0 else np.inf
     return float(t), float(sigma_t)
-
-
-def wafer_spread_projection(room_mean: float, room_std: float, cryo_mean: float) -> float:
-    """Project the wafer-scale resistance spread to cryogenic conditions.
-
-    The device-to-device spread is dominated by geometry (line width and
-    thickness variation), which scales every resistance multiplicatively, so
-    the relative spread is preserved: sigma_cryo = room_std * cryo_mean /
-    room_mean.
-    """
-    if room_mean <= 0 or cryo_mean <= 0 or room_std < 0:
-        raise ValueError("means must be positive and std non-negative")
-    return room_std * cryo_mean / room_mean
 
 
 #: TS-like models calibrated to (sensitivity over 10..15 K, R at 295 K):

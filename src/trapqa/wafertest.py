@@ -51,7 +51,6 @@ __all__ = [
     "build_plan",
     "simulate_step",
     "run_chip",
-    "run_wafer",
     "FAILURE_CODES",
 ]
 
@@ -627,21 +626,3 @@ def _walk_plan(plan, netlist: ChipNetlist, faults: tuple, limits: TestLimits, rn
         elapsed_s=len(log) * limits.step_time,
         log=tuple(log),
     )
-
-
-def run_wafer(
-    chip_faults: dict,
-    netlist: ChipNetlist | None = None,
-    limits: TestLimits = DEFAULT_LIMITS,
-) -> dict:
-    """Test every chip in ``chip_faults`` (id -> fault tuple), deterministically.
-
-    Chips are independent; results are computed and returned in ascending
-    chip-id order.
-    """
-    if netlist is None:
-        netlist = default_netlist()
-    results = {}
-    for chip_id in sorted(chip_faults):
-        results[chip_id] = run_chip(netlist, chip_faults[chip_id], limits)
-    return results

@@ -218,10 +218,57 @@ def test_heating_from_csv(tmp_path):
     assert json.loads(out.read_text())["alpha"] == pytest.approx(2.0, abs=1e-6)
 
 
-def test_missing_input_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("diagnose", "--scenario", tmp_path / "nope.json", "--out", tmp_path / "o.json")
-    assert exc.value.code == 2
+# (arguments, the path the message must name): a path the command cannot
+# read or write, as the user typed it
+_UNUSABLE_PATHS = [
+    (["diagnose", "--scenario", "nope.json", "--out", "out.json"], "nope.json"),
+    (["heating", "--csv", "adir", "--out", "out.json"], "adir"),
+    (["thermo", "--calibration", "adir", "--out", "out.json"], "adir"),
+    (["wafertest", "--netlist", "adir", "--out", "out.csv"], "adir"),
+    (["dissipation", "--out", "missing_dir/out.csv"], "missing_dir/out.csv"),
+    (["dissipation", "--out", "afile/out.csv"], "afile/out.csv"),
+    (["heating", "--out", "adir"], "adir"),
+]
+
+
+def test_missing_input_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    for args, path in _UNUSABLE_PATHS:
+        err = _refused(capsys, *args)
+        assert err.count("\n") == 1 and err.startswith(f"trapqa: cannot use {path}: "), args
+        assert not list(tmp_path.glob("out.*")) and not list(tmp_path.glob("**/.tmp_*")), args
+
+
+def test_unexpected_error_exits_3_with_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr("trapqa.cli._cmd_dissipation", broken)
+    assert run_cli("dissipation") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: a bug\n")
+
+
+@pytest.mark.parametrize(
+    "args, option, value",
+    [
+        (["field"], "--x", "-100:100:20"),
+        (["field", "--x", "-20:20:3"], "--y", "-50:50:5"),
+        (["field", "--x", "-5:5:3"], "--z", "50:150:4"),
+        (["strayfield", "--applied", "applied.json", "--reference", "ref.json"], "--point", "-10,42.3,124.4"),
+    ],
+)
+def test_option_value_may_start_with_minus(tmp_path, monkeypatch, args, option, value):
+    # "--x -100:100:20" writes the bytes of "--x=-100:100:20"
+    monkeypatch.chdir(tmp_path)
+    _stray_inputs(tmp_path)
+    written = []
+    for form in ([option, value], [f"{option}={value}"]):
+        assert run_cli(*args, *form, "--out", "out.txt") == 0
+        written.append((tmp_path / "out.txt").read_bytes())
+    assert written[0] == written[1]
 
 
 def _refused(capsys, *args):
@@ -261,6 +308,9 @@ _YIELDMAP_OUT = ["--out-svg", "out.svg", "--out-csv", "out.csv"]
                      id="field_axis_two_fields"),
         pytest.param(["field", "--z", "50:150:ten", "--out", "out.csv"], "--z needs lo:hi:n in um",
                      id="field_axis_count_not_a_number"),
+        # a value that starts with "-" reaches the command's own check
+        pytest.param(["field", "--z", "-10:90:3", "--out", "out.csv"], "outside the half space z > 0",
+                     id="field_axis_starts_with_minus"),
         pytest.param(["yieldmap", "--plant-cell", "1,2,LEAK_DC_DC", *_YIELDMAP_OUT],
                      "--plant-cell needs cx,cy,CODE,rate, got '1,2,LEAK_DC_DC'", id="plant_cell_three_fields"),
         pytest.param(["yieldmap", "--plant-cell", "1,b,LEAK_DC_DC,0.9", *_YIELDMAP_OUT],
@@ -425,9 +475,13 @@ def test_yieldmap_rate_outside_unit_interval_exits_2(tmp_path, capsys, monkeypat
     assert not any((tmp_path / o).exists() for o in outs)
 
 
-@pytest.mark.parametrize("cell", ["0,0,LEAK_DC_DC,1.0", "5,2,LEAK_DC_DC,0.9"], ids=["test_cell", "outside_reticle"])
+@pytest.mark.parametrize(
+    "cell",
+    ["0,0,LEAK_DC_DC,1.0", "5,2,LEAK_DC_DC,0.9", "-1,1,LEAK_DC_DC,0.9"],
+    ids=["test_cell", "outside_reticle", "negative_column"],
+)
 def test_yieldmap_plant_cell_without_chip_exits_2(tmp_path, capsys, monkeypatch, cell):
-    # a process-control cell and a cell outside the 3x3 reticle hold no chip to plant
+    # a process-control cell and cells outside the 3x3 reticle hold no chip to plant
     monkeypatch.chdir(tmp_path)
     err = _refused(capsys, "yieldmap", "--plant-cell", cell, *_YIELDMAP_OUT)
     cx, cy = cell.split(",")[:2]

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from trapqa.heating import (
     HeatingRecord,
-    filtered_noise_shape,
     heating_rate_fit,
     load_heating_table,
     nbar_from_sidebands,
@@ -113,17 +112,6 @@ def test_power_law_scaling_equivariance(c):
     scaled = power_law_fit(c * f, rates, sigmas)
     assert scaled.alpha == pytest.approx(base.alpha, rel=1e-9)
     assert scaled.amplitude == pytest.approx(base.amplitude * c**base.alpha, rel=1e-6)
-
-
-def test_filtered_noise_shape():
-    wc = 2 * np.pi * 1e6
-    assert filtered_noise_shape(0.0, wc) == pytest.approx(1.0)
-    assert filtered_noise_shape(wc, wc) == pytest.approx(0.5)
-    w = np.array([0.1, 1.0, 10.0]) * wc
-    out = filtered_noise_shape(w, wc)
-    assert np.all(np.diff(out) < 0)
-    # rolls off as 1/omega^2 far beyond the pole
-    assert filtered_noise_shape(100 * wc, wc) == pytest.approx(1e-4, rel=0.01)
 
 
 def test_bundled_table_shape():

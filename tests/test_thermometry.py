@@ -22,7 +22,6 @@ from trapqa.thermometry import (
     invert_temperature,
     model_resistance,
     sensitivity,
-    wafer_spread_projection,
 )
 
 
@@ -138,13 +137,6 @@ def test_preset_resistances_inside_test_bands():
     # the wafer-test resistance windows must accept a healthy sensor
     assert 28.9e3 <= model_resistance(SENSOR_PRESETS["TS1"], 295.0) <= 35.7e3
     assert 10.3e3 <= model_resistance(SENSOR_PRESETS["TS2"], 295.0) <= 11.3e3
-
-
-def test_wafer_spread_projection():
-    # relative spread carries from room to cryo: std_cryo = std_room * mean_c / mean_r
-    assert wafer_spread_projection(32.3e3, 1.0e3, 26.2e3) == pytest.approx(
-        1.0e3 * 26.2 / 32.3, rel=1e-12
-    )
 
 
 def test_fit_respects_theta_bounds():

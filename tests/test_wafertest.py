@@ -34,7 +34,6 @@ from trapqa.wafertest import (
     load_netlist,
     netlist_from_dict,
     run_chip,
-    run_wafer,
     simulate_step,
 )
 
@@ -211,13 +210,6 @@ def test_noise_does_not_flip_verdicts(netlist):
     # uV/0.1 nA meter noise is far inside every window
     result = run_chip(netlist, (), rng=np.random.Generator(np.random.Philox(key=11)))
     assert result.passed
-
-
-def test_run_wafer_orders_chips(netlist):
-    results = run_wafer({"C002": (), "C001": (Fault.open("DC01"),)}, netlist)
-    assert list(results) == ["C001", "C002"]
-    assert not results["C001"].passed
-    assert results["C002"].passed
 
 
 def test_netlist_roundtrip(tmp_path, netlist):
