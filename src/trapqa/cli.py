@@ -513,7 +513,8 @@ def main(argv=None) -> int:
         parser.exit(2, f"trapqa: bad input: {exc}\n")
     except Exception as exc:
         if isinstance(exc, OSError) and exc.filename is not None:  # a path from the command line
-            parser.exit(2, f"trapqa: cannot use {exc.filename}: {exc.strerror}\n")
+            path = str(exc.filename)  # or from a document, where it may hold a newline
+            parser.exit(2, f"trapqa: cannot use {path if path.isprintable() else repr(path)}: {exc.strerror}\n")
         import traceback
 
         traceback.print_exc()

@@ -46,7 +46,8 @@ def _newton_nulls(geometry, x, window, grid):
     ``_STALL_ITER`` iterations in a row, when it moves beside or above the
     window by more than the window's own size, or when its Jacobian is
     singular or its step not finite.
-    Returns the converged (y, z) in seed order, y outer and z inner.
+    Returns the converged (y, z) in seed order, y outer and z inner, and the
+    number of seeds still active when the iteration limit ended the search.
     """
     (y_lo, y_hi), (z_lo, z_hi) = window
     dy, dz = y_hi - y_lo, z_hi - z_lo
@@ -88,7 +89,7 @@ def _newton_nulls(geometry, x, window, grid):
         inside = (p[:, 0] >= y_lo - dy) & (p[:, 0] <= y_hi + dy) & (p[:, 1] <= z_hi + dz)
         active = active[~done & inside]
 
-    return [tuple(q) for q in yz[converged]]
+    return [tuple(q) for q in yz[converged]], active.size
 
 
 def find_rf_minima(
@@ -108,9 +109,11 @@ def find_rf_minima(
     and every evaluated point stays above the electrode plane. Seeds that do
     not converge (singular Jacobian, residual stalled for ``_STALL_ITER``
     iterations, leaving the window far behind, iteration limit) are dropped;
-    a window where no seed converges gives ``[]``. Converged nulls inside
-    the window are deduplicated within ``_DEDUP_TOL`` (1 um) and kept when
-    the transverse curvature of the pseudopotential,
+    a window where no seed converges gives ``[]``, unless seeds were still
+    active at the iteration limit: that search was cut short, not empty, and
+    raises ``ValueError``. Converged nulls inside the window are
+    deduplicated within ``_DEDUP_TOL`` (1 um) and kept when the transverse
+    curvature of the pseudopotential,
     ``q^2 / (2 m Omega^2) (G^T G)`` at a null with ``G`` the gradient of the
     RF field, is positive definite; they are returned sorted by y.
 
@@ -124,7 +127,8 @@ def find_rf_minima(
         raise ValueError("window must be (y_lo < y_hi, 0 < z_lo < z_hi)")
 
     found = []
-    for y0, z0 in _newton_nulls(geometry, x, window, grid):
+    converged, unfinished = _newton_nulls(geometry, x, window, grid)
+    for y0, z0 in converged:
         if not (y_lo - _DEDUP_TOL <= y0 <= y_hi + _DEDUP_TOL):
             continue
         if not (z_lo - _DEDUP_TOL <= z0 <= z_hi + _DEDUP_TOL):
@@ -134,6 +138,11 @@ def find_rf_minima(
         found.append((y0, z0))
 
     if not found:
+        if unfinished:
+            raise ValueError(
+                f"the RF null search found no null, with {unfinished} seeds still active "
+                f"after {_MAX_ITER} iterations"
+            )
         return []
     nulls = np.array([[x, y0, z0] for y0, z0 in found])
     e, grad = field_gradient_at(geometry, _rf_voltages(geometry, drive.v0), nulls)

@@ -22,15 +22,16 @@ The bundled default netlist (70 DC loop groups, 6 compensation electrodes,
 stress) + 79 resistance. At 16.25 ms per step a defect-free chip completes
 in 7.8 s.
 
-Simulation is deterministic: nominal isolation is perfect and measurement
-noise is off unless an explicit RNG is provided.
+Simulation is deterministic: nominal isolation is perfect, the meters read
+the exact values, and every run is checked against the one table of pass
+windows, ``DEFAULT_LIMITS``. A run depends on the netlist and the faults
+alone.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from ._io import UnknownName, as_int, as_list, as_number, as_object, as_objects, as_text, read_json
 
@@ -202,8 +203,8 @@ class Fault:
 class TestLimits:
     """Instrument settings and pass windows for the four test phases.
 
-    ``swap_sensor_bands`` exchanges which sensor gets which resistance band;
-    the default binding gives the first sensor (ascending id) the high band.
+    The first sensor (ascending id) is checked against the high resistance
+    band, the second against the low one.
     """
 
     continuity_force: float = 1.0e-3
@@ -217,7 +218,6 @@ class TestLimits:
     loop_band: tuple[float, float] = (0.0, 50.0)
     ts_band_high: tuple[float, float] = (28.9e3, 35.7e3)
     ts_band_low: tuple[float, float] = (10.3e3, 11.3e3)
-    swap_sensor_bands: bool = False
     compliance_v: float = 10.0
     step_time: float = 0.01625
 
@@ -454,48 +454,31 @@ def _in(value: float, band: tuple[float, float]) -> bool:
     return band[0] <= value <= band[1]
 
 
-def _ts_band(netlist: ChipNetlist, net_id: str, limits: TestLimits) -> tuple[float, float]:
-    ts_ids = netlist.ids("ts")
-    bands = [limits.ts_band_high, limits.ts_band_low]
-    if limits.swap_sensor_bands:
-        bands.reverse()
-    return bands[ts_ids.index(net_id) % 2]
+def _ts_band(netlist: ChipNetlist, net_id: str) -> tuple[float, float]:
+    bands = (DEFAULT_LIMITS.ts_band_high, DEFAULT_LIMITS.ts_band_low)
+    return bands[netlist.ids("ts").index(net_id) % 2]
 
 
-def simulate_step(
-    netlist: ChipNetlist,
-    faults,
-    step: TestStep,
-    limits: TestLimits = DEFAULT_LIMITS,
-    rng: "np.random.Generator | None" = None,
-) -> StepRecord:
+def simulate_step(netlist: ChipNetlist, faults, step: TestStep) -> StepRecord:
     """Execute one plan step against the fault set.
 
     ``faults`` is any iterable of ``Fault``; it is indexed and checked like
     ``run_chip`` does, so a fault the chip cannot host raises ``ValueError``.
     A plan walk passes the index it built once for the chip instead.
-    Deterministic unless ``rng`` is given, in which case Gaussian meter noise
-    (1 uV, 0.1 nA one sigma) is added to the measured values.
     """
     if not isinstance(faults, _FaultIndex):
         faults = _index_faults(netlist, faults, len(build_plan(netlist)))
-    if step.index in faults.hw_fail:
-        return StepRecord(
-            index=step.index,
-            net=step.net,
-            test_kind=_kind_label(step),
-            forced=0.0,
-            measured_v=0.0,
-            measured_i=0.0,
-            verdict="HW_FAIL",
-        )
-
+    limits = DEFAULT_LIMITS
     net = netlist.net(step.net)
     shift = faults.shift.get(step.net, 1.0)
     is_open = step.net in faults.open
     paths = faults.leaks.get(step.net, ())
 
-    if step.kind == "CONTINUITY":
+    if step.index in faults.hw_fail:
+        forced = v = i = 0.0
+        verdict = "HW_FAIL"
+
+    elif step.kind == "CONTINUITY":
         forced = limits.continuity_force
         if is_open:
             v, i = limits.compliance_v, 0.0
@@ -506,47 +489,29 @@ def simulate_step(
                 v, i = limits.compliance_v, limits.compliance_v / loop
             else:
                 v, i = v_would, forced
-        v, i = _noise(v, i, rng)
         ok = _in(v, limits.continuity_v) and _in(i, limits.continuity_i)
         verdict = "PASS" if ok else "CONTINUITY_FAIL"
 
-    elif step.kind == "LEAKAGE":
-        forced = limits.leakage_bias_dc
+    elif step.kind in ("LEAKAGE", "LEAKAGE_RF"):
+        forced = limits.leakage_bias_rf if step.kind == "LEAKAGE_RF" else limits.leakage_bias_dc
         i = sum(forced / r for r, _ in paths)
         v = 0.0  # sense node held at virtual ground
-        v, i = _noise(v, i, rng)
-        ok = i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window
-        if ok:
+        if i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window:
             verdict = "PASS"
+        elif step.kind == "LEAKAGE_RF":
+            verdict = "LEAK_RF"
         else:
             # attribute the failure to the strongest defect path
-            verdict = min(paths, key=lambda p: (p[0], p[1]))[1] if paths else "LEAK_DC_DC"
-
-    elif step.kind == "LEAKAGE_RF":
-        forced = limits.leakage_bias_rf
-        i = sum(forced / r for r, _ in paths)
-        v = 0.0
-        v, i = _noise(v, i, rng)
-        ok = i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window
-        verdict = "PASS" if ok else "LEAK_RF"
+            verdict = min(paths)[1] if paths else "LEAK_DC_DC"
 
     else:  # RESISTANCE
         forced = limits.resistance_force
-        if net.role == "ts":
-            r_nominal = net.element_resistance
-        else:
-            r_nominal = net.loop_resistance
-        if is_open:
-            i = 0.0
-            r_meas = np.inf
-        else:
-            r_meas = r_nominal * shift
-            i = forced / r_meas
+        r_nominal = net.element_resistance if net.role == "ts" else net.loop_resistance
+        i = 0.0 if is_open else forced / (r_nominal * shift)
         v = forced
-        v, i = _noise(v, i, rng)
-        r_meas = v / i if i > 0 else np.inf
+        r_meas = v / i if i > 0 else math.inf
         if net.role == "ts":
-            band = _ts_band(netlist, step.net, limits)
+            band = _ts_band(netlist, step.net)
             code = "RES_FAIL_TS"
         else:
             band = limits.loop_band
@@ -570,18 +535,7 @@ def _kind_label(step: TestStep) -> str:
     return step.kind
 
 
-def _noise(v: float, i: float, rng) -> tuple[float, float]:
-    if rng is None:
-        return v, i
-    return v + rng.normal(0.0, 1e-6), i + rng.normal(0.0, 1e-10)
-
-
-def run_chip(
-    netlist: ChipNetlist,
-    faults=(),
-    limits: TestLimits = DEFAULT_LIMITS,
-    rng: "np.random.Generator | None" = None,
-) -> ChipResult:
+def run_chip(netlist: ChipNetlist, faults=()) -> ChipResult:
     """Run the plan against one chip, aborting at the first failing step.
 
     ``steps_executed`` counts the aborting step itself, so a defect caught at
@@ -592,37 +546,37 @@ def run_chip(
 
     ``faults`` may be any iterable; it is read once, into one fault index
     that every step of the walk consults, and the walk calls
-    ``simulate_step`` once per executed step. Without faults and without
-    ``rng`` the result depends only on the netlist and the limits, so it is
-    computed once per ``(netlist, limits)`` and the same immutable
-    ``ChipResult`` is returned to every such call.
+    ``simulate_step`` once per executed step. Without faults the result
+    depends only on the netlist, so it is computed once per netlist and the
+    same immutable ``ChipResult`` is returned to every such call.
     """
     faults = tuple(faults)
-    if not faults and rng is None:
-        return _clean_chip(netlist, limits)
-    return _walk_plan(build_plan(netlist), netlist, faults, limits, rng)
+    if not faults:
+        return _clean_chip(netlist)
+    return _walk_plan(netlist, faults)
 
 
 @functools.lru_cache(maxsize=16)
-def _clean_chip(netlist: ChipNetlist, limits: TestLimits) -> ChipResult:
-    """The noiseless fault-free result, cached like ``build_plan``.
+def _clean_chip(netlist: ChipNetlist) -> ChipResult:
+    """The fault-free result, cached like ``build_plan``.
 
-    A clean chip can still abort, e.g. against swapped sensor bands; the
-    aborted result is then what is shared.
+    A clean chip can still abort, e.g. on a loop resistance outside its
+    band; the aborted result is then what is shared.
     """
-    return _walk_plan(build_plan(netlist), netlist, (), limits, None)
+    return _walk_plan(netlist, ())
 
 
-def _walk_plan(plan, netlist: ChipNetlist, faults: tuple, limits: TestLimits, rng) -> ChipResult:
+def _walk_plan(netlist: ChipNetlist, faults: tuple) -> ChipResult:
+    plan = build_plan(netlist)
     index = _index_faults(netlist, faults, len(plan))
     log = []
     for step in plan:
-        log.append(simulate_step(netlist, index, step, limits, rng))
+        log.append(simulate_step(netlist, index, step))
         if log[-1].verdict != "PASS":
             break
     return ChipResult(
         outcome=log[-1].verdict,
         steps_executed=len(log),
-        elapsed_s=len(log) * limits.step_time,
+        elapsed_s=len(log) * DEFAULT_LIMITS.step_time,
         log=tuple(log),
     )

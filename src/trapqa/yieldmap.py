@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .wafertest import FAILURE_CODES
+
 # scipy is imported inside the two statistics that use it, so that loading
 # the layout and the map renderers costs no scipy import.
 
@@ -312,21 +314,27 @@ def synthesize_outcomes(
     one code; ``edge_boost = (code, rate, annulus_fraction)`` raises the
     outer annulus. Codes are evaluated in sorted order and the first failure
     drawn wins, so results are reproducible for a given generator state.
-    Every rate, and the annulus fraction, must be a number in [0, 1];
-    anything else raises ValueError naming the code, and so does a
-    ``base_rates`` that is not a mapping. A boosted cell that holds none of
-    the ``sites`` (a test cell, or one outside the 3x3 reticle) raises
-    ValueError naming the cell.
+    Every code must be one of ``wafertest.FAILURE_CODES``, and every rate,
+    and the annulus fraction, a number in [0, 1]; anything else raises
+    ValueError naming the code, and so does a ``base_rates`` that is not a
+    mapping. A boosted cell that holds none of the ``sites`` (a test cell,
+    or one outside the 3x3 reticle) raises ValueError naming the cell.
     """
     if base_rates is not None and not isinstance(base_rates, Mapping):
         raise ValueError(f"base rates must map failure codes to rates, got {type(base_rates).__name__}")
     base_rates = dict(base_rates or {})
+    codes = list(base_rates)
     checks = [(f"rate of {code}", rate) for code, rate in base_rates.items()]
     if cell_boost is not None:
+        codes.append(cell_boost[1])
         checks.append((f"cell boost rate of {cell_boost[1]}", cell_boost[2]))
     if edge_boost is not None:
+        codes.append(edge_boost[0])
         checks.append((f"edge boost rate of {edge_boost[0]}", edge_boost[1]))
         checks.append((f"edge annulus fraction of {edge_boost[0]}", edge_boost[2]))
+    for code in codes:
+        if code not in FAILURE_CODES:
+            raise ValueError(f"unknown failure code {code!r}: not one of {', '.join(FAILURE_CODES)}")
     for name, value in checks:
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")

@@ -1,11 +1,15 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trapqa.cli import main
 
@@ -241,6 +245,14 @@ def test_missing_input_exits_2(tmp_path, capsys, monkeypatch):
         assert not list(tmp_path.glob("out.*")) and not list(tmp_path.glob("**/.tmp_*")), args
 
 
+def test_unprintable_path_is_refused_on_one_line(tmp_path, capsys, monkeypatch):
+    # a scenario names its geometry file in document text, which may hold a newline
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(json.dumps({**_SCENARIO, "geometry": "a\nb.json"}))
+    err = _refused(capsys, "diagnose", "--scenario", "scenario.json", "--out", "out.json")
+    assert err.count("\n") == 1 and err.startswith("trapqa: cannot use 'a\\nb.json': ")
+
+
 def test_unexpected_error_exits_3_with_traceback(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("a bug")
@@ -318,6 +330,15 @@ _YIELDMAP_OUT = ["--out-svg", "out.svg", "--out-csv", "out.csv"]
         pytest.param(["yieldmap", "--plant-edge", "LEAK_DC_DC,0.9", *_YIELDMAP_OUT],
                      "--plant-edge needs CODE,rate,annulus_fraction, got 'LEAK_DC_DC,0.9'",
                      id="plant_edge_two_fields"),
+        # a failure code outside wafertest.FAILURE_CODES would become a new outcome class
+        pytest.param(["yieldmap", "--rates", "codes.json", *_YIELDMAP_OUT], "unknown failure code 'FOO'",
+                     id="rates_unknown_code"),
+        pytest.param(["yieldmap", "--plant-cell", "1,1,FOO,0.9", *_YIELDMAP_OUT], "unknown failure code 'FOO'",
+                     id="plant_cell_unknown_code"),
+        pytest.param(["yieldmap", "--plant-edge", "FOO,0.5,0.2", *_YIELDMAP_OUT], "unknown failure code 'FOO'",
+                     id="plant_edge_unknown_code"),
+        pytest.param(["yieldmap", "--plant-edge", "-LEAK_DC_GND,0.5,0.2", *_YIELDMAP_OUT],
+                     "unknown failure code '-LEAK_DC_GND'", id="plant_edge_signed_code"),
         pytest.param(["--seed", "-1", "yieldmap", *_YIELDMAP_OUT], "--seed needs a whole number in [0, 2**128)",
                      id="seed_negative"),
         pytest.param(["--seed", str(2**128), "yieldmap", *_YIELDMAP_OUT], "--seed needs a whole number",
@@ -328,6 +349,7 @@ def test_input_errors_exit_2_with_message(tmp_path, capsys, monkeypatch, args, m
     monkeypatch.chdir(tmp_path)
     _stray_inputs(tmp_path)
     (tmp_path / "rates.csv").write_text("site,frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s\n3,1.0,20.0,0.5\n")
+    (tmp_path / "codes.json").write_text(json.dumps({"LEAK_DC_DC": 0.1, "FOO": 0.1}))
     _scenario(tmp_path, None)
     err = _refused(capsys, *args)
     assert err.count("\n") == 1 and err.startswith("trapqa: bad input:")
@@ -845,3 +867,98 @@ def test_heating_csv_without_site_column_fits_every_row(tmp_path):
     assert run_cli("heating", "--csv", table, "--out", out) == 0
     blob = json.loads(out.read_text())
     assert blob["n_points"] == 4 and blob["alpha"] == pytest.approx(2.0, abs=1e-6)
+
+
+# ------------------------------------------------------------ fuzzed documents
+
+# Keys and strings the documents use, mixed with arbitrary text.
+_WORDS = [
+    "faults", "kind", "net", "other", "resistance_ohm", "factor", "step_index",
+    "nets", "id", "role", "pads", "loop_resistance_ohm", "element_resistance_ohm", "group", "name",
+    "geometry", "voltages", "scales", "window_um", "axis_um", "y", "z", "fault", "electrode",
+    "held_voltage", "charge_rects_um", "charge_voltage",
+    "OPEN", "SHORT", "LEAK_TO_GND", "RESISTANCE_SHIFT", "HW_FAIL", "dc", "comp", "ts", "rf", "gnd",
+    "DC05", "DC18", "CP1", "TS1", "RF", "RF0", "GND", "builtin", "NOMINAL", "SHORTED", "FLOATING",
+    "GAP_CHARGE", "CONTINUITY_FAIL", "LEAK_DC_DC",
+]
+_TEXT = st.sampled_from(_WORDS) | st.text(max_size=6)
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=16,
+)
+
+
+def _paths(doc, at=()):
+    """The path of every node of a JSON document, the document itself first."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*at, key))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+@st.composite
+def _documents(draw, valid):
+    """``valid`` with one node, or the whole of it, replaced by a drawn JSON
+    value, a scalar as often as not: so that most documents get past the
+    first shape check."""
+    path = draw(st.sampled_from(list(_paths(valid))))
+    return _replaced(valid, path, draw(_SCALAR | _JSON))
+
+
+_VALID_NETLIST = {"name": "toy", "nets": [
+    {"id": "DC01", "role": "dc", "pads": ["P1", "P2"], "loop_resistance_ohm": 20.0, "group": "SUP1"},
+    {"id": "TS1", "role": "ts", "pads": ["T1", "T2", "T3", "T4"], "loop_resistance_ohm": 15.0,
+     "element_resistance_ohm": 32.3e3},
+    {"id": "RF", "role": "rf", "pads": ["R1", "R2"], "loop_resistance_ohm": 5.0},
+    {"id": "GND", "role": "gnd", "pads": ["G1"]},
+]}
+_VALID_FAULTS = {"faults": [
+    {"kind": "SHORT", "net": "DC05", "other": "RF", "resistance_ohm": 1e8},
+    {"kind": "RESISTANCE_SHIFT", "net": "TS1", "factor": 1.05},
+    {"kind": "HW_FAIL", "step_index": 300},
+]}
+
+
+@pytest.mark.parametrize(
+    "args, valid",
+    [
+        (["wafertest", "--faults", "doc.json", "--out", "out.csv"], _VALID_FAULTS),
+        (["wafertest", "--netlist", "doc.json", "--out", "out.csv"], _VALID_NETLIST),
+        (["yieldmap", "--rates", "doc.json", "--out-svg", "out.svg", "--out-csv", "out.csv"],
+         {"CONTINUITY_FAIL": 0.2, "LEAK_DC_DC": 0.22}),
+        (["field", "--voltages", "doc.json", "--out", "out.csv"], {"RF0": 1.0, "DC18": -2.0, "CP1": 0.5}),
+        (["diagnose", "--scenario", "doc.json", "--out", "out.json"],
+         {**_SCENARIO, "geometry": "builtin", "scales": [1.0, 2.0],
+          "fault": {"kind": "FLOATING", "electrode": "DC18", "held_voltage": -1.0}}),
+    ],
+    ids=["faults", "netlist", "rates", "voltages", "scenario"],
+)
+@settings(
+    derandomize=True, max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # the directory is reused on purpose
+)
+@given(data=st.data())
+def test_any_json_document_is_answered_or_refused(tmp_path, monkeypatch, args, valid, data):
+    # whatever the document, the command answers (0 or 1) or refuses it with
+    # one line (2); never an unexpected error (3) or a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(json.dumps(data.draw(_documents(valid), label="document")))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(*args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("trapqa: "), err.getvalue()

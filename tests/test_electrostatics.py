@@ -128,6 +128,33 @@ def test_null_search_retires_stalled_seeds(monkeypatch, geometry, drive):
     assert len(_kernel_points(monkeypatch, geometry, drive)) <= 30
 
 
+def test_starved_null_search_refuses(monkeypatch, geometry, drive):
+    # two iterations leave 119 of 121 seeds moving: no null found is not "no null"
+    from trapqa.electrostatics import minima
+
+    monkeypatch.setattr(minima, "_MAX_ITER", 2)
+    with pytest.raises(ValueError, match="119 seeds still active after 2 iterations"):
+        find_rf_minima(geometry, CA40, drive, NULL_WINDOW)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [((400e-6, 700e-6), (40e-6, 250e-6)), ((-150e-6, 150e-6), (300e-6, 600e-6))],
+    ids=["beside_the_nulls", "above_the_nulls"],
+)
+def test_null_free_window_gives_no_null(geometry, drive, window):
+    # every seed retires before the iteration limit, so [] is the answer
+    assert find_rf_minima(geometry, CA40, drive, window) == []
+
+
+def test_conftest_nulls_keep_their_bits(rf_minima):
+    frozen = [
+        ("-0x1.6318c9cdb8e62p-15", "0x1.04f4f48eba891p-13", "0x1.a54136056b5bbp-66"),
+        ("0x1.6318c9cdb8e61p-15", "0x1.04f4f48eba892p-13", "0x1.a54136056b5bap-66"),
+    ]
+    assert [(m.position[1].hex(), m.position[2].hex(), m.depth.hex()) for m in rf_minima] == frozen
+
+
 def test_two_nulls_at_expected_height(rf_minima):
     assert len(rf_minima) == 2
     for m in rf_minima:

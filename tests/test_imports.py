@@ -65,6 +65,12 @@ def test_cli_import_loads_no_analysis_module(tmp_path):
     assert _modules_after("import trapqa.cli", tmp_path) == ["trapqa", "trapqa._io", "trapqa.cli"]
 
 
+def test_wafertest_import_loads_no_numpy(tmp_path):
+    # the chip test simulator is plain Python: it needs the standard library alone
+    code = "import sys, trapqa.wafertest\nprint(*(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _modules_after(code, tmp_path) == ["trapqa", "trapqa._io", "trapqa.wafertest"]
+
+
 def test_kernels_import_loads_no_executor(tmp_path):
     # the kernels run their blocks on plain threads: concurrent.futures
     # would add import time to every process that computes a field

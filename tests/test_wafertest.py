@@ -5,6 +5,7 @@ The fault sweep in here is representative; the exhaustive soundness sweep
 suite where its runtime budget lives.
 """
 
+import dataclasses
 import itertools
 import json
 import os
@@ -23,10 +24,8 @@ from trapqa.wafertest import (
     Fault,
     Net,
     StepRecord,
-    TestLimits,
     _in,
     _kind_label,
-    _noise,
     _ts_band,
     build_plan,
     default_netlist,
@@ -161,13 +160,6 @@ def test_sensor_band_check(netlist):
     assert run_chip(netlist).log[-2].net in ("TS1", "TS2")
 
 
-def test_sensor_band_swap(netlist):
-    # swapping the band binding makes both healthy sensors fail
-    limits = TestLimits(swap_sensor_bands=True)
-    result = run_chip(netlist, (), limits)
-    assert result.outcome == "RES_FAIL_TS"
-
-
 def test_small_shift_is_not_flagged(netlist):
     # a shift that stays inside every window must not fail anything
     result = run_chip(netlist, (Fault.resistance_shift("DC11", 1.5),))
@@ -196,20 +188,6 @@ def test_failure_codes_closed_set(netlist):
         "RES_FAIL_RF",
         "RES_FAIL_TS",
     }
-
-
-def test_noise_is_reproducible(netlist):
-    r1 = run_chip(netlist, (), rng=np.random.Generator(np.random.Philox(key=7)))
-    r2 = run_chip(netlist, (), rng=np.random.Generator(np.random.Philox(key=7)))
-    assert r1.log == r2.log
-    r3 = run_chip(netlist, (), rng=np.random.Generator(np.random.Philox(key=8)))
-    assert r3.log != r1.log
-
-
-def test_noise_does_not_flip_verdicts(netlist):
-    # uV/0.1 nA meter noise is far inside every window
-    result = run_chip(netlist, (), rng=np.random.Generator(np.random.Philox(key=11)))
-    assert result.passed
 
 
 def test_netlist_roundtrip(tmp_path, netlist):
@@ -309,11 +287,11 @@ def test_netlist_pickled_elsewhere_hashes_here(netlist):
     assert build_plan(copy) is build_plan(netlist)
 
 
-def _per_step_reference(netlist, faults, limits, rng=None):
+def _per_step_reference(netlist, faults):
     """The plan walked step by step with simulate_step, up to the first failure."""
     log = []
     for step in build_plan(netlist):
-        log.append(simulate_step(netlist, faults, step, limits, rng))
+        log.append(simulate_step(netlist, faults, step))
         if log[-1].verdict != "PASS":
             break
     return tuple(log)
@@ -326,37 +304,37 @@ def test_run_chip_reads_a_generator_of_faults_once(netlist):
     assert result.outcome == "CONTINUITY_FAIL"
 
 
-@pytest.mark.parametrize(
-    "limits", [DEFAULT_LIMITS, TestLimits(swap_sensor_bands=True)], ids=["default", "swapped_bands"]
-)
-def test_clean_chip_equals_per_step_reference(netlist, limits):
-    result = run_chip(netlist, (), limits)
-    log = _per_step_reference(netlist, (), limits)
+def _swapped_sensors():
+    """The default netlist with its two sensor elements exchanged: each
+    reads outside its band, so a clean chip fails at the first of them."""
+    element = {"TS1": 10.8e3, "TS2": 32.3e3}
+    nets = tuple(
+        dataclasses.replace(n, element_resistance=element[n.id]) if n.id in element else n
+        for n in default_netlist().nets
+    )
+    return ChipNetlist(nets=nets, name="swapped_sensors")
+
+
+@pytest.mark.parametrize("make", [default_netlist, _swapped_sensors], ids=["default", "swapped_sensors"])
+def test_clean_chip_equals_per_step_reference(make):
+    netlist = make()
+    result = run_chip(netlist)
+    log = _per_step_reference(netlist, ())
     assert result.log == log
     assert result.outcome == log[-1].verdict
     assert result.steps_executed == len(log)
-    assert result.elapsed_s == len(log) * limits.step_time
+    assert result.elapsed_s == len(log) * DEFAULT_LIMITS.step_time
 
 
 def test_clean_chip_result_is_shared(netlist):
     first = run_chip(netlist)
     assert run_chip(netlist) is first
     assert run_chip(netlist, []) is first
-    assert run_chip(default_netlist(), (f for f in ()), TestLimits()) is first
+    assert run_chip(default_netlist(), (f for f in ())) is first
     # an aborting clean run is cached as it aborted
-    swapped = run_chip(netlist, (), TestLimits(swap_sensor_bands=True))
+    swapped = run_chip(_swapped_sensors())
     assert swapped.outcome == "RES_FAIL_TS"
-    assert run_chip(netlist, (), TestLimits(swap_sensor_bands=True)) is swapped
-
-
-@pytest.mark.parametrize("faults", [(), (Fault.short("DC05", "DC09", 1e6),)], ids=["clean", "short"])
-def test_seeded_run_walks_the_plan_step_by_step(netlist, faults):
-    rng, ref_rng = (np.random.Generator(np.random.Philox(key=13)) for _ in range(2))
-    result = run_chip(netlist, faults, rng=rng)
-    assert result.log == _per_step_reference(netlist, faults, DEFAULT_LIMITS, ref_rng)
-    # both generators were left in the same state
-    assert rng.random(4).tolist() == ref_rng.random(4).tolist()
-    assert result is not run_chip(netlist, faults, rng=np.random.Generator(np.random.Philox(key=13)))
+    assert run_chip(_swapped_sensors()) is swapped
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +385,8 @@ def _ref_check_faults(netlist, faults, plan_length):
                 raise ValueError(f"{f.kind} fault names net {net_id!r}, which is not in the netlist")
 
 
-def _ref_simulate_step(netlist, faults, step, limits, rng):
+def _ref_simulate_step(netlist, faults, step):
+    limits = DEFAULT_LIMITS
     for f in faults:
         if f.kind == "HW_FAIL" and f.step_index == step.index:
             return StepRecord(
@@ -429,7 +408,6 @@ def _ref_simulate_step(netlist, faults, step, limits, rng):
                 v, i = limits.compliance_v, limits.compliance_v / loop
             else:
                 v, i = v_would, forced
-        v, i = _noise(v, i, rng)
         ok = _in(v, limits.continuity_v) and _in(i, limits.continuity_i)
         verdict = "PASS" if ok else "CONTINUITY_FAIL"
 
@@ -438,7 +416,6 @@ def _ref_simulate_step(netlist, faults, step, limits, rng):
         paths = _ref_leak_paths(step.net, netlist, faults)
         i = sum(forced / r for r, _ in paths)
         v = 0.0
-        v, i = _noise(v, i, rng)
         ok = i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window
         if ok:
             verdict = "PASS"
@@ -451,7 +428,6 @@ def _ref_simulate_step(netlist, faults, step, limits, rng):
         paths = _ref_leak_paths(step.net, netlist, faults)
         i = sum(forced / r for r, _ in paths)
         v = 0.0
-        v, i = _noise(v, i, rng)
         ok = i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window
         verdict = "PASS" if ok else "LEAK_RF"
 
@@ -465,10 +441,9 @@ def _ref_simulate_step(netlist, faults, step, limits, rng):
             r_meas = r_nominal * shift
             i = forced / r_meas
         v = forced
-        v, i = _noise(v, i, rng)
         r_meas = v / i if i > 0 else np.inf
         if net.role == "ts":
-            band = _ts_band(netlist, step.net, limits)
+            band = _ts_band(netlist, step.net)
             code = "RES_FAIL_TS"
         else:
             band = limits.loop_band
@@ -481,18 +456,18 @@ def _ref_simulate_step(netlist, faults, step, limits, rng):
     )
 
 
-def _ref_run_chip(netlist, faults, limits=DEFAULT_LIMITS, rng=None):
+def _ref_run_chip(netlist, faults):
     plan = build_plan(netlist)
     _ref_check_faults(netlist, faults, len(plan))
     log = []
     for step in plan:
-        log.append(_ref_simulate_step(netlist, faults, step, limits, rng))
+        log.append(_ref_simulate_step(netlist, faults, step))
         if log[-1].verdict != "PASS":
             break
     return ChipResult(
         outcome=log[-1].verdict if log else "PASS",
         steps_executed=len(log),
-        elapsed_s=len(log) * limits.step_time,
+        elapsed_s=len(log) * DEFAULT_LIMITS.step_time,
         log=tuple(log),
     )
 
@@ -510,17 +485,9 @@ def _fields(result):
     ]
 
 
-def _assert_matches_reference(netlist, faults, seed=None):
-    if seed is None:
-        got, want = run_chip(netlist, faults), _ref_run_chip(netlist, faults)
-        assert _fields(got) == _fields(want), faults
-        return
-    rng, ref_rng = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
-    got = run_chip(netlist, faults, rng=rng)
-    want = _ref_run_chip(netlist, faults, rng=ref_rng)
-    assert _fields(got) == _fields(want), (seed, faults)
-    # the generators end in the same state: same counter, key and buffer
-    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+def _assert_matches_reference(netlist, faults):
+    got, want = run_chip(netlist, faults), _ref_run_chip(netlist, faults)
+    assert _fields(got) == _fields(want), faults
 
 
 def _sweep_faults(netlist):
@@ -584,10 +551,9 @@ def _seeded_chips(netlist, count=500):
     return chips
 
 
-@pytest.mark.parametrize("noise", [False, True], ids=["noiseless", "metered"])
-def test_indexed_walk_equals_reference_on_seeded_chips(netlist, noise):
-    for k, chip in enumerate(_seeded_chips(netlist)):
-        _assert_matches_reference(netlist, chip, seed=k if noise else None)
+def test_indexed_walk_equals_reference_on_seeded_chips(netlist):
+    for chip in _seeded_chips(netlist):
+        _assert_matches_reference(netlist, chip)
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,23 @@ def test_synthesize_refuses_a_rate_that_is_not_a_number(sites, rate):
     assert rng.random() == np.random.Generator(np.random.Philox(key=5)).random()
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"base_rates": {"LEAK_DC_DC": 0.2, "FOO": 0.1}},
+        {"base_rates": {"PASS": 0.1}},
+        {"cell_boost": ((1, 1), "leak_dc_dc", 0.9)},
+        {"edge_boost": ("-LEAK_DC_GND", 0.6, 0.2)},
+    ],
+    ids=["base", "pass", "cell_boost", "edge_boost"],
+)
+def test_synthesize_refuses_an_unknown_failure_code(sites, kwargs):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    with pytest.raises(ValueError, match="unknown failure code"):
+        synthesize_outcomes(sites, rng, **kwargs)
+    assert rng.random() == np.random.Generator(np.random.Philox(key=5)).random()
+
+
 def test_synthesize_is_deterministic(sites):
     a = synthesize_outcomes(
         sites, np.random.Generator(np.random.Philox(key=5)), base_rates={"LEAK_DC_DC": 0.3}
