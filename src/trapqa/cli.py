@@ -356,7 +356,7 @@ def _cmd_thermo(args) -> int:
         s = [r["sigma_ohm"] for r in rows if r["sigma_ohm"] is not None]
         fit = thermo.fit_rt_curve([r["T_K"] for r in rows], [r["R_ohm"] for r in rows], sigma=s if s else None)
         model = fit.model
-        fit_info = {"chi2": fit.chi2, "dof": fit.dof}
+        fit_info = {"chi2": fit.chi2, "dof": fit.dof, "fit_status": fit.status, "fit_nfev": fit.nfev}
 
     out = {
         "model": {"r_res": model.r_res, "amplitude": model.amplitude, "theta": model.theta},

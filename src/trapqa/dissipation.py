@@ -22,6 +22,7 @@ against the approximation evaluate it with ``R/3``, the effective series
 value of a distributed feed whose current tapers linearly to zero.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -113,6 +114,9 @@ def power_approx(model: CircuitModel, v0: float, omega: float) -> tuple[float, f
     1/3 is part of the P_ohmic prefactor. Warns when ``C R omega`` exceeds
     0.1, where the split degrades.
     """
+    # the powers first: a drive whose omega**2 overflows raises before it warns
+    p_ohmic = v0 * v0 / 6.0 * model.capacitance**2 * model.resistance * omega**2
+    p_diel = 0.5 * v0 * v0 * conductance(model.capacitance, omega, model.tan_delta)
     crw = model.capacitance * model.resistance * omega
     if crw > APPROX_VALIDITY_LIMIT:
         warnings.warn(
@@ -120,8 +124,6 @@ def power_approx(model: CircuitModel, v0: float, omega: float) -> tuple[float, f
             "the small-loss power split is unreliable here",
             stacklevel=2,
         )
-    p_ohmic = v0 * v0 / 6.0 * model.capacitance**2 * model.resistance * omega**2
-    p_diel = 0.5 * v0 * v0 * conductance(model.capacitance, omega, model.tan_delta)
     return p_ohmic, p_diel
 
 
@@ -158,7 +160,10 @@ def dissipation_report(
     The exact reference evaluates the lumped network with the effective
     series resistance R/3 so that both columns describe the same distributed
     feed. Raises ``ValueError`` unless ``v0`` is above zero: at zero drive
-    there is no power to split and the relative error is undefined.
+    there is no power to split and the relative error is undefined. Raises
+    ``ValueError`` naming the drive when a power or the relative error is not
+    finite, as for a ``v0`` whose square overflows, an ``omega`` whose square
+    overflows, or an ``omega`` so small that the admittance underflows.
     """
     if not v0 > 0.0:
         raise ValueError(f"drive amplitude v0 must be above zero, got {v0!r}")
@@ -166,14 +171,24 @@ def dissipation_report(
     for preset in TRAP_PRESETS:
         for temperature in (300.0, 10.0):
             model = preset.circuit(temperature)
-            p_ohm, p_diel = power_approx(model, v0, omega)
             effective = CircuitModel(
                 resistance=model.resistance / 3.0,
                 capacitance=model.capacitance,
                 tan_delta=model.tan_delta,
             )
-            p_exact = power_exact(effective, v0, omega)
-            total = p_ohm + p_diel
+            try:
+                p_ohm, p_diel = power_approx(model, v0, omega)
+                p_exact = power_exact(effective, v0, omega)
+                total = p_ohm + p_diel
+                rel_error = abs(p_exact - total) / p_exact
+                finite = all(map(math.isfinite, (p_ohm, p_diel, total, p_exact, rel_error)))
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            if not finite:
+                raise ValueError(
+                    f"the drive v0 = {v0!r} V at omega = {omega!r} rad/s gives "
+                    f"{preset.name} at {temperature:g} K a power that is not finite"
+                )
             rows.append(
                 DissipationRow(
                     name=preset.name,
@@ -182,7 +197,7 @@ def dissipation_report(
                     p_diel=p_diel,
                     p_total=total,
                     p_exact=p_exact,
-                    rel_error=abs(p_exact - total) / p_exact,
+                    rel_error=rel_error,
                 )
             )
     return rows

@@ -123,10 +123,14 @@ def d_resistance_d_t(model: RTModel, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class RTFit:
+    """A converged R(T) fit; ``status`` (1..4) and ``nfev`` are least_squares' own."""
+
     model: RTModel
     covariance: np.ndarray  # order (r_res, amplitude, theta)
     chi2: float
     dof: int
+    status: int
+    nfev: int
 
 
 def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
@@ -188,7 +192,9 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
         cov = np.full((3, 3), np.nan)
     if sigma is None:
         cov = cov * chi2 / dof  # scale by reduced chi^2 for unit weights
-    return RTFit(model=model, covariance=cov, chi2=chi2, dof=dof)
+    return RTFit(
+        model=model, covariance=cov, chi2=chi2, dof=dof, status=int(res.status), nfev=int(res.nfev)
+    )
 
 
 def sensitivity(model: RTModel, window: tuple[float, float] = (10.0, 15.0), n: int = 11) -> float:

@@ -22,6 +22,12 @@ The bundled default netlist (70 DC loop groups, 6 compensation electrodes,
 stress) + 79 resistance. At 16.25 ms per step a defect-free chip completes
 in 7.8 s.
 
+Each executed step is logged as a ``StepRecord``, a named tuple of the step
+index, the net, the ``test_kind`` label, the forced value, the measured
+voltage and current, and the verdict. ``build_plan`` fixes each step's label
+once: ``CONTINUITY``, ``LEAKAGE_1`` / ``LEAKAGE_2`` and ``LEAKAGE_RF_1`` /
+``LEAKAGE_RF_2`` for the two leakage passes, and ``RESISTANCE``.
+
 Simulation is deterministic: nominal isolation is perfect, the meters read
 the exact values, and every run is checked against the one table of pass
 windows, ``DEFAULT_LIMITS``. A run depends on the netlist and the faults
@@ -227,18 +233,26 @@ DEFAULT_LIMITS = TestLimits()
 
 @dataclass(frozen=True)
 class TestStep:
-    """One plan entry: a force/sense configuration with a pass window."""
+    """One plan entry: a force/sense configuration with a pass window.
+
+    ``label`` is the ``test_kind`` an executed step logs: the kind, with the
+    pass appended for leakage steps (``LEAKAGE_2``, ``LEAKAGE_RF_1``).
+    """
 
     index: int
     kind: str  # CONTINUITY | LEAKAGE | LEAKAGE_RF | RESISTANCE
     net: str
     pass_index: int = 0  # 1 or 2 for the two leakage passes
     pad: str | None = None  # sensed pad for per-pad leakage steps
+    label: str = field(kw_only=True)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Executed step: forced value, measured voltage/current, verdict."""
+class StepRecord(NamedTuple):
+    """Executed step: forced value, measured voltage/current, verdict.
+
+    A tuple, not a dataclass: a plan walk builds one per executed step, and
+    a named tuple is the cheapest immutable record to build.
+    """
 
     index: int
     net: str
@@ -376,8 +390,9 @@ def build_plan(netlist: ChipNetlist) -> tuple[TestStep, ...]:
     steps = []
 
     def add(kind, net, pass_index=0, pad=None):
+        label = f"{kind}_{pass_index}" if pass_index else kind
         steps.append(
-            TestStep(index=len(steps), kind=kind, net=net, pass_index=pass_index, pad=pad)
+            TestStep(index=len(steps), kind=kind, net=net, pass_index=pass_index, pad=pad, label=label)
         )
 
     loop_ids = netlist.ids("dc", "comp", "ts", "rf")
@@ -521,18 +536,12 @@ def simulate_step(netlist: ChipNetlist, faults, step: TestStep) -> StepRecord:
     return StepRecord(
         index=step.index,
         net=step.net,
-        test_kind=_kind_label(step),
+        test_kind=step.label,
         forced=forced,
         measured_v=v,
         measured_i=i,
         verdict=verdict,
     )
-
-
-def _kind_label(step: TestStep) -> str:
-    if step.kind in ("LEAKAGE", "LEAKAGE_RF"):
-        return f"{step.kind}_{step.pass_index}"
-    return step.kind
 
 
 def run_chip(netlist: ChipNetlist, faults=()) -> ChipResult:

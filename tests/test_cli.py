@@ -201,6 +201,10 @@ def test_thermo_fit_from_csv(tmp_path):
     assert run_cli("thermo", "--calibration", cal, "--out", out) == 0
     blob = json.loads(out.read_text())
     assert blob["model"]["theta"] == pytest.approx(180.0, rel=1e-3)
+    # how the fit ended: least_squares' convergence status (1..4) and its count
+    # of residual evaluations, next to chi2 and dof
+    assert type(blob["fit_status"]) is int and 1 <= blob["fit_status"] <= 4
+    assert type(blob["fit_nfev"]) is int and blob["fit_nfev"] > 0
 
 
 def test_heating_default_site(tmp_path):
@@ -465,6 +469,33 @@ def test_nonpositive_number_option_exits_2(tmp_path, capsys, args):
     out = tmp_path / "out"
     err = _refused(capsys, *args, "--out", out)
     assert "must be above zero" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--freq-mhz", "1e300"],
+        ["--freq-mhz", "1e150"],
+        ["--freq-mhz", "1e-300"],
+        ["--v0", "1e300"],
+    ],
+    ids=[
+        "freq_mhz_square_overflows",
+        "freq_mhz_huge",
+        "freq_mhz_admittance_underflows",
+        "v0_square_overflows",
+    ],
+)
+def test_dissipation_drive_without_finite_power_exits_2(tmp_path, capsys, args):
+    # these used to exit 3 (OverflowError, ZeroDivisionError) or, for v0, exit
+    # 0 with inf and nan in every row
+    out = tmp_path / "power.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _refused(capsys, "dissipation", *args, "--out", out)
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("trapqa: bad input: the drive v0 = ") and "not finite" in err
     assert not out.exists()
 
 

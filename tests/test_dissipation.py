@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,20 @@ def test_report_refuses_nonpositive_drive(v0):
     # at zero drive the relative error was a ZeroDivisionError
     with pytest.raises(ValueError, match="v0 must be above zero"):
         dissipation_report(v0=v0)
+
+
+@pytest.mark.parametrize(
+    "v0, omega",
+    [
+        (DEFAULT_DRIVE_V0, 2 * np.pi * 1e306),  # omega**2 overflows
+        (DEFAULT_DRIVE_V0, 2 * np.pi * 1e-294),  # the admittance underflows to 0
+        (1e300, DEFAULT_DRIVE_OMEGA),  # v0 * v0 overflows to inf
+    ],
+    ids=["omega_huge", "omega_tiny", "v0_huge"],
+)
+def test_report_refuses_a_drive_without_finite_power(v0, omega):
+    with pytest.raises(ValueError, match=rf"the drive v0 = {re.escape(repr(v0))} V at omega = .* not finite"):
+        dissipation_report(v0=v0, omega=omega)
 
 
 def test_preset_rejects_other_temperatures():

@@ -195,3 +195,6 @@ def test_fit_computes_each_integral_once_per_theta(monkeypatch, rng):
     assert (fit.model.r_res, fit.model.amplitude, fit.model.theta) == tuple(ref.x)
     assert fit.chi2 == chi2
     assert np.array_equal(fit.covariance, cov)
+    # the solver's own account of how it ended is passed through
+    assert (fit.status, fit.nfev) == (ref.status, ref.nfev)
+    assert 1 <= fit.status <= 4 and fit.nfev > 0

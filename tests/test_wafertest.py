@@ -6,6 +6,7 @@ suite where its runtime budget lives.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -25,7 +26,6 @@ from trapqa.wafertest import (
     Net,
     StepRecord,
     _in,
-    _kind_label,
     _ts_band,
     build_plan,
     default_netlist,
@@ -385,12 +385,18 @@ def _ref_check_faults(netlist, faults, plan_length):
                 raise ValueError(f"{f.kind} fault names net {net_id!r}, which is not in the netlist")
 
 
+def _ref_kind_label(step):
+    if step.kind in ("LEAKAGE", "LEAKAGE_RF"):
+        return f"{step.kind}_{step.pass_index}"
+    return step.kind
+
+
 def _ref_simulate_step(netlist, faults, step):
     limits = DEFAULT_LIMITS
     for f in faults:
         if f.kind == "HW_FAIL" and f.step_index == step.index:
             return StepRecord(
-                index=step.index, net=step.net, test_kind=_kind_label(step),
+                index=step.index, net=step.net, test_kind=_ref_kind_label(step),
                 forced=0.0, measured_v=0.0, measured_i=0.0, verdict="HW_FAIL",
             )
 
@@ -451,7 +457,7 @@ def _ref_simulate_step(netlist, faults, step):
         verdict = "PASS" if _in(r_meas, band) else code
 
     return StepRecord(
-        index=step.index, net=step.net, test_kind=_kind_label(step),
+        index=step.index, net=step.net, test_kind=_ref_kind_label(step),
         forced=forced, measured_v=v, measured_i=i, verdict=verdict,
     )
 
@@ -595,3 +601,59 @@ def test_simulate_step_indexes_plain_faults(netlist, plan):
     assert rec.verdict == "LEAK_DC_RF"
     with pytest.raises(ValueError, match="'XX'"):
         simulate_step(netlist, (Fault.open("XX"),), leak)
+
+
+def test_plan_steps_carry_their_log_label(plan):
+    assert [s.label for s in plan] == [_ref_kind_label(s) for s in plan]
+    assert {s.label for s in plan} == {
+        "CONTINUITY", "LEAKAGE_1", "LEAKAGE_2", "LEAKAGE_RF_1", "LEAKAGE_RF_2", "RESISTANCE",
+    }
+
+
+def test_step_record_is_immutable(netlist):
+    rec = run_chip(netlist).log[0]
+    with pytest.raises(AttributeError):
+        rec.verdict = "LEAK_DC_DC"
+    with pytest.raises(AttributeError):
+        rec.comment = "retested"
+    assert rec.verdict == "PASS"
+
+
+# Frozen SHA-256 of the CLI's steps.csv and run.json for three chips: a change
+# to the step or record types must not move a byte of either artifact.
+# The two-fault chip's short is weak enough (50 nA at 50 V) to pass leakage,
+# so the walk reaches the shifted sensor in the resistance phase.
+_ARTIFACT_PINS = {
+    "clean": (
+        None,
+        "26bd84dddc4a2187eaebc4c5c4fea77de1a1f4b5f65c30b3637365e8177dfaf4",
+        "88a337d8165cf2a1c082417435776d9e4f978a318f0403456233e0671294b1ea",
+    ),
+    "short": (
+        [{"kind": "SHORT", "net": "DC05", "other": "RF", "resistance_ohm": 1e6}],
+        "f0b569a0fc7e05120d4e71c0e5f0041bc3b62ee33c23d6eb7b4d3548a9ca4472",
+        "2b78ba4584e51cd21845fade28836156106c79e12326dba4e81c2e703d5c1a41",
+    ),
+    "short_and_shift": (
+        [
+            {"kind": "SHORT", "net": "DC05", "other": "DC06", "resistance_ohm": 1e9},
+            {"kind": "RESISTANCE_SHIFT", "net": "TS1", "factor": 1.5},
+        ],
+        "5c0e4b198c0ae3d45efde16bf69e811695a045e0149e0aba831bdebae21a128a",
+        "f2494b1c91a26eae0da22b9d4e71da12569c5050231f50e100dede5efe768c20",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARTIFACT_PINS))
+def test_wafertest_artifacts_keep_their_bytes(tmp_path, name):
+    from trapqa.cli import main
+
+    faults, steps_sha, run_sha = _ARTIFACT_PINS[name]
+    args = ["wafertest", "--out", str(tmp_path / "steps.csv"), "--summary", str(tmp_path / "run.json")]
+    if faults is not None:
+        (tmp_path / "faults.json").write_text(json.dumps({"faults": faults}))
+        args += ["--faults", str(tmp_path / "faults.json")]
+    assert main(args) == (0 if faults is None else 1)
+    assert hashlib.sha256((tmp_path / "steps.csv").read_bytes()).hexdigest() == steps_sha
+    assert hashlib.sha256((tmp_path / "run.json").read_bytes()).hexdigest() == run_sha
