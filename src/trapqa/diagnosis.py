@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .electrostatics.fields import _as_points, _evaluate
+from .electrostatics.fields import _as_points, _checked
 from .electrostatics.geometry import TrapGeometry
 
 # The bounded refine is a port of scipy's fminbound (below), so diagnosis
@@ -130,13 +130,13 @@ def axial_potential(
     rects, vals = geometry.rect_arrays(volts)
     if scenario.kind == "GAP_CHARGE" and scenario.charge_voltage != 0.0:
         extra = np.asarray(scenario.charge_rects, dtype=float).reshape(-1, 4)
-        rects = np.vstack([rects, extra]) if len(rects) else extra
+        rects = np.vstack([rects, extra])
         vals = np.concatenate([vals, np.full(len(extra), scenario.charge_voltage)])
 
     def phi(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         pts = np.column_stack([xs, np.full_like(xs, y0), np.full_like(xs, z0)])
-        out = _evaluate("potential", kernels.rect_potential_sum, rects, vals, pts, ((),))
+        out = _checked("potential", kernels.rect_potential_sum, rects, vals, pts)
         return float(out[0]) if np.isscalar(x) else out
 
     return phi

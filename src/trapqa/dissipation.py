@@ -163,43 +163,51 @@ def dissipation_report(
     there is no power to split and the relative error is undefined. Raises
     ``ValueError`` naming the drive when a power or the relative error is not
     finite, as for a ``v0`` whose square overflows, an ``omega`` whose square
-    overflows, or an ``omega`` so small that the admittance underflows.
+    overflows, or an ``omega`` so small that the admittance underflows. The
+    small-loss validity warnings of :func:`power_approx` are issued, for the
+    caller, only once every row is finite: a refused drive does not warn.
     """
     if not v0 > 0.0:
         raise ValueError(f"drive amplitude v0 must be above zero, got {v0!r}")
     rows = []
-    for preset in TRAP_PRESETS:
-        for temperature in (300.0, 10.0):
-            model = preset.circuit(temperature)
-            effective = CircuitModel(
-                resistance=model.resistance / 3.0,
-                capacitance=model.capacitance,
-                tan_delta=model.tan_delta,
-            )
-            try:
-                p_ohm, p_diel = power_approx(model, v0, omega)
-                p_exact = power_exact(effective, v0, omega)
-                total = p_ohm + p_diel
-                rel_error = abs(p_exact - total) / p_exact
-                finite = all(map(math.isfinite, (p_ohm, p_diel, total, p_exact, rel_error)))
-            except (OverflowError, ZeroDivisionError):
-                finite = False
-            if not finite:
-                raise ValueError(
-                    f"the drive v0 = {v0!r} V at omega = {omega!r} rad/s gives "
-                    f"{preset.name} at {temperature:g} K a power that is not finite"
+    # power_approx's validity warnings wait until every row is finite: a
+    # refused drive says only why it is refused
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for preset in TRAP_PRESETS:
+            for temperature in (300.0, 10.0):
+                model = preset.circuit(temperature)
+                effective = CircuitModel(
+                    resistance=model.resistance / 3.0,
+                    capacitance=model.capacitance,
+                    tan_delta=model.tan_delta,
                 )
-            rows.append(
-                DissipationRow(
-                    name=preset.name,
-                    temperature=temperature,
-                    p_ohmic=p_ohm,
-                    p_diel=p_diel,
-                    p_total=total,
-                    p_exact=p_exact,
-                    rel_error=rel_error,
+                try:
+                    p_ohm, p_diel = power_approx(model, v0, omega)
+                    p_exact = power_exact(effective, v0, omega)
+                    total = p_ohm + p_diel
+                    rel_error = abs(p_exact - total) / p_exact
+                    finite = all(map(math.isfinite, (p_ohm, p_diel, total, p_exact, rel_error)))
+                except (OverflowError, ZeroDivisionError):
+                    finite = False
+                if not finite:
+                    raise ValueError(
+                        f"the drive v0 = {v0!r} V at omega = {omega!r} rad/s gives "
+                        f"{preset.name} at {temperature:g} K a power that is not finite"
+                    )
+                rows.append(
+                    DissipationRow(
+                        name=preset.name,
+                        temperature=temperature,
+                        p_ohmic=p_ohm,
+                        p_diel=p_diel,
+                        p_total=total,
+                        p_exact=p_exact,
+                        rel_error=rel_error,
+                    )
                 )
-            )
+    for w in caught:
+        warnings.warn(w.message, stacklevel=2)
     return rows
 
 

@@ -15,16 +15,7 @@ from .geometry import (
     load_geometry,
     paper_trap_geometry,
 )
-from .fields import (
-    basis_field,
-    basis_potential,
-    field_at,
-    field_gradient_at,
-    potential_at,
-    pseudopotential,
-    rect_potential,
-    total_potential,
-)
+from .fields import field_at, field_gradient_at, potential_at, pseudopotential
 from .minima import TrapMinimum, SecularModes, find_rf_minima, secular_frequencies
 from .stray import MicromotionReport, micromotion_index, stray_field
 
@@ -34,14 +25,10 @@ __all__ = [
     "geometry_from_dict",
     "load_geometry",
     "paper_trap_geometry",
-    "rect_potential",
     "potential_at",
     "field_at",
     "field_gradient_at",
-    "basis_potential",
-    "basis_field",
     "pseudopotential",
-    "total_potential",
     "TrapMinimum",
     "SecularModes",
     "find_rf_minima",

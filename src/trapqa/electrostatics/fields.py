@@ -1,21 +1,18 @@
-"""Potentials, fields and the RF pseudopotential on top of the kernels."""
+"""Potentials, fields and the RF pseudopotential on top of the kernels.
+
+Every kernel call on geometry inputs passes :func:`_checked`, which refuses
+a value that is not finite: here through :func:`_at`, in ``stray_field`` and
+``diagnosis.axial_potential`` directly. An empty set of driven electrodes
+takes no branch of its own: the kernels return +0.0 for no rectangle.
+"""
 
 import numpy as np
 
 from .. import kernels
 from ..core import DriveParams, IonSpecies
-from .geometry import TrapGeometry, _check_voltage
+from .geometry import TrapGeometry
 
-__all__ = [
-    "rect_potential",
-    "potential_at",
-    "field_at",
-    "field_gradient_at",
-    "basis_potential",
-    "basis_field",
-    "pseudopotential",
-    "total_potential",
-]
+__all__ = ["potential_at", "field_at", "field_gradient_at", "pseudopotential"]
 
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
@@ -57,50 +54,37 @@ def _checked(what: str, kernel, *args):
     return out
 
 
-def _evaluate(what: str, kernel, rects, volts, pts, zeros):
-    """``kernel(rects, volts, pts)`` through :func:`_checked`, or, with no
-    rectangle driven, +0.0 arrays of the per-point shapes ``zeros``, one per
-    array the kernel returns. Every kernel call on geometry inputs but the
-    stray field's superposition comes here."""
-    if len(rects) == 0:
-        out = tuple(np.zeros((len(pts), *z)) for z in zeros)
-        return out if len(out) > 1 else out[0]
-    return _checked(what, kernel, rects, volts, pts)
+def _at(what: str, kernel, geometry: TrapGeometry, voltages: dict, points):
+    """``kernel`` over the rectangles ``voltages`` drives in ``geometry``,
+    through :func:`_checked`: its arrays at (N, 3) ``points``, or at a
+    single (3,) point each array's one row (a potential as a float)."""
+    pts, single = _as_points(points)
+    rects, volts = geometry.rect_arrays(voltages)
+    out = _checked(what, kernel, rects, volts, pts)
+    if not single:
+        return out
+    return tuple(map(_one, out)) if isinstance(out, tuple) else _one(out)
 
 
-def rect_potential(rect, voltage: float, point) -> float:
-    """Potential of a single rectangle ``(x1, x2, y1, y2)`` at one point.
-
-    Gapless-plane closed form; ``point`` is ``(x, y, z)`` with ``z > 0``. A
-    voltage that is not finite, or a potential that is not, raises
-    ``ValueError``.
-    """
-    rects = np.asarray(rect, dtype=float).reshape(1, 4)
-    _check_voltage(rects[0].tolist(), voltage, "rectangle")
-    pts, _ = _as_points(np.reshape(point, (1, 3)))
-    volts = np.array([voltage], dtype=float)
-    return float(_evaluate("potential", kernels.rect_potential_sum, rects, volts, pts, ((),))[0])
+def _one(a):
+    """The row of a one-point result: a float for a potential."""
+    return a[0] if a.ndim > 1 else float(a[0])
 
 
 def potential_at(geometry: TrapGeometry, voltages: dict, points):
     """Total potential (V) of the geometry under ``voltages`` at ``points``.
 
     ``points`` may be one (3,) point or an (N, 3) array; the result matches
-    (scalar or (N,)). A result that is not finite, from a voltage near the
-    float range, raises ``ValueError``; so it does in the functions below.
+    (scalar or (N,)). With no electrode driven it is +0.0. A result that is
+    not finite, from a voltage near the float range, raises ``ValueError``;
+    so it does in the functions below.
     """
-    pts, single = _as_points(points)
-    rects, volts = geometry.rect_arrays(voltages)
-    out = _evaluate("potential", kernels.rect_potential_sum, rects, volts, pts, ((),))
-    return float(out[0]) if single else out
+    return _at("potential", kernels.rect_potential_sum, geometry, voltages, points)
 
 
 def field_at(geometry: TrapGeometry, voltages: dict, points):
     """Electric field E = -grad(phi) (V/m) at ``points``; (3,) or (N, 3)."""
-    pts, single = _as_points(points)
-    rects, volts = geometry.rect_arrays(voltages)
-    out = _evaluate("field", kernels.rect_field_sum, rects, volts, pts, ((3,),))
-    return out[0] if single else out
+    return _at("field", kernels.rect_field_sum, geometry, voltages, points)
 
 
 def field_gradient_at(geometry: TrapGeometry, voltages: dict, points):
@@ -109,24 +93,7 @@ def field_gradient_at(geometry: TrapGeometry, voltages: dict, points):
 
     ``G`` is symmetric and traceless; ``E`` equals :func:`field_at` bit for bit.
     """
-    pts, single = _as_points(points)
-    rects, volts = geometry.rect_arrays(voltages)
-    e, grad = _evaluate(
-        "field gradient", kernels.rect_field_grad_sum, rects, volts, pts, ((3,), (3, 3))
-    )
-    return (e[0], grad[0]) if single else (e, grad)
-
-
-def basis_potential(geometry: TrapGeometry, electrode_id: str, points):
-    """Potential per unit volt of one electrode (others grounded)."""
-    geometry.electrode(electrode_id)  # validate the id
-    return potential_at(geometry, {electrode_id: 1.0}, points)
-
-
-def basis_field(geometry: TrapGeometry, electrode_id: str, points):
-    """Field per unit volt of one electrode, E = -grad(phi) at 1 V."""
-    geometry.electrode(electrode_id)
-    return field_at(geometry, {electrode_id: 1.0}, points)
+    return _at("field gradient", kernels.rect_field_grad_sum, geometry, voltages, points)
 
 
 def _rf_voltages(geometry: TrapGeometry, amplitude: float) -> dict:
@@ -148,15 +115,3 @@ def pseudopotential(geometry: TrapGeometry, ion: IonSpecies, drive: DriveParams,
     psi = ion.charge**2 * e2 / (4.0 * ion.mass * drive.omega**2)
     return float(psi[0]) if single else psi
 
-
-def total_potential(
-    geometry: TrapGeometry,
-    ion: IonSpecies,
-    drive: DriveParams,
-    dc_voltages: dict,
-    points,
-):
-    """Pseudopotential plus q times the static potential, in joules."""
-    pts, single = _as_points(points)  # (N, 3): both terms are (N,) arrays
-    u = pseudopotential(geometry, ion, drive, pts) + ion.charge * potential_at(geometry, dc_voltages, pts)
-    return float(u[0]) if single else u

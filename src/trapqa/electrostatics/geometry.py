@@ -40,12 +40,12 @@ class Electrode:
                 )
 
 
-def _check_voltage(name, volts: float, what: str = "electrode") -> None:
-    """Refuse a voltage that is not finite, naming the ``what`` it drives:
+def _check_voltage(name, volts: float) -> None:
+    """Refuse a voltage that is not finite, naming the electrode it drives:
     the kernels would turn it into NaN or infinite potentials and fields
     instead of failing."""
     if not math.isfinite(volts):
-        raise ValueError(f"voltage of {what} {name!r} is not finite: {volts!r}")
+        raise ValueError(f"voltage of electrode {name!r} is not finite: {volts!r}")
 
 
 def _rects_overlap(a: Rect, b: Rect) -> bool:
@@ -96,7 +96,8 @@ class TrapGeometry:
         """Flatten to (rects (M,4), volts (M,)) for the kernels.
 
         ``voltages`` maps electrode id to volts; electrodes not mentioned are
-        grounded and skipped (their solid angle contributes nothing). A
+        grounded and skipped (their solid angle contributes nothing), so
+        ``M`` is 0 when no electrode is driven. A
         voltage that is not finite raises ``ValueError`` naming the electrode.
         """
         rects, volts = [], []
@@ -108,9 +109,7 @@ class TrapGeometry:
             for r in e.rects:
                 rects.append(r)
                 volts.append(v)
-        if not rects:
-            return np.zeros((0, 4)), np.zeros((0,))
-        return np.asarray(rects, dtype=float), np.asarray(volts, dtype=float)
+        return np.asarray(rects, dtype=float).reshape(-1, 4), np.asarray(volts, dtype=float)
 
 
 def load_geometry(path) -> TrapGeometry:

@@ -23,14 +23,15 @@ def stray_field(
     If the ion is compensated with ``applied`` voltages where the ideal
     (simulated) set is ``reference``, the stray field being cancelled is
 
-        E_stray = -sum_i (applied_i - reference_i) * basis_field_i
+        E_stray = -sum_i (applied_i - reference_i) * E_i
 
-    evaluated at ``points``. Electrodes missing from either dict count as 0 V
-    there. The terms are summed in sorted-id order, skipping electrodes whose
-    voltage does not differ, in one kernel pass over all their rectangles; an
-    unknown id with a nonzero difference raises ``KeyError``, and a voltage
-    that is not finite, or a field that overflows, ``ValueError``. Returns
-    (3,) for a single point, else (N, 3).
+    with ``E_i`` the field of electrode ``i`` alone at 1 V (``field_at``
+    with ``{i: 1.0}``), evaluated at ``points``. Electrodes missing from
+    either dict count as 0 V there. The terms are summed in sorted-id order,
+    skipping electrodes whose voltage does not differ, in one kernel pass
+    over all their rectangles; an unknown id with a nonzero difference
+    raises ``KeyError``, and a voltage that is not finite, or a field that
+    overflows, ``ValueError``. Returns (3,) for a single point, else (N, 3).
     """
     pts, single = _as_points(points)
     for volts in (applied, reference):

@@ -7,6 +7,8 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
     Potential (V) of a set of in-plane rectangles at unit-referenced voltages,
     summed per evaluation point. ``rects`` is ``(M, 4)`` rows
     ``(x1, x2, y1, y2)``, ``points`` is ``(N, 3)``; returns ``(N,)``.
+    ``M`` may be 0, as may ``N``: with no rectangle every kernel here
+    returns its arrays of +0.0, never -0.0.
 
 ``rect_field_sum(rects, volts, points)``
     Electric field ``E = -grad(phi)`` of the same set, returns ``(N, 3)``.
@@ -20,9 +22,10 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
 ``rect_field_superpose(rect_groups, weights, points)``
     ``sum_m weights[m] * E_m`` with ``E_m`` the field at 1 V of the non-empty
     rectangle group ``rect_groups[m]`` (such as the rectangles of one
-    electrode), returns ``(N, 3)``. The weighted terms are added left to right
-    in group order (``np.cumsum``), starting from 0.0, so the result is bit for
-    bit that of a Python loop ``total += weights[m] * E_m``.
+    electrode), returns ``(N, 3)``; no group gives +0.0. The weighted terms
+    are added left to right in group order (``np.cumsum``), starting from
+    0.0, so the result is bit for bit that of a Python loop
+    ``total += weights[m] * E_m``.
 
 Points are evaluated in blocks of at most about 2**16 corner terms, so
 memory stays bounded for any ``N``, and a call of several blocks runs them

@@ -92,8 +92,11 @@ run in a copy of the calling thread's context, so numpy's ``errstate``
 holds in them too. Every elementwise operation is that of the plain
 expressions above, on the same operands in the same order: ``r^2`` is
 ``(X^2 + Y^2) + z^2`` and the z derivative
-``((-X Y) (r^2 + z^2)) / ((r (X^2 + z^2)) (Y^2 + z^2))``. The call
-contract is documented in :mod:`trapqa.kernels`.
+``((-X Y) (r^2 + z^2)) / ((r (X^2 + z^2)) (Y^2 + z^2))``. With no
+rectangle (``M = 0``) :func:`_run` returns before it forms a block, and
+every output keeps the +0.0 it is allocated with: the products over no
+rectangle would give ``Ez = -(0.0) = -0.0``. The call contract is
+documented in :mod:`trapqa.kernels`.
 """
 
 import contextvars
@@ -231,8 +234,10 @@ def _run(rects, points, field, n_tmp, n_sums, body):
     """
     rects = np.asarray(rects, dtype=np.float64).reshape(-1, 4)
     m = len(rects)
+    if m == 0:  # no block: the outputs keep the +0.0 they are allocated with
+        return
     edges = rects.T.reshape(2, 2, 1, m)  # (x1, x2) and (y1, y2)
-    block = max(1, _BLOCK_ELEMS // max(1, 4 * m))
+    block = max(1, _BLOCK_ELEMS // (4 * m))
     n_blocks = -(-len(points) // block)
     cap = max(1, _SUMS_ELEMS // (n_sums * block * m))
     threads = min(_usable_cpus(), n_blocks, cap) if n_blocks > 1 else 1
@@ -264,7 +269,7 @@ def rect_potential_sum(rects, volts, points):
     """Summed potential of rectangles at ``volts`` over ``points``, shape (N,)."""
     volts = np.asarray(volts, dtype=np.float64).reshape(-1)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    out = np.empty(len(points))
+    out = np.zeros(len(points))
 
     def body(blocks):
         for b in blocks:
@@ -293,7 +298,7 @@ def rect_field_sum(rects, volts, points):
     """Summed field E = -grad(phi) of rectangles at ``volts``, shape (N, 3)."""
     volts = np.asarray(volts, dtype=np.float64).reshape(-1)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    out = np.empty((len(points), 3))
+    out = np.zeros((len(points), 3))
 
     def body(blocks):
         for b in blocks:
@@ -312,8 +317,8 @@ def rect_field_grad_sum(rects, volts, points):
     """
     volts = np.asarray(volts, dtype=np.float64).reshape(-1)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    e = np.empty((len(points), 3))
-    grad = np.empty((len(points), 3, 3))
+    e = np.zeros((len(points), 3))
+    grad = np.zeros((len(points), 3, 3))
 
     def body(blocks):
         for b in blocks:
@@ -376,8 +381,6 @@ def rect_field_superpose(rect_groups, weights, points):
     if 0 in sizes:
         raise ValueError("every rectangle group needs a rectangle")
     out = np.zeros((len(points), 3))
-    if weights.size == 0:
-        return out
     rects = [r for g in rect_groups for r in g]
     starts = np.cumsum([0] + sizes[:-1])
 

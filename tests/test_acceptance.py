@@ -250,7 +250,12 @@ def _quadrature_potential(rect, point, n=120):
 
 
 def test_acceptance_08_kernel_oracles():
-    from trapqa.electrostatics import field_at, paper_trap_geometry, potential_at, rect_potential
+    from trapqa.electrostatics import field_at, paper_trap_geometry, potential_at
+    from trapqa.kernels import rect_potential_sum
+
+    def rect_potential(rect, point):
+        """Potential of one rectangle at 1 V at one point."""
+        return rect_potential_sum(np.array([rect]), np.ones(1), np.array([point]))[0]
 
     rng = np.random.Generator(np.random.Philox(key=42))
     worst_phi = 0.0
@@ -260,7 +265,7 @@ def test_acceptance_08_kernel_oracles():
         pt = (rng.uniform(-400e-6, 400e-6), rng.uniform(-400e-6, 400e-6),
               rng.uniform(20e-6, 300e-6))
         ref = _quadrature_potential(rect, pt)
-        worst_phi = max(worst_phi, abs(rect_potential(rect, 1.0, pt) - ref) / abs(ref))
+        worst_phi = max(worst_phi, abs(rect_potential(rect, pt) - ref) / abs(ref))
 
     geometry = paper_trap_geometry()
     volts = {"DC17": 0.7, "DC18": -1.4, "DC19": 0.7, "CP1": 0.2, "RF1": 3.0}
@@ -279,8 +284,8 @@ def test_acceptance_08_kernel_oracles():
         worst_grad = max(worst_grad, np.max(err / (np.abs(analytic) + 1e2)))
 
     rect = (0.0, 100e-6, 0.0, 200e-6)
-    inside = rect_potential(rect, 1.0, (50e-6, 100e-6, 1e-9))
-    outside = rect_potential(rect, 1.0, (150e-6, 100e-6, 1e-9))
+    inside = rect_potential(rect, (50e-6, 100e-6, 1e-9))
+    outside = rect_potential(rect, (150e-6, 100e-6, 1e-9))
     indicator_ok = abs(inside - 1.0) < 1e-3 and abs(outside) < 1e-3
 
     ok = worst_phi < 1e-6 and worst_grad < 1e-6 and indicator_ok

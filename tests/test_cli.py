@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trapqa.cli import main
+from trapqa.electrostatics import paper_trap_geometry
 
 
 def run_cli(*args):
@@ -479,17 +481,20 @@ def test_nonpositive_number_option_exits_2(tmp_path, capsys, args):
         ["--freq-mhz", "1e150"],
         ["--freq-mhz", "1e-300"],
         ["--v0", "1e300"],
+        ["--v0", "1e300", "--freq-mhz", "1000"],
     ],
     ids=[
         "freq_mhz_square_overflows",
         "freq_mhz_huge",
         "freq_mhz_admittance_underflows",
         "v0_square_overflows",
+        "v0_square_overflows_above_validity_limit",
     ],
 )
 def test_dissipation_drive_without_finite_power_exits_2(tmp_path, capsys, args):
     # these used to exit 3 (OverflowError, ZeroDivisionError) or, for v0, exit
-    # 0 with inf and nan in every row
+    # 0 with inf and nan in every row; at 1000 MHz the refusal used to follow
+    # a warning about the small-loss split
     out = tmp_path / "power.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -824,6 +829,66 @@ def test_field_csv_is_the_same_at_every_thread_count(tmp_path, monkeypatch, geom
         ) == 0
         scans.append(out.read_bytes())
     assert scans[0] == scans[1]
+
+
+_ELECTRODE_IDS = paper_trap_geometry().ids()
+
+# Frozen SHA-256 of electrostatics artifacts, one per path to the kernels: the
+# README field scan, a scan with every electrode at 0 V (no rectangle reaches
+# the kernels), a scan of four kernel blocks with all 79 electrodes driven,
+# the README-style strayfield, and a GAP_CHARGE diagnosis, whose charge
+# rectangle is stacked under the driven electrodes' rectangles. Each case is
+# (input documents, arguments without --out, exit code, digest).
+_ELECTROSTATICS_PINS = {
+    "field_readme": (
+        {},
+        ["field", "--z", "50:200:16", "--y", "42.331:42.331:1"],
+        0,
+        "f7473bbb63d7ead4768ad5d4a391870cd58d2ba08f1399737c33809092c3b32f",
+    ),
+    "field_all_zero": (
+        {"volts.json": {eid: 0.0 for eid in _ELECTRODE_IDS}},
+        ["field", "--voltages", "volts.json", "--x=-100:100:3", "--z", "50:200:4"],
+        0,
+        "a53dfab4a11e3e6e653c701d3831f4e4d6f962583a82ae9164460d1795470588",
+    ),
+    "field_blocks": (
+        {"volts.json": {eid: 0.1 * (k % 7 - 3) + 0.05 for k, eid in enumerate(_ELECTRODE_IDS)}},
+        ["field", "--voltages", "volts.json", "--x=-100:100:12", "--y=-50:50:8", "--z=50:150:8"],
+        0,
+        "56fb3e3101dccac9a52a480b38974146eda4746d00f73813e75f77d7d5e383d4",
+    ),
+    "strayfield_readme": (
+        {"applied.json": {"CP1": 0.7, "CP4": -0.2}, "ideal.json": {"CP1": 0.5}},
+        ["strayfield", "--applied", "applied.json", "--reference", "ideal.json", "--point", "0,42.3,124.4"],
+        0,
+        "376685c4d6bb602ed504356d9e21a2aab7f07be188846b078f1c7832ad21e2bd",
+    ),
+    "diagnose_gap_charge": (
+        {
+            "scenario.json": {
+                "geometry": "builtin",
+                "voltages": {"DC17": 1.0, "DC18": -2.0, "DC19": 1.0, "DC52": 1.0, "DC53": -2.0, "DC54": 1.0},
+                "scales": [1.0, 2.0, 4.0],
+                "window_um": [-300, 300],
+                "fault": {"kind": "GAP_CHARGE", "charge_rects_um": [[51.5, 59.5, 40, 135]], "charge_voltage": -2.0},
+            }
+        },
+        ["diagnose", "--scenario", "scenario.json"],
+        1,
+        "55b91189c88e98ef517bafa9722e54db5b2438e413c6e945f1fbf211155dd467",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ELECTROSTATICS_PINS))
+def test_electrostatics_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
+    inputs, args, code, sha = _ELECTROSTATICS_PINS[name]
+    monkeypatch.chdir(tmp_path)
+    for path, doc in inputs.items():
+        (tmp_path / path).write_text(json.dumps(doc))
+    assert run_cli(*args, "--out", "out") == code
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == sha
 
 
 _CALIBRATION = ["T_K,R_ohm", "4,2000.1", "77,2400.5", "150,3900.2", "295,6800.9"]

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,28 @@ def test_report_refuses_nonpositive_drive(v0):
 def test_report_refuses_a_drive_without_finite_power(v0, omega):
     with pytest.raises(ValueError, match=rf"the drive v0 = {re.escape(repr(v0))} V at omega = .* not finite"):
         dissipation_report(v0=v0, omega=omega)
+
+
+@pytest.mark.parametrize(
+    "v0, omega",
+    [(1e300, 2 * np.pi * 1e9), (1e150, 5.5e14)],
+    ids=["first_row_overflows", "third_row_overflows"],
+)
+def test_refused_drive_does_not_warn(v0, omega):
+    # the small-loss split is out of range here, on the refused row or on
+    # rows before it: its warnings used to come out ahead of the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            dissipation_report(v0=v0, omega=omega)
+
+
+def test_finite_drive_above_the_validity_limit_still_warns():
+    with pytest.warns(UserWarning, match="small-loss") as record:
+        rows = dissipation_report(omega=2 * np.pi * 1e9)
+    assert len(rows) == 6
+    # issued for the caller, once per out-of-range row (both at 300 K)
+    assert [w.filename for w in record] == [__file__] * 2
 
 
 def test_preset_rejects_other_temperatures():

@@ -24,8 +24,6 @@ from trapqa.diagnosis import FaultScenario, axial_potential
 from trapqa.electrostatics import (
     Electrode,
     TrapGeometry,
-    basis_field,
-    basis_potential,
     field_at,
     field_gradient_at,
     find_rf_minima,
@@ -34,10 +32,8 @@ from trapqa.electrostatics import (
     paper_trap_geometry,
     potential_at,
     pseudopotential,
-    rect_potential,
     secular_frequencies,
     stray_field,
-    total_potential,
 )
 from trapqa.kernels import rect_np
 
@@ -228,12 +224,14 @@ def _hessian(f, point: np.ndarray, h: float) -> np.ndarray:
 
 def reference_curvature(geometry, drive, dc_voltages, point, step=10e-9):
     """Scalar reference for ``secular_frequencies``: the Hessian of the total
-    potential from one-point ``total_potential`` calls, by central
-    differences at ``step`` and ``step / 2``, Richardson-combined."""
+    potential (pseudopotential plus q times the static potential) from
+    one-point calls, by central differences at ``step`` and ``step / 2``,
+    Richardson-combined."""
     pt = np.asarray(point, dtype=float)
 
     def u(p):
-        return total_potential(geometry, CA40, drive, dc_voltages, p)
+        psi = pseudopotential(geometry, CA40, drive, p)
+        return psi + CA40.charge * potential_at(geometry, dc_voltages, p)
 
     return (4.0 * _hessian(u, pt, step / 2.0) - _hessian(u, pt, step)) / 3.0
 
@@ -320,6 +318,21 @@ def test_field_gradient_at_matches_field_at(geometry, rng):
     assert not e0.any() and not g0.any() and g0.shape == (5, 3, 3)
 
 
+@pytest.mark.parametrize("volts", [{}, {"DC18": 0.0, "RF1": 0.0}], ids=["none", "all_zero"])
+def test_no_driven_electrode_gives_positive_zeros(geometry, volts):
+    pts = np.array([[0.0, 42e-6, 124e-6], [-3e-5, 1e-5, 8e-5]])
+
+    def results(p):
+        e, grad = field_gradient_at(geometry, volts, p)
+        return [potential_at(geometry, volts, p), field_at(geometry, volts, p), e, grad]
+
+    batch, one = results(pts), results(pts[0])
+    assert type(one[0]) is float
+    for got, shape in zip(batch + one, [(2,), (2, 3), (2, 3), (2, 3, 3), (), (3,), (3,), (3, 3)]):
+        assert np.shape(got) == shape
+        assert not np.any(got) and not np.signbit(got).any()
+
+
 @pytest.mark.parametrize("z", [0.0, -1e-6, np.inf])
 def test_field_gradient_at_refuses_points_off_the_half_space(geometry, z):
     with pytest.raises(ValueError, match="outside the half space"):
@@ -343,7 +356,6 @@ def test_only_a_3_vector_is_a_single_point(geometry):
 _PAD = TrapGeometry(electrodes=(Electrode("E1", "dc", ((-50e-6, 50e-6, -50e-6, 50e-6),)),))
 _LOW = (0.0, 0.0, 1e-6)
 _EVALUATE = {
-    "rect_potential": lambda v: rect_potential(_PAD.electrodes[0].rects[0], v, _LOW),
     "potential_at": lambda v: potential_at(_PAD, {"E1": v}, _LOW),
     "field_at": lambda v: field_at(_PAD, {"E1": v}, _LOW),
     "field_gradient_at": lambda v: field_gradient_at(_PAD, {"E1": v}, _LOW),
@@ -354,7 +366,7 @@ _EVALUATE = {
 
 @pytest.mark.parametrize(
     "name, volts",
-    [(name, 1e308) for name in _EVALUATE] + [("rect_potential", v) for v in (np.nan, np.inf, -np.inf)],
+    [(name, 1e308) for name in _EVALUATE] + [("potential_at", v) for v in (np.nan, np.inf, -np.inf)],
 )
 def test_a_result_that_is_not_finite_is_refused(name, volts):
     # pyproject turns numpy's RuntimeWarning into an error: the refusal must not warn
@@ -377,8 +389,8 @@ def test_potential_is_superposition(geometry):
     pts = np.array([[0.0, 20e-6, 100e-6]])
     volts = {"DC18": 2.0, "CP1": -1.5}
     total = potential_at(geometry, volts, pts)[0]
-    parts = 2.0 * basis_potential(geometry, "DC18", pts)[0] - 1.5 * basis_potential(
-        geometry, "CP1", pts
+    parts = 2.0 * potential_at(geometry, {"DC18": 1.0}, pts)[0] - 1.5 * potential_at(
+        geometry, {"CP1": 1.0}, pts
     )[0]
     assert total == pytest.approx(parts, rel=1e-12)
 
@@ -389,8 +401,8 @@ def test_stray_field_sign_and_superposition(geometry):
     reference = {"CP1": 0.5}
     got = stray_field(geometry, applied, reference, pt)
     want = -(
-        (0.7 - 0.5) * np.asarray(basis_field(geometry, "CP1", pt))
-        + (-0.2) * np.asarray(basis_field(geometry, "CP4", pt))
+        (0.7 - 0.5) * np.asarray(field_at(geometry, {"CP1": 1.0}, pt))
+        + (-0.2) * np.asarray(field_at(geometry, {"CP4": 1.0}, pt))
     )
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -402,15 +414,16 @@ def test_stray_field_zero_when_compensated(geometry):
 
 
 def reference_stray(geometry, applied, reference, points):
-    """Scalar reference for ``stray_field``: one ``basis_field`` call per
-    electrode, accumulated in sorted-id order."""
+    """Scalar reference for ``stray_field``: one ``field_at`` call per
+    electrode, at 1 V on that electrode alone, accumulated in sorted-id
+    order."""
     pts = np.asarray(points, dtype=float)
     total = np.zeros((len(pts), 3))
     for eid in sorted(set(applied) | set(reference)):
         dv = applied.get(eid, 0.0) - reference.get(eid, 0.0)
         if dv == 0.0:
             continue
-        total += dv * np.atleast_2d(basis_field(geometry, eid, pts))
+        total += dv * np.atleast_2d(field_at(geometry, {eid: 1.0}, pts))
     return -total
 
 

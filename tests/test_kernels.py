@@ -559,3 +559,17 @@ def test_field_gradient_of_no_points_is_empty():
     rect = np.array([[-50e-6, 50e-6, -50e-6, 50e-6]])
     e, grad = rect_np.rect_field_grad_sum(rect, np.ones(1), np.zeros((0, 3)))
     assert e.shape == (0, 3) and grad.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_no_rectangles_give_positive_zeros(rng, n):
+    # with M = 0 nothing is summed: Ez = -(dz @ volts) would be -0.0
+    pts = _trap_points(rng, n)
+    none, no_volts = np.zeros((0, 4)), np.zeros(0)
+    phi = rect_np.rect_potential_sum(none, no_volts, pts)
+    e = rect_np.rect_field_sum(none, no_volts, pts)
+    e2, grad = rect_np.rect_field_grad_sum(none, no_volts, pts)
+    sup = rect_np.rect_field_superpose([], no_volts, pts)
+    for got, shape in [(phi, (n,)), (e, (n, 3)), (e2, (n, 3)), (grad, (n, 3, 3)), (sup, (n, 3))]:
+        assert got.shape == shape
+        assert not got.any() and not np.signbit(got).any()
