@@ -1,0 +1,730 @@
+"""Ports of the scipy solvers trapqa runs, in scipy's floating-point order.
+
+Each port does scipy's operations in scipy's order, so it returns scipy's
+results bit for bit (tests/test_solvers.py keeps scipy as the reference)
+without the second or so it takes to import scipy:
+
+- ``_qags``: QUADPACK's ``dqagse`` with ``dqk21``, ``dqpsrt`` and ``dqelg``
+  (Piessens et al., *QUADPACK*, Springer 1983), which is what
+  ``scipy.integrate.quad`` runs on a finite range. Each integral is a
+  generator that yields the intervals it needs and receives their ``dqk21``
+  results; ``_qags`` moves a batch of integrals forward together, with one
+  vectorised integrand call per round.
+- ``_brentq``: scipy's C ``brentq``.
+- ``_fminbound``: ``scipy.optimize.minimize_scalar(method="bounded")``.
+
+The routines keep QUADPACK's 1-based arrays (index 0 unused) and its names,
+so they read line for line against the Fortran.
+"""
+
+import math
+import sys
+import warnings
+
+import numpy as np
+
+_EPMACH = sys.float_info.epsilon  # d1mach(4)
+_UFLOW = sys.float_info.min  # d1mach(1)
+_OFLOW = sys.float_info.max  # d1mach(2)
+
+# ------------------------------------------------------------- dqk21
+
+# The 21-point Kronrod abscissae xgk(1..11) and weights wgk(1..11), and the
+# weights wg(1..5) of the 10-point Gauss rule on xgk(2), xgk(4), ..., xgk(10):
+# the constants of scipy's integrate/_quad_vec.py (_quadrature_gk21).
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# dqk21 adds the Gauss pairs xgk(2), xgk(4), ..., xgk(10) first, then the
+# Kronrod-only pairs xgk(1), xgk(3), ..., xgk(9); the rows below follow that
+# order, and _NATURAL puts them back in 1..10 order for the resasc sum.
+_LOOP = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_NATURAL = np.argsort(_LOOP)
+_NODES = np.array([[_XGK[j]] for j in _LOOP])
+_WGK_LOOP = np.array([[[_WGK[10]]]] + [[[_WGK[j]]] for j in _LOOP])
+_WGK_RESASC = np.array([[_WGK[10]]] + [[w] for w in _WGK[:10]])
+_WG_COL = np.array([[w] for w in _WG])
+
+
+def _dqk21(f, intervals):
+    """``dqk21`` on every ``(a, b)`` of ``intervals``, with one call of ``f``.
+
+    ``f`` maps a (21, n) array of abscissae to the integrand there. Returns
+    ``(result, abserr, resabs, resasc)`` per interval. Every sum runs in
+    dqk21's order (``np.add.accumulate`` down the rows, never a pairwise or
+    BLAS sum), and the ``**1.5`` is a float power, libm's ``pow``.
+    """
+    n = len(intervals)
+    a, b = np.array(intervals).T
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = np.abs(hlgth)
+    absc = _NODES * hlgth
+    x = np.empty((21, n))
+    x[0] = centr
+    np.subtract(centr, absc, out=x[1:11])
+    np.add(centr, absc, out=x[11:])
+    fx = f(x)
+    fc, fv1, fv2 = fx[0], fx[1:11], fx[11:]
+
+    # C arithmetic passes an inf or a nan on without a word; so does this
+    with np.errstate(all="ignore"):
+        fsum = fv1 + fv2
+        # resg starts from its first term, not from 0.0 plus that term: the
+        # two differ in the sign of a zero alone, which abserr's abs drops
+        resg = np.add.accumulate(_WG_COL * fsum[:5], axis=0)[-1]
+        # resk and resabs side by side, summed down the rows in dqk21's
+        # order; |wgk(11) * fc| is wgk(11) * |fc| exactly
+        terms = np.empty((11, 2, n))
+        terms[0, 0] = fc
+        terms[0, 1] = np.abs(fc)
+        terms[1:, 0] = fsum
+        terms[1:, 1] = np.abs(fv1) + np.abs(fv2)
+        terms *= _WGK_LOOP
+        resk, resabs = np.add.accumulate(terms, axis=0)[-1]
+        reskh = resk * 0.5
+        dev = np.abs(fx - reskh)
+        terms = np.empty((11, n))
+        terms[0] = dev[0]
+        terms[1:] = (dev[1:11] + dev[11:])[_NATURAL]
+        terms *= _WGK_RESASC
+        resasc = np.add.accumulate(terms, axis=0)[-1]
+        result = resk * hlgth
+        resabs = resabs * dhlgth
+        resasc = resasc * dhlgth
+        abserr = np.abs((resk - resg) * hlgth)
+
+    out = []
+    for result, abserr, resabs, resasc in zip(
+        result.tolist(), abserr.tolist(), resabs.tolist(), resasc.tolist()
+    ):
+        if resasc != 0.0 and abserr != 0.0:
+            # resasc * min(1, ratio**1.5), without the float power's
+            # OverflowError where the minimum is 1 anyway
+            ratio = 200.0 * abserr / resasc
+            abserr = resasc * (ratio**1.5 if ratio < 1.0 else 1.0)
+        if resabs > _UFLOW / (50.0 * _EPMACH):
+            abserr = max((_EPMACH * 50.0) * resabs, abserr)
+        out.append((result, abserr, resabs, resasc))
+    return out
+
+
+# ------------------------------------------------------------ dqagse
+
+
+class IntegrationWarning(UserWarning):
+    """QUADPACK flagged a result (``ier`` > 0), where ``quad`` would warn."""
+
+
+# quad's warning for each ier that dqagse returns
+_IER_MESSAGES = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+    "If increasing the limit yields no improvement it is advised to "
+    "analyze \n  the integrand in order to determine the difficulties.  "
+    "If the position of a \n  local difficulty can be determined "
+    "(singularity, discontinuity) one will \n  probably gain from "
+    "splitting up the interval and calling the integrator \n  on the "
+    "subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+    "the requested tolerance from being achieved.  "
+    "The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  "
+    "integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+    "in the extrapolation table.  It is assumed that the requested "
+    "tolerance\n  cannot be achieved, and that the returned result "
+    "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+}
+
+
+def _qags(f, a, bs, epsabs: float, epsrel: float, limit: int) -> list:
+    """``quad(f, a, b, epsabs=..., epsrel=..., limit=...)`` for each ``b`` of
+    ``bs`` (each above ``a``): a list of ``(result, abserr, ier)``.
+
+    ``f`` maps an array of abscissae to the integrand there, elementwise.
+    Every integral runs its own ``dqagse``; each round evaluates ``dqk21``
+    on the intervals that all unfinished integrals asked for, with one call
+    of ``f``. Where ``ier`` > 0, quad would warn ``_ier_message(ier, limit)``.
+    """
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
+        raise ValueError("epsrel is below QUADPACK's floor for epsabs <= 0")
+    runs = [_dqagse(a, b, epsabs, epsrel, limit) for b in bs]
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    out = [None] * len(runs)
+    while asks:
+        rules = _dqk21(f, [iv for ivs in asks.values() for iv in ivs])
+        k = 0
+        for i, ivs in list(asks.items()):
+            try:
+                asks[i] = runs[i].send(rules[k : k + len(ivs)])
+            except StopIteration as done:
+                del asks[i]
+                out[i] = done.value
+            k += len(ivs)
+    return out
+
+
+def _ier_message(ier: int, limit: int) -> str:
+    """quad's warning for a result that dqagse flags with ``ier``."""
+    return _IER_MESSAGES[ier].format(limit=limit)
+
+
+def _dqagse(a: float, b: float, epsabs: float, epsrel: float, limit: int):
+    """QUADPACK's ``dqagse`` as a generator: it yields the intervals whose
+    ``dqk21`` results it needs next, is sent those results, and returns
+    ``(result, abserr, ier)``. Labels in the comments are the Fortran's."""
+    alist = [0.0] * (limit + 1)
+    blist = [0.0] * (limit + 1)
+    rlist = [0.0] * (limit + 1)
+    elist = [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    ier = 0
+    alist[1] = a
+    blist[1] = b
+
+    # first approximation to the integral
+    ierro = 0
+    ((result, abserr, defabs, resabs),) = yield ((a, b),)
+
+    # test on accuracy
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    last = 1
+    rlist[1] = result
+    elist[1] = abserr
+    iord[1] = 1
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, ier  # 140
+
+    # initialization
+    rlist2[1] = result
+    errmax = abserr
+    maxerr = 1
+    area = result
+    errsum = abserr
+    abserr = _OFLOW
+    nrmax = 1
+    nres = 0
+    numrl2 = 2
+    ktmin = 0
+    extrap = False
+    noext = False
+    iroff1 = iroff2 = iroff3 = 0
+    correc = small = erlarg = ertest = 0.0
+    ksgn = -1
+    if dres >= (1.0 - 50.0 * _EPMACH) * defabs:
+        ksgn = 1
+
+    # main do-loop
+    label = 100
+    for last in range(2, limit + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        (area1, error1, resabs, defab1), (area2, error2, resabs, defab2) = yield ((a1, b1), (a2, b2))
+
+        # improve previous approximations to integral and error and test
+        # for accuracy
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 0.1e-4 * abs(area12) or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:  # 10
+                iroff3 += 1
+        rlist[maxerr] = area1  # 15
+        rlist[last] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+
+        # test for roundoff error and eventually set error flag
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        # the number of subintervals equals limit
+        if last == limit:
+            ier = 1
+        # bad integrand behaviour at a point of the integration range
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+
+        # append the newly-created intervals to the list
+        if error2 > error1:
+            alist[maxerr] = a2  # 20
+            alist[last] = a1
+            blist[last] = b1
+            rlist[maxerr] = area2
+            rlist[last] = area1
+            elist[maxerr] = error2
+            elist[last] = error1
+        else:
+            alist[last] = a2
+            blist[maxerr] = b1
+            blist[last] = b2
+            elist[maxerr] = error1
+            elist[last] = error2
+
+        # keep the error estimates in descending order and select the
+        # subinterval with the nrmax-th largest one (to be bisected next)
+        maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)  # 30
+        if errsum <= errbnd:
+            label = 115
+            break
+        if ier != 0:
+            label = 100
+            break
+        if last == 2:  # 80
+            small = abs(b - a) * 0.375
+            erlarg = errsum
+            ertest = errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # test whether the interval to be bisected next is the smallest
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if not (ierro == 3 or erlarg <= ertest):  # 40
+            # the smallest interval has the largest error: before bisecting,
+            # decrease the sum of the errors over the larger intervals
+            # (erlarg) and perform extrapolation
+            jupbnd = last
+            if last > 2 + limit // 2:
+                jupbnd = limit + 3 - last
+            larger = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    larger = True
+                    break
+                nrmax = nrmax + 1
+            if larger:
+                continue
+
+        # perform extrapolation
+        numrl2 = numrl2 + 1  # 60
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
+        ktmin = ktmin + 1
+        if ktmin > 5 and abserr < 0.1e-2 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                label = 100
+                break
+
+        # prepare bisection of the smallest interval
+        if numrl2 == 1:  # 70
+            noext = True
+        if ier == 5:
+            label = 100
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small = small * 0.5
+        erlarg = errsum
+
+    # set final result and error estimate
+    if label == 100:
+        if abserr == _OFLOW:
+            label = 115
+        elif ier + ierro == 0:
+            label = 110
+        else:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                label = 115 if abserr / abs(result) > errsum / abs(area) else 110  # 105
+            elif abserr > errsum:
+                label = 115
+            else:
+                label = 130 if area == 0.0 else 110
+    if label == 110:
+        # test on divergence
+        if not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.1e-1):
+            if 0.1e-1 > result / area or result / area > 0.1e3 or errsum > abs(area):
+                ier = 6
+    elif label == 115:
+        # compute global integral sum
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    if ier > 2:  # 130
+        ier = ier - 1
+    return result, abserr, ier
+
+
+def _dqpsrt(limit: int, last: int, maxerr: int, elist, iord, nrmax: int):
+    """QUADPACK's ``dqpsrt``: keep ``iord`` ordering ``elist`` by decreasing
+    error after a bisection; returns ``(maxerr, ermax, nrmax)``."""
+    if last <= 2:
+        iord[1] = 1
+        iord[2] = 2
+        maxerr = iord[nrmax]  # 90
+        return maxerr, elist[maxerr], nrmax
+
+    # if subdivision increased the error estimate, the insertion starts
+    # above the nrmax-th largest error estimate
+    errmax = elist[maxerr]  # 10
+    if nrmax != 1:
+        for _ in range(1, nrmax):
+            isucc = iord[nrmax - 1]
+            if errmax <= elist[isucc]:
+                break
+            iord[nrmax] = isucc
+            nrmax = nrmax - 1
+
+    # the number of elements kept in descending order, which depends on the
+    # number of subdivisions still allowed
+    jupbn = last  # 30
+    if last > limit // 2 + 2:
+        jupbn = limit + 3 - last
+    errmin = elist[last]
+
+    # insert errmax by traversing the list top-down
+    jbnd = jupbn - 1
+    ibeg = nrmax + 1
+    for i in range(ibeg, jbnd + 1):
+        isucc = iord[i]
+        if errmax >= elist[isucc]:
+            # insert errmin by traversing the list bottom-up
+            iord[i - 1] = maxerr  # 60
+            k = jbnd
+            for _ in range(i, jbnd + 1):
+                isucc = iord[k]
+                if errmin < elist[isucc]:
+                    iord[k + 1] = last  # 80
+                    break
+                iord[k + 1] = isucc
+                k = k - 1
+            else:
+                iord[i] = last
+            break
+        iord[i - 1] = isucc
+    else:
+        iord[jbnd] = maxerr  # 50
+        iord[jupbn] = last
+
+    maxerr = iord[nrmax]  # 90
+    return maxerr, elist[maxerr], nrmax
+
+
+def _dqelg(n: int, epstab, res3la, nres: int):
+    """QUADPACK's ``dqelg``, the epsilon algorithm, on ``epstab[1..n]``.
+
+    Updates ``epstab`` and ``res3la`` in place; returns
+    ``(n, result, abserr, nres)``.
+    """
+    nres = nres + 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n >= 3:
+        limexp = 50
+        epstab[n + 2] = epstab[n]
+        newelm = (n - 1) // 2
+        epstab[n] = _OFLOW
+        num = n
+        k1 = n
+        converged = False
+        for i in range(1, newelm + 1):
+            k2 = k1 - 1
+            k3 = k1 - 2
+            res = epstab[k1 + 2]
+            e0 = epstab[k3]
+            e1 = epstab[k2]
+            e2 = res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = max(abs(e2), e1abs) * _EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = max(e1abs, abs(e0)) * _EPMACH
+            if not (err2 > tol2 or err3 > tol3):
+                # e0, e1 and e2 are equal to within machine accuracy:
+                # convergence is assumed
+                result = res
+                abserr = err2 + err3
+                converged = True
+                break
+            e3 = epstab[k1]  # 10
+            epstab[k1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = max(e1abs, abs(e3)) * _EPMACH
+            # if two elements are very close to each other, omit a part of
+            # the table by adjusting the value of n
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1  # 20
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            epsinf = abs(ss * e1)
+            # irregular behaviour in the table: omit a part of it
+            if not epsinf > 0.1e-3:
+                n = i + i - 1  # 20
+                break
+            # compute a new element and eventually adjust the value of result
+            res = e1 + 1.0 / ss  # 30
+            epstab[k1] = res
+            k1 = k1 - 2
+            error = err2 + abs(res - e2) + err3
+            if error > abserr:
+                continue
+            abserr = error
+            result = res
+
+        if not converged:
+            # shift the table
+            if n == limexp:  # 50
+                n = 2 * (limexp // 2) - 1
+            ib = 2 if num % 2 == 0 else 1
+            ie = newelm + 1
+            for _ in range(ie):
+                ib2 = ib + 2
+                epstab[ib] = epstab[ib2]
+                ib = ib2
+            if num != n:
+                indx = num - n + 1
+                for i in range(1, n + 1):
+                    epstab[i] = epstab[indx]
+                    indx = indx + 1
+            if nres >= 4:  # 80
+                # compute error estimate
+                abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])  # 90
+                res3la[1] = res3la[2]
+                res3la[2] = res3la[3]
+                res3la[3] = result
+            else:
+                res3la[nres] = result
+                abserr = _OFLOW
+    abserr = max(abserr, 5.0 * _EPMACH * abs(result))  # 100
+    return n, result, abserr, nres
+
+
+# ------------------------------------------------------------ brentq
+
+
+def _brentq(
+    f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 4 * _EPMACH, maxiter: int = 100
+) -> float:
+    """A root of ``f`` in the bracket ``[xa, xb]``: scipy's ``brentq``.
+
+    A port of scipy's C ``brentq`` (optimize/Zeros/brentq.c) with the
+    defaults and refusals of ``scipy.optimize.brentq``: ``f`` takes and
+    returns a float; a nan value, or ``f(xa)`` and ``f(xb)`` of one sign,
+    raises ValueError, and no convergence in ``maxiter`` steps RuntimeError.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# --------------------------------------------------------- fminbound
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXFUN = 500  # scipy's default evaluation cap (its maxiter)
+
+
+def _fminbound(func, lo, hi, xatol: float):
+    """Bounded scalar minimization: Brent's golden-section search with
+    parabolic steps, returning ``(x, func(x))`` at the best point found.
+
+    A port of ``scipy.optimize.minimize_scalar(method="bounded")``
+    (``_minimize_scalar_bounded``, i.e. fminbound) that performs the same
+    floating-point operations in the same order, the ``sqrt(2.2e-16)`` and
+    ``xatol / 3`` tolerances and the 500-evaluation cap included, so
+    it returns scipy's ``x`` and ``fun`` bit for bit (tests/test_diagnosis.py
+    keeps scipy as the reference). ``func`` takes and returns a float.
+    """
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign1(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _sign1(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
+
+
+def _sign1(v: float) -> float:
+    """scipy's ``np.sign(v) + (v == 0)``: +1.0 for v >= 0, -1.0 below."""
+    return 1.0 if v >= 0.0 else -1.0

@@ -16,8 +16,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from ._io import as_list, as_number, as_object, as_text, atomic_write_text, csv_text, dump_json
 from ._io import UnknownName, read_csv, read_json
 
@@ -40,6 +38,8 @@ SIGNED_OPTIONS = ("--x", "--y", "--z", "--point", "--plant-cell", "--plant-edge"
 
 
 def _rng(seed: int) -> "np.random.Generator":
+    import numpy as np
+
     if not 0 <= seed < 2**128:  # the range of a Philox key
         raise ValueError(f"--seed needs a whole number in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -104,7 +104,7 @@ def _fmt(x: float) -> str:
 def _cmd_dissipation(args) -> int:
     from . import dissipation as dis
 
-    drive_omega = 2.0 * np.pi * args.freq_mhz * 1e6
+    drive_omega = 2.0 * math.pi * args.freq_mhz * 1e6
     rows = dis.dissipation_report(v0=args.v0, omega=drive_omega)
     text = csv_text(
         ["trap", "temperature_K", "p_ohmic_mW", "p_diel_mW", "p_total_mW", "p_exact_mW", "rel_error"],
@@ -219,9 +219,11 @@ def _cmd_yieldmap(args) -> int:
 # --------------------------------------------------------------------- field
 
 
-def _axis(option: str, spec: str | None, default: float) -> np.ndarray:
+def _axis(option: str, spec: str | None, default: float) -> "np.ndarray":
     """The points of an axis option ``lo:hi:n`` in um, in m; without the
     option, the one point ``default``."""
+    import numpy as np
+
     if spec is None:
         return np.array([default])
     lo, hi, n = _fields(option, spec, "lo:hi:n in um", float, float, int)
@@ -231,6 +233,8 @@ def _axis(option: str, spec: str | None, default: float) -> np.ndarray:
 
 
 def _cmd_field(args) -> int:
+    import numpy as np
+
     from .electrostatics import field_at, potential_at
 
     geometry = _geometry(args.geometry)
@@ -256,6 +260,8 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_strayfield(args) -> int:
+    import numpy as np
+
     from .electrostatics import stray_field
 
     geometry = _geometry(args.geometry)

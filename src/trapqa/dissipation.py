@@ -26,8 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "CircuitModel",
     "TrapPreset",
@@ -45,7 +43,7 @@ __all__ = [
 
 #: Drive used for the bundled preset comparison: 160 V amplitude at 22 MHz.
 DEFAULT_DRIVE_V0 = 160.0
-DEFAULT_DRIVE_OMEGA = 2.0 * np.pi * 22e6
+DEFAULT_DRIVE_OMEGA = 2.0 * math.pi * 22e6
 
 #: Above this value of C*R*omega the small-loss split is no longer reliable.
 APPROX_VALIDITY_LIMIT = 0.1

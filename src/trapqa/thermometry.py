@@ -11,6 +11,10 @@ toward low temperature. Temperatures are read back by inverting a fitted
 curve; the temperature resolution is the meter resolution divided by the
 local slope dR/dT.
 
+J(Theta/T) is integrated by a port of QUADPACK's dqagse (trapqa._solvers),
+the routine behind scipy.integrate.quad, which returns quad's value bit for
+bit; all temperatures of a curve are integrated in one batch.
+
 The bundled TS-like presets are calibrated to the two anchors used in
 acceptance checks: the measured sensitivity over the 10..15 K window and the
 room-temperature (295 K) mean resistance. A pure lattice-scattering curve
@@ -18,12 +22,19 @@ cannot also reproduce a large room-to-cryo resistance drop with these
 sensitivities, so the presets carry a dominant residual term.
 """
 
+import math
+import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: loading it takes about
-# a second, which every CLI command would pay at import time.
+from ._solvers import IntegrationWarning, _brentq, _ier_message, _qags
+
+# The integrals and the readout's root find run on ports of scipy's quad and
+# brentq (trapqa._solvers), which keep every bit of scipy's results; only
+# fit_rt_curve imports scipy, for least_squares, inside the function: loading
+# scipy takes about a second, which every thermo process would pay.
 
 __all__ = [
     "RTModel",
@@ -39,6 +50,9 @@ __all__ = [
 
 #: Debye-temperature bounds used when fitting aluminum-like films.
 THETA_BOUNDS = (100.0, 600.0)
+
+# QUADPACK's subinterval limit for J(u)
+_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -58,9 +72,53 @@ class RTModel:
             raise ValueError("theta must be positive")
 
 
-def _bg_integrand(x: float) -> float:
-    """x^5 / ((e^x - 1)(1 - e^-x)): the Bloch-Grueneisen integrand, J'(x)."""
-    return x**5 / ((np.exp(x) - 1.0) * (1.0 - np.exp(-x)))
+def _bg_integrand(x: np.ndarray) -> np.ndarray:
+    """x^5 / ((e^x - 1)(1 - e^-x)) at each x: the Bloch-Grueneisen integrand, J'(x).
+
+    ``x**5`` is a float power, libm's ``pow`` as ``quad``'s scalar calls
+    had it (numpy's array power differs in the last bit at some x), and the
+    exponentials are one ``np.exp`` call on one contiguous array.
+    """
+    flat = x.ravel()
+    n = flat.size
+    # e^x overflows past x ~ 709.78, where the integrand is 0 to double
+    # precision; a zero denominator (x below ~1e-16) makes the integral
+    # infinite or nan, which _bg_integrals refuses by name
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e = np.exp(np.concatenate((flat, -flat)))
+        x5 = np.fromiter(map(pow, flat.tolist(), repeat(5.0)), float, n)
+        return (x5 / ((e[:n] - 1.0) * (1.0 - e[n:]))).reshape(x.shape)
+
+
+def _bg_integrals(uppers, temperatures=None) -> list[float]:
+    """J(u) for each u of ``uppers`` (each above zero), all in one batch.
+
+    Each integral is ``scipy.integrate.quad``'s, bit for bit (``_qags`` is a
+    port of it): relative tolerance 1e-11 and at most 200 subintervals, with
+    quad's warning where QUADPACK flags a result. An upper limit, its fifth
+    power or an integral that is not finite raises ValueError, naming the
+    temperature T (``uppers`` being Theta/T) when ``temperatures`` is given.
+    """
+    def name(i):
+        if temperatures is None:
+            return f"upper limit {uppers[i]!r}"
+        return f"temperature {temperatures[i]!r} K (Theta/T = {uppers[i]!r})"
+
+    for i, u in enumerate(uppers):
+        if not math.isfinite(u):
+            raise ValueError(f"{name(i)}: the upper limit is not finite")
+        try:
+            u**5
+        except OverflowError:
+            raise ValueError(f"{name(i)}: the integrand's x**5 overflows") from None
+    results = _qags(_bg_integrand, 0.0, uppers, 0.0, 1e-11, _LIMIT)
+    for i, (val, _, _) in enumerate(results):
+        if not math.isfinite(val):
+            raise ValueError(f"{name(i)}: the Bloch-Grueneisen integral is {val!r}")
+    for _, _, ier in results:
+        if ier:
+            warnings.warn(_ier_message(ier, _LIMIT), IntegrationWarning, stacklevel=3)
+    return [val for val, _, _ in results]
 
 
 def bg_integral(upper: float) -> float:
@@ -71,17 +129,12 @@ def bg_integral(upper: float) -> float:
     """
     if upper <= 0:
         return 0.0
-    from scipy import integrate
+    return _bg_integrals([float(upper)])[0]
 
-    val, _ = integrate.quad(
-        _bg_integrand,
-        0.0,
-        upper,
-        limit=200,
-        epsabs=0.0,
-        epsrel=1e-11,
-    )
-    return float(val)
+
+def _integrals(theta: float, temperatures: list) -> list[float]:
+    """J(Theta/T) at each temperature, in one batch."""
+    return _bg_integrals([theta / t for t in temperatures], temperatures)
 
 
 def model_resistance(model: RTModel, temperature):
@@ -89,19 +142,22 @@ def model_resistance(model: RTModel, temperature):
     t = np.asarray(temperature, dtype=float)
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
-    flat = np.atleast_1d(t)
-    out = _resistances(model, flat, [bg_integral(model.theta / ti) for ti in flat])
+    flat = np.atleast_1d(t).tolist()
+    out = _resistances(model, flat, _integrals(float(model.theta), flat))
     return float(out[0]) if t.ndim == 0 else out
 
 
-def _resistances(model: RTModel, temperatures, integrals) -> np.ndarray:
-    """R at each temperature, given J(Theta/T) for each one."""
-    return np.array(
-        [
-            model.r_res + model.amplitude * (ti / model.theta) ** 5 * j
-            for ti, j in zip(temperatures, integrals)
-        ]
-    )
+def _resistances(model: RTModel, temperatures: list, integrals) -> np.ndarray:
+    """R at each temperature, given J(Theta/T) for each one; an R that is not
+    finite raises ValueError naming the temperature. (T/Theta)**5 cannot
+    overflow here: wherever it would, J(Theta/T) is already refused."""
+    out = []
+    for t, j in zip(temperatures, integrals):
+        r = model.r_res + model.amplitude * (t / model.theta) ** 5 * j
+        if not math.isfinite(r):
+            raise ValueError(f"temperature {t!r} K: R(T) = {r!r} is not finite")
+        out.append(r)
+    return np.array(out)
 
 
 def d_resistance_d_t(model: RTModel, temperature: float) -> float:
@@ -115,7 +171,7 @@ def d_resistance_d_t(model: RTModel, temperature: float) -> float:
         raise ValueError("temperature must be positive")
     u = model.theta / temperature
     j = bg_integral(u)
-    jprime = _bg_integrand(u) if u < 700 else 0.0
+    jprime = float(_bg_integrand(np.array([u]))[0]) if u < 700 else 0.0
     return float(
         model.amplitude * temperature**4 / model.theta**5 * (5.0 * j - u * jprime)
     )
@@ -154,18 +210,21 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     theta0 = 300.0
     r_res0 = float(np.min(r))
     t_hi = float(np.max(t))
-    bg_hi = (t_hi / theta0) ** 5 * bg_integral(theta0 / t_hi)
+    j_hi = _integrals(theta0, [t_hi])[0]  # first: it refuses every T where the power overflows
+    bg_hi = (t_hi / theta0) ** 5 * j_hi
     a0 = max((float(np.max(r)) - r_res0) / bg_hi, 1e-6)
 
     # The finite-difference Jacobian moves r_res and A at an unchanged Theta,
-    # so the integrals J(Theta/T) are computed once per Theta of the fit.
+    # so the integrals J(Theta/T) are computed once per Theta of the fit, all
+    # temperatures in one batch.
+    ts = t.tolist()
     integrals = {}
 
     def residuals(p):
         m = RTModel(r_res=max(p[0], 0.0), amplitude=max(p[1], 1e-12), theta=p[2])
         if m.theta not in integrals:
-            integrals[m.theta] = [bg_integral(m.theta / ti) for ti in t]
-        return (_resistances(m, t, integrals[m.theta]) - r) / s
+            integrals[m.theta] = _integrals(float(m.theta), ts)
+        return (_resistances(m, ts, integrals[m.theta]) - r) / s
 
     from scipy import optimize
 
@@ -224,18 +283,13 @@ def invert_temperature(
     if not meter_resolution > 0.0:
         raise ValueError(f"meter_resolution must be above zero, got {meter_resolution!r}")
     lo, hi = bounds
-    r_lo = model_resistance(model, lo)
-    r_hi = model_resistance(model, hi)
+    r_lo, r_hi = model_resistance(model, [lo, hi]).tolist()
     if not r_lo <= resistance <= r_hi:
         raise ValueError(
             f"resistance {resistance:.6g} ohm outside model range "
             f"[{r_lo:.6g}, {r_hi:.6g}] for T in [{lo}, {hi}] K"
         )
-    from scipy import optimize
-
-    t = optimize.brentq(
-        lambda x: model_resistance(model, x) - resistance, lo, hi, xtol=1e-9
-    )
+    t = _brentq(lambda x: model_resistance(model, x) - resistance, lo, hi, xtol=1e-9)
     slope = d_resistance_d_t(model, t)
     sigma_t = meter_resolution / slope if slope > 0 else np.inf
     return float(t), float(sigma_t)

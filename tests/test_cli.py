@@ -583,6 +583,17 @@ def test_thermo_calibration_nonpositive_temperature_exits_2(tmp_path, capsys, t_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_k", ["1e-60", "1e300", "1e-310"])
+def test_thermo_calibration_temperature_without_finite_model_exits_2(tmp_path, capsys, t_k):
+    # (Theta/T)**5, (T/Theta)**5 or Theta/T itself is not a finite double
+    cal = tmp_path / "cal.csv"
+    cal.write_text(f"T_K,R_ohm\n{t_k},2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")
+    out = tmp_path / "fit.json"
+    err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert err.count("\n") == 1 and err.startswith(f"trapqa: bad input: temperature {float(t_k)!r} K")
+    assert not out.exists()
+
+
 def test_diagnose_window_missing_well_exits_2(tmp_path, capsys):
     spec = json.loads(_scenario(tmp_path, {"kind": "SHORTED", "electrode": "DC19"}).read_text())
     spec["window_um"] = [200, 400]
@@ -889,6 +900,51 @@ def test_electrostatics_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
         (tmp_path / path).write_text(json.dumps(doc))
     assert run_cli(*args, "--out", "out") == code
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == sha
+
+
+# a seeded calibration of RTModel(2000, 5100, 180) with 0.1% noise, 2.5..295 K
+_CALIBRATION_ROWS = [
+    "2.5,1999.804,1.9998", "4,2001.719,2.0017", "6,2001.079,2.0011", "9,2003.679,2.0037",
+    "12,1998.273,1.9983", "16,2003.754,2.0038", "22,2016.387,2.0164", "30,2044.119,2.0441",
+    "45,2145.393,2.1454", "60,2266.243,2.2662", "77,2411.854,2.4119", "100,2595.911,2.5959",
+    "130,2832.551,2.8326", "170,3135.513,3.1355", "220,3503.047,3.5030", "295,4050.903,4.0509",
+]
+
+# SHA-256 of thermo.json, frozen before the quadrature and root finder were
+# ported from scipy: the ports keep every bit of every readout and fit
+_THERMO_PINS = {
+    "ts1_readout": (
+        None, ["thermo", "--preset", "TS1", "--resistance", "29500"], 0, "4691efa423ef96ab5941cdf68be95ee20fc27e8c7931cf945df9f568ad4ead44",
+    ),
+    "ts2_readout_cold": (
+        None, ["thermo", "--preset", "TS2", "--resistance", "8343.4", "--meter-resolution", "0.1"], 0,
+        "caaacf225d346b24c9f9d680518060a24526a5dc0bcb3dac997ea2324a7d99fd",
+    ),
+    "ts2_readout_warm": (
+        None, ["thermo", "--preset", "TS2", "--resistance", "11000"], 0, "175995e23f7387a129300fafee1a2b867b363694a062a1d9a15f4ed69fd255d1",
+    ),
+    "out_of_range": (
+        None, ["thermo", "--preset", "TS2", "--resistance", "1.0"], 1, "0c7ceb648b09d6508d28ac8886f9c30e8cbbf928f2783001f9d4302afe38d0c2",
+    ),
+    "calibration": (
+        ["T_K,R_ohm"] + [r[: r.rindex(",")] for r in _CALIBRATION_ROWS],
+        ["thermo", "--calibration", "cal.csv", "--resistance", "2300"], 0, "aa8283a377ca6670e30ba6343866093515eba9d967d02edc9f5425864d865730",
+    ),
+    "calibration_sigma": (
+        ["T_K,R_ohm,sigma_ohm"] + _CALIBRATION_ROWS,
+        ["thermo", "--calibration", "cal.csv"], 0, "d7166a48ce16985430074d07c81896894c7fef198f8db51caf8d94a3da150d42",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_THERMO_PINS))
+def test_thermo_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
+    rows, args, code, sha = _THERMO_PINS[name]
+    monkeypatch.chdir(tmp_path)
+    if rows is not None:
+        (tmp_path / "cal.csv").write_text("\n".join(rows) + "\n")
+    assert run_cli(*args, "--out", "thermo.json") == code
+    assert hashlib.sha256((tmp_path / "thermo.json").read_bytes()).hexdigest() == sha
 
 
 _CALIBRATION = ["T_K,R_ohm", "4,2000.1", "77,2400.5", "150,3900.2", "295,6800.9"]

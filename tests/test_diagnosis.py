@@ -4,8 +4,8 @@ Key invariants: a grounded short pins the ion to a scale-independent
 position; a fixed charge (or floating electrode) produces a displacement
 falling off as 1/scale; a healthy trap matches the nominal prediction at
 every scale. The equilibrium solver itself is checked against analytic
-minima of synthetic wells, and its bounded refine against scipy's, which it
-ports.
+minima of synthetic wells, and its bounded refine (trapqa._solvers) against
+scipy's, which it ports.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from trapqa._solvers import _fminbound
 from trapqa.diagnosis import (
     CLASSES,
     POSITION_TOL,
@@ -21,7 +22,6 @@ from trapqa.diagnosis import (
     EquilibriumResult,
     FaultScenario,
     PositionMeasurement,
-    _fminbound,
     axial_potential,
     classify_fault,
     equilibrium_position,

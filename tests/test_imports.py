@@ -1,9 +1,12 @@
 """Import weight: each CLI process loads only what its command runs.
 
-Loading scipy takes about a second, which every CLI process would pay, so
-scipy is imported only inside the functions that call it; the CLI imports
-each command's analysis modules inside that command. Each check runs in a
-fresh interpreter, since this test session has long since loaded them all.
+Loading scipy takes about a second and numpy about 0.15 s, which every CLI
+process would pay. So the CLI imports each command's analysis modules, and
+numpy, inside that command; the only scipy call left, ``least_squares`` in
+the R(T) fit, is imported inside the function that calls it; the chip test
+and the power table are plain Python and load no numpy at all. Each check
+runs in a fresh interpreter, since this test session has long since loaded
+them all.
 """
 
 import json
@@ -20,13 +23,13 @@ SRC = str(Path(trapqa.__file__).resolve().parent.parent)
 
 REPORT_MODULES = (
     "import sys; print(' '.join(sorted(m for m in sys.modules"
-    " if m.split('.')[0] in ('scipy', 'trapqa', 'concurrent') or m.startswith('numpy.random'))))"
+    " if m.split('.')[0] in ('scipy', 'trapqa', 'concurrent', 'numpy'))))"
 )
 
 
 def _modules_after(code, cwd):
-    """The scipy, trapqa, concurrent and numpy.random modules loaded after
-    running ``code`` in a fresh interpreter."""
+    """The scipy, trapqa, concurrent and numpy modules loaded after running
+    ``code`` in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
@@ -40,8 +43,8 @@ def _scipy_modules_after(code, cwd):
     return [m for m in _modules_after(code, cwd) if m.split(".")[0] == "scipy"]
 
 
-def _run_main(argv):
-    return f"from trapqa.cli import main\nassert main({argv!r}) == 0"
+def _run_main(argv, code=0):
+    return f"from trapqa.cli import main\nassert main({argv!r}) == {code}"
 
 
 @pytest.mark.parametrize(
@@ -61,14 +64,65 @@ def test_import_loads_no_scipy(module, tmp_path):
 
 
 def test_cli_import_loads_no_analysis_module(tmp_path):
-    # the analysis modules, numpy.random and scipy wait for a command
+    # the analysis modules, numpy and scipy wait for a command
     assert _modules_after("import trapqa.cli", tmp_path) == ["trapqa", "trapqa._io", "trapqa.cli"]
 
 
 def test_wafertest_import_loads_no_numpy(tmp_path):
     # the chip test simulator is plain Python: it needs the standard library alone
-    code = "import sys, trapqa.wafertest\nprint(*(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    assert _modules_after(code, tmp_path) == ["trapqa", "trapqa._io", "trapqa.wafertest"]
+    assert _modules_after("import trapqa.wafertest", tmp_path) == ["trapqa", "trapqa._io", "trapqa.wafertest"]
+
+
+NETLIST = {"name": "toy", "nets": [
+    {"id": "DC01", "role": "dc", "pads": ["P1", "P2"], "loop_resistance_ohm": 20.0, "group": "SUP1"},
+    {"id": "TS1", "role": "ts", "pads": ["T1", "T2", "T3", "T4"], "loop_resistance_ohm": 15.0,
+     "element_resistance_ohm": 32.3e3},
+    {"id": "RF", "role": "rf", "pads": ["R1", "R2"], "loop_resistance_ohm": 5.0},
+    {"id": "GND", "role": "gnd", "pads": ["G1"]},
+]}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dissipation", "--out", "power.csv"], 0),
+        (["dissipation", "--v0", "80", "--freq-mhz", "30", "--out", "power.csv"], 0),
+        (["wafertest", "--out", "steps.csv", "--summary", "run.json"], 0),
+        (["wafertest", "--faults", "faults.json", "--out", "steps.csv", "--summary", "run.json"], 1),
+        (["wafertest", "--netlist", "netlist.json", "--out", "steps.csv"], 0),
+    ],
+    ids=["dissipation", "dissipation_drive", "wafertest", "wafertest_faults", "wafertest_netlist"],
+)
+def test_stdlib_command_loads_no_numpy(argv, code, tmp_path):
+    # the power table and the chip test are plain Python, the CLI included
+    (tmp_path / "faults.json").write_text(json.dumps({"faults": [{"kind": "OPEN", "net": "DC05"}]}))
+    (tmp_path / "netlist.json").write_text(json.dumps(NETLIST))
+    loaded = _modules_after(_run_main(argv, code), tmp_path)
+    assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_usage_error_loads_no_numpy(tmp_path):
+    code = (
+        "from trapqa.cli import main\n"
+        "try:\n    main(['wafertest', '--bogus'])\n"
+        "except SystemExit as exc:\n    assert exc.code == 2"
+    )
+    assert _modules_after(code, tmp_path) == ["trapqa", "trapqa._io", "trapqa.cli"]
+
+
+def test_thermo_preset_loads_no_scipy(tmp_path):
+    # the readout integrates and finds its root with the ports in trapqa._solvers
+    argv = ["thermo", "--preset", "TS1", "--resistance", "29500", "--out", "thermo.json"]
+    assert _scipy_modules_after(_run_main(argv), tmp_path) == []
+
+
+def test_thermo_calibration_loads_no_quadrature(tmp_path):
+    # the fit imports scipy for least_squares alone
+    (tmp_path / "cal.csv").write_text("T_K,R_ohm\n4,2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")
+    argv = ["thermo", "--calibration", "cal.csv", "--resistance", "2300", "--out", "fit.json"]
+    loaded = _scipy_modules_after(_run_main(argv), tmp_path)
+    assert "scipy.optimize" in loaded
+    assert [m for m in loaded if m.startswith("scipy.integrate")] == []
 
 
 def test_kernels_import_loads_no_executor(tmp_path):

@@ -155,18 +155,29 @@ def test_fit_refuses_nonpositive_temperature(t_bad):
         fit_rt_curve(ts, np.array([2000.1, 2400.5, 3900.2, 6800.9]))
 
 
+def _quad_bg(u):
+    """J(u) by scipy's quad on the scalar integrand: the reference for the port."""
+    from scipy import integrate
+
+    with np.errstate(over="ignore"):
+        return integrate.quad(
+            lambda x: x**5 / ((np.exp(x) - 1.0) * (1.0 - np.exp(-x))), 0.0, u,
+            limit=200, epsabs=0.0, epsrel=1e-11,
+        )[0]
+
+
 def _reference_fit(ts, rs):
-    """Scalar reference: the fit as it ran with one ``model_resistance`` call,
-    so one ``bg_integral`` per temperature, per residual evaluation."""
+    """Scalar reference: the fit as it ran with one ``quad`` call per
+    temperature, per residual evaluation."""
     from scipy import optimize
 
     theta0, r_res0 = 300.0, float(np.min(rs))
-    bg_hi = (ts.max() / theta0) ** 5 * bg_integral(theta0 / ts.max())
+    bg_hi = (ts.max() / theta0) ** 5 * _quad_bg(theta0 / ts.max())
     a0 = max((float(np.max(rs)) - r_res0) / bg_hi, 1e-6)
 
     def residuals(p):
         m = RTModel(r_res=max(p[0], 0.0), amplitude=max(p[1], 1e-12), theta=p[2])
-        return model_resistance(m, ts) - rs
+        return np.array([m.r_res + m.amplitude * (t / m.theta) ** 5 * _quad_bg(m.theta / t) for t in ts]) - rs
 
     res = optimize.least_squares(
         residuals,
@@ -186,12 +197,17 @@ def test_fit_computes_each_integral_once_per_theta(monkeypatch, rng):
     ref, chi2, cov = _reference_fit(ts, rs)
 
     seen = []
-    real = thermometry.bg_integral
-    monkeypatch.setattr(thermometry, "bg_integral", lambda u: seen.append(u) or real(u))
+    real = thermometry._bg_integrals
+    monkeypatch.setattr(
+        thermometry, "_bg_integrals", lambda us, ts=None: seen.append(list(us)) or real(us, ts)
+    )
     fit = fit_rt_curve(ts, rs)
     # after the start value, no integral is computed twice; the scalar path
     # repeats every one for each of the two Jacobian columns at fixed theta
-    assert len(seen[1:]) == len(set(seen[1:])) > 0
+    flat = [u for batch in seen[1:] for u in batch]
+    assert len(flat) == len(set(flat)) > 0
+    # each theta integrates every temperature in one batch
+    assert [len(batch) for batch in seen] == [1] + [len(ts)] * (len(seen) - 1)
     assert (fit.model.r_res, fit.model.amplitude, fit.model.theta) == tuple(ref.x)
     assert fit.chi2 == chi2
     assert np.array_equal(fit.covariance, cov)
