@@ -49,16 +49,16 @@ def as_text(value, what: str, optional: bool = False) -> str | None:
     return value
 
 
-def as_number(value, what: str, finite: bool = True) -> float:
-    """A JSON number as a float, refused unless finite (if ``finite``) and
-    unless it fits a float; bools are refused too."""
+def as_number(value, what: str) -> float:
+    """A JSON number as a float, refused unless finite and unless it fits a
+    float; bools are refused too."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
-    if finite and not math.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"{what} is not finite: {value!r}")
     return x
 

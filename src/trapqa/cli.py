@@ -183,6 +183,9 @@ def _cmd_yieldmap(args) -> int:
     )
 
     stats = ym.yield_stats(outcomes)
+    if args.out_stats and not stats.passed:
+        raise ValueError("no chip passed, so --out-stats has no defect estimate: it needs a yield above zero")
+    defects = ym.infer_defects(stats.yield_fraction, stats.total) if args.out_stats else None
     cells = ym.reticle_periodicity(sites, outcomes)
     edge = ym.edge_concentration(sites, outcomes, layout=layout)
     flagged_cells = [c.cell for c in cells if c.flagged]
@@ -193,7 +196,6 @@ def _cmd_yieldmap(args) -> int:
     )
     atomic_write_text(args.out_csv, ym.render_csv(sites, outcomes))
     if args.out_stats:
-        defects = ym.infer_defects(stats.yield_fraction, stats.total)
         atomic_write_text(
             args.out_stats,
             dump_json(
@@ -293,10 +295,8 @@ def _cmd_diagnose(args) -> int:
     voltages = _voltage_map(spec["voltages"], "scenario 'voltages'", geometry)
     scales = as_list(spec.get("scales", [1.0, 2.0, 4.0]), "scenario 'scales'")
     scales = [as_number(s, "scenario 'scales'") for s in scales]
-    # an infinite end passes here: equilibrium_position refuses it by name
     window = tuple(
-        as_number(v, "scenario 'window_um'", finite=False) * 1e-6
-        for v in as_list(spec["window_um"], "scenario 'window_um'", 2)
+        as_number(v, "scenario 'window_um'") * 1e-6 for v in as_list(spec["window_um"], "scenario 'window_um'", 2)
     )
     axis = spec.get("axis_um")
     if axis is not None:
@@ -360,6 +360,8 @@ def _cmd_thermo(args) -> int:
         with open(args.calibration, "r", encoding="utf-8") as fh:
             rows = read_csv(fh, "--calibration", ("T_K", "R_ohm"), ("sigma_ohm",))
         s = [r["sigma_ohm"] for r in rows if r["sigma_ohm"] is not None]
+        if 0 < len(s) < len(rows):
+            raise ValueError(f"--calibration: sigma_ohm is on {len(s)} of {len(rows)} rows; give it on all rows or none")
         fit = thermo.fit_rt_curve([r["T_K"] for r in rows], [r["R_ohm"] for r in rows], sigma=s if s else None)
         model = fit.model
         fit_info = {"chi2": fit.chi2, "dof": fit.dof, "fit_status": fit.status, "fit_nfev": fit.nfev}
@@ -475,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("thermo", help="fit R(T) calibration or read back a temperature")
-    p.add_argument("--calibration", help="CSV T_K,R_ohm[,sigma_ohm]")
-    p.add_argument("--preset", choices=SENSOR_PRESET_NAMES, help="use a bundled model")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--calibration", help="CSV T_K,R_ohm[,sigma_ohm]")
+    source.add_argument("--preset", choices=SENSOR_PRESET_NAMES, help="use a bundled model")
     p.add_argument("--resistance", type=_finite_float, help="invert this resistance (ohm)")
     p.add_argument(
         "--meter-resolution", type=_positive_float, default=1.0, help="meter resolution (ohm)"

@@ -45,8 +45,8 @@ __all__ = [
 
 CLASSES = ("NOMINAL", "SHORTED", "FLOATING_OR_CHARGE", "UNCLASSIFIED")
 
-#: Default position agreement tolerance (m): two positions closer than this
-#: are considered the same for classification purposes.
+#: Position agreement tolerance (m): two positions closer than this are
+#: considered the same for classification purposes.
 POSITION_TOL = 0.5e-6
 
 #: Default equilibrium search tolerance (m).
@@ -143,13 +143,8 @@ def axial_potential(
     return phi
 
 
-def equilibrium_position(
-    potential,
-    window: tuple[float, float],
-    tol: float = SEARCH_TOL,
-    coarse: int = 201,
-) -> EquilibriumResult:
-    """Minimize a 1D potential: coarse scan, then bounded golden/Brent refine.
+def equilibrium_position(potential, window: tuple[float, float], tol: float = SEARCH_TOL) -> EquilibriumResult:
+    """Minimize a 1D potential: 201-point scan, then bounded golden/Brent refine.
 
     ``potential`` is any callable accepting a scalar or an array of axial
     positions. The result flags minima pinned at the window boundary, which
@@ -160,10 +155,10 @@ def equilibrium_position(
         raise ValueError("window ends must be finite")
     if not hi > lo:
         raise ValueError("window must satisfy lo < hi")
-    xs = np.linspace(lo, hi, coarse)
+    xs = np.linspace(lo, hi, 201)
     vals = np.atleast_1d(potential(xs))
     k = int(np.argmin(vals))
-    if k == 0 or k == coarse - 1:
+    if k == 0 or k == len(xs) - 1:
         return EquilibriumResult(position=float(xs[k]), value=float(vals[k]), at_boundary=True)
     x, fx = _fminbound(lambda x: float(potential(x)), xs[k - 1], xs[k + 1], xatol=tol)
     return EquilibriumResult(position=float(x), value=float(fx), at_boundary=False)
@@ -176,9 +171,8 @@ def simulate_positions(
     scales,
     window: tuple[float, float],
     axis: tuple[float, float] | None = None,
-    tol: float = SEARCH_TOL,
 ) -> list[PositionMeasurement]:
-    """Predicted axial positions for each global scale factor.
+    """Predicted axial positions, found to ``SEARCH_TOL``, for each global scale factor.
 
     Raises ``ValueError`` when a minimum is pinned at a window edge: the
     window then misses the well and the edge is no position of the ion.
@@ -186,7 +180,7 @@ def simulate_positions(
     out = []
     for s in scales:
         phi = axial_potential(geometry, voltages, scenario, s, axis=axis)
-        eq = equilibrium_position(phi, window, tol=tol)
+        eq = equilibrium_position(phi, window)
         if eq.at_boundary:
             raise ValueError(
                 f"scale {s:g}: the minimum is pinned at the window edge "
@@ -197,16 +191,12 @@ def simulate_positions(
     return out
 
 
-def classify_fault(
-    measured: list[PositionMeasurement],
-    nominal: list[PositionMeasurement],
-    tol: float = POSITION_TOL,
-) -> str:
+def classify_fault(measured: list[PositionMeasurement], nominal: list[PositionMeasurement]) -> str:
     """Assign a fault class from scale-sweep position data.
 
     ``measured`` and ``nominal`` must cover the same scale factors (at least
-    two). Decision order matters: nominal agreement is checked first since a
-    healthy trap is also scale-invariant.
+    two); positions within ``POSITION_TOL`` agree. Decision order matters:
+    nominal agreement is checked first since a healthy trap is scale-invariant.
     """
     if len(measured) < 2:
         raise ValueError("need measurements at two or more scale factors")
@@ -216,15 +206,15 @@ def classify_fault(
         raise ValueError("measured and nominal scale factors differ")
 
     dist = np.array([abs(m.position - n.position) for m, n in zip(meas, nom)])
-    if np.all(dist <= tol):
+    if np.all(dist <= POSITION_TOL):
         return "NOMINAL"
 
     positions = np.array([m.position for m in meas])
-    if positions.max() - positions.min() <= tol:
+    if positions.max() - positions.min() <= POSITION_TOL:
         return "SHORTED"
 
     # displacement from nominal must shrink as the scale grows
-    toward = np.all(np.diff(dist) <= tol) and (dist[0] - dist[-1]) > tol
+    toward = np.all(np.diff(dist) <= POSITION_TOL) and (dist[0] - dist[-1]) > POSITION_TOL
     if toward:
         return "FLOATING_OR_CHARGE"
     return "UNCLASSIFIED"

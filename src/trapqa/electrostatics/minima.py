@@ -28,14 +28,15 @@ class TrapMinimum:
 
 
 # Batched Newton search for the RF nulls, on the analytic field gradient.
+_GRID = 11  # seeds per side of the lattice
 _STEP_TOL = 1e-12  # converged once the step is below this / height
 _MAX_ITER = 60
 _STALL_ITER = 8  # a seed retires after this many iterations without a new least residual
 _DEDUP_TOL = 1e-6  # m: nulls this close in y and in z are one null
 
 
-def _newton_nulls(geometry, x, window, grid):
-    """Converged zeros of (E_y, E_z) from a ``grid x grid`` lattice of seeds.
+def _newton_nulls(geometry, x, window):
+    """Converged zeros of (E_y, E_z) from a ``_GRID x _GRID`` lattice of seeds.
 
     All active seeds advance together: one ``field_gradient_at`` call per
     iteration gives each seed's residual and its Jacobian ``dE_(y,z)/d(y,z)``,
@@ -52,7 +53,7 @@ def _newton_nulls(geometry, x, window, grid):
     (y_lo, y_hi), (z_lo, z_hi) = window
     dy, dz = y_hi - y_lo, z_hi - z_lo
     unit_volts = _rf_voltages(geometry, 1.0)
-    ys, zs = np.meshgrid(np.linspace(y_lo, y_hi, grid), np.linspace(z_lo, z_hi, grid), indexing="ij")
+    ys, zs = np.meshgrid(np.linspace(y_lo, y_hi, _GRID), np.linspace(z_lo, z_hi, _GRID), indexing="ij")
     yz = np.column_stack([ys.ravel(), zs.ravel()])
     converged = np.zeros(len(yz), dtype=bool)
     least = np.full(len(yz), np.inf)  # least residual so far, per seed
@@ -98,11 +99,10 @@ def find_rf_minima(
     drive: DriveParams,
     window: tuple[tuple[float, float], tuple[float, float]],
     x: float = 0.0,
-    grid: int = 11,
 ) -> list[TrapMinimum]:
     """Locate RF nulls in the transverse (y, z) plane at fixed ``x``.
 
-    Seeds a ``grid x grid`` lattice over ``window = ((y_lo, y_hi),
+    Seeds a ``_GRID x _GRID`` (11 x 11) lattice over ``window = ((y_lo, y_hi),
     (z_lo, z_hi))`` and solves E_y = E_z = 0 of the unit-volt RF field from
     all seeds at once by a damped Newton iteration: one evaluation of the
     field and its analytic gradient per iteration covers every active seed,
@@ -127,7 +127,7 @@ def find_rf_minima(
         raise ValueError("window must be (y_lo < y_hi, 0 < z_lo < z_hi)")
 
     found = []
-    converged, unfinished = _newton_nulls(geometry, x, window, grid)
+    converged, unfinished = _newton_nulls(geometry, x, window)
     for y0, z0 in converged:
         if not (y_lo - _DEDUP_TOL <= y0 <= y_hi + _DEDUP_TOL):
             continue

@@ -103,13 +103,15 @@ def heating_rate_fit(times, nbars, sigmas=None) -> LinearFit:
 
     The slope is the heating rate (quanta/s when times are seconds). With
     ``sigmas`` omitted all points weigh equally and the result coincides
-    with ordinary least squares.
+    with ordinary least squares; given, they are one value per point.
     """
     times = np.asarray(times, dtype=float)
     nbars = np.asarray(nbars, dtype=float)
     if times.shape != nbars.shape or times.ndim != 1 or len(times) < 2:
         raise ValueError("need matching 1D arrays with at least 2 points")
     s = np.ones_like(nbars) if sigmas is None else np.asarray(sigmas, dtype=float)
+    if s.shape != nbars.shape:
+        raise ValueError(f"sigmas has shape {s.shape}, the data {nbars.shape}")
     if np.any(s <= 0):
         raise ValueError("sigmas must be positive")
     slope, intercept, vs, vi, chi2 = _weighted_linfit(times, nbars, s)

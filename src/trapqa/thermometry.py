@@ -125,9 +125,11 @@ def bg_integral(upper: float) -> float:
     """Integral of x^5 / ((e^x - 1)(1 - e^-x)) from 0 to ``upper``.
 
     The integrand behaves as x^3 near zero and decays as x^5 e^-x at large
-    x; adaptive quadrature handles both ends.
+    x; adaptive quadrature handles both ends. A negative ``upper`` raises ValueError.
     """
-    if upper <= 0:
+    if upper < 0:
+        raise ValueError(f"upper limit {upper!r} is below zero")
+    if upper == 0:
         return 0.0
     return _bg_integrals([float(upper)])[0]
 
@@ -165,13 +167,13 @@ def d_resistance_d_t(model: RTModel, temperature: float) -> float:
 
     With u = Theta/T and J(u) the integral above,
     d/dT [(T/Theta)^5 J(u)] = (T^4/Theta^5) (5 J(u) - u J'(u)),
-    J'(u) = u^5 / ((e^u - 1)(1 - e^-u)).
+    J'(u) = u^5 / ((e^u - 1)(1 - e^-u)), which underflows to 0 for large u.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     u = model.theta / temperature
     j = bg_integral(u)
-    jprime = float(_bg_integrand(np.array([u]))[0]) if u < 700 else 0.0
+    jprime = float(_bg_integrand(np.array([u]))[0])
     return float(
         model.amplitude * temperature**4 / model.theta**5 * (5.0 * j - u * jprime)
     )
@@ -192,20 +194,26 @@ class RTFit:
 def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     """Least-squares fit of the R(T) model to calibration data.
 
-    ``sigma`` weights the residuals when given. Theta is constrained to the
-    aluminum-like window 100..600 K; starting values come from the data
-    (residual from the coldest point, amplitude from the warmest). Raises
-    ``ValueError`` with the solver status when the fit does not converge.
+    ``sigma``, one value per point, weights the residuals when given. Theta is
+    constrained to the aluminum-like window 100..600 K; starting values come
+    from the data (residual from the coldest point, amplitude from the
+    warmest). Raises ``ValueError`` for fewer than 3 distinct temperatures,
+    one per parameter, and with the solver status when the fit does not converge.
     """
     t = np.asarray(temperatures, dtype=float)
     r = np.asarray(resistances, dtype=float)
     if t.shape != r.shape or t.ndim != 1 or len(t) < 4:
         raise ValueError("need matching 1D arrays with at least 4 points")
     s = np.ones_like(r) if sigma is None else np.asarray(sigma, dtype=float)
+    if s.shape != r.shape:
+        raise ValueError(f"sigma has shape {s.shape}, the data {r.shape}")
     if np.any(s <= 0):
         raise ValueError("sigma values must be positive")
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
+    ts = t.tolist()
+    if len(set(ts)) < 3:
+        raise ValueError(f"need at least 3 distinct temperatures, one per model parameter, got {len(set(ts))}")
 
     theta0 = 300.0
     r_res0 = float(np.min(r))
@@ -217,7 +225,6 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     # The finite-difference Jacobian moves r_res and A at an unchanged Theta,
     # so the integrals J(Theta/T) are computed once per Theta of the fit, all
     # temperatures in one batch.
-    ts = t.tolist()
     integrals = {}
 
     def residuals(p):
@@ -256,33 +263,25 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     )
 
 
-def sensitivity(model: RTModel, window: tuple[float, float] = (10.0, 15.0), n: int = 11) -> float:
-    """Measured-style sensitivity: linear-fit slope of R over ``window`` (ohm/K)."""
-    lo, hi = window
-    if not 0 < lo < hi:
-        raise ValueError("window must satisfy 0 < lo < hi")
-    t = np.linspace(lo, hi, n)
+def sensitivity(model: RTModel) -> float:
+    """Measured-style sensitivity: slope (ohm/K) of a line fitted to R at 11 points over 10..15 K."""
+    t = np.linspace(10.0, 15.0, 11)
     r = model_resistance(model, t)
     return float(np.polyfit(t, r, 1)[0])
 
 
-def invert_temperature(
-    model: RTModel,
-    resistance: float,
-    meter_resolution: float = 1.0,
-    bounds: tuple[float, float] = (2.0, 320.0),
-) -> tuple[float, float]:
+def invert_temperature(model: RTModel, resistance: float, meter_resolution: float = 1.0) -> tuple[float, float]:
     """Temperature (K) and its resolution for a measured resistance.
 
     The model is strictly increasing, so the readout is a bracketed root
-    find over ``bounds``; resistances outside the model's range there raise
+    find over 2..320 K; resistances outside the model's range there raise
     ValueError. The temperature resolution is ``meter_resolution / (dR/dT)``
     at the solution; a ``meter_resolution`` that is not above zero raises
     ValueError.
     """
     if not meter_resolution > 0.0:
         raise ValueError(f"meter_resolution must be above zero, got {meter_resolution!r}")
-    lo, hi = bounds
+    lo, hi = 2.0, 320.0
     r_lo, r_hi = model_resistance(model, [lo, hi]).tolist()
     if not r_lo <= resistance <= r_hi:
         raise ValueError(

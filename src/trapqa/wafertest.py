@@ -16,7 +16,7 @@ failing step:
    resistance band: 0..50 ohm for DC and RF loops, the sensor-element bands
    for the two thermometers.
 
-The bundled default netlist (70 DC loop groups, 6 compensation electrodes,
+The bundled default netlist (70 DC loops, 6 compensation electrodes,
 2 four-pad sensors, RF, ground) makes the plan exactly 480 steps long:
 79 continuity + 2 x 161 leakage (152 DC-class pads + 8 sensor pads + 1 RF
 stress) + 79 resistance. At 16.25 ms per step a defect-free chip completes
@@ -83,8 +83,7 @@ class Net:
     ``loop_resistance`` is the bond-pad loop (pad, trace, electrode, trace,
     pad). Sensors additionally carry ``element_resistance``, the four-wire
     resistance of the sensing element itself, which is what the resistance
-    phase measures for role ``ts``. ``group`` optionally names the DC supply
-    line the net shares with others (used by spatial-defect analytics).
+    phase measures for role ``ts``.
     """
 
     id: str
@@ -92,7 +91,6 @@ class Net:
     pads: tuple[str, ...]
     loop_resistance: float
     element_resistance: float | None = None
-    group: str | None = None
 
     def __post_init__(self):
         if self.role not in NET_ROLES:
@@ -278,9 +276,8 @@ class ChipResult:
 def default_netlist() -> ChipNetlist:
     """The bundled linear-trap netlist; its plan is exactly 480 steps.
 
-    70 DC loop groups (supply lines cycle in threes, ``group`` records the
-    line), 6 compensation loops, two Kelvin-connected sensors, an RF loop
-    and the ground plane. Step arithmetic: 79 continuity + 2 passes x
+    70 DC loops, 6 compensation loops, two Kelvin-connected sensors, an RF
+    loop and the ground plane. Step arithmetic: 79 continuity + 2 passes x
     (152 DC/comp pads + 8 sensor pads + 1 RF stress) + 79 resistance = 480.
     """
     nets = []
@@ -291,7 +288,6 @@ def default_netlist() -> ChipNetlist:
                 role="dc",
                 pads=(f"DC{k:02d}A", f"DC{k:02d}B"),
                 loop_resistance=20.0,
-                group=f"SUP{(k - 1) % 3 + 1}",
             )
         )
     for k in range(1, 7):
@@ -344,7 +340,6 @@ def netlist_from_dict(data: dict) -> ChipNetlist:
                 as_number(n["element_resistance_ohm"], f"{at} 'element_resistance_ohm'")
                 if "element_resistance_ohm" in n else None
             ),
-            group=as_text(n.get("group"), f"{at} 'group'", optional=True),
         )
         for at, n in as_objects(data["nets"], "'nets'", "net")
     )

@@ -77,6 +77,9 @@ DEFAULT_LAYOUT = WaferLayout()
 #: Outer fraction of the usable radius that ``edge_concentration`` tests.
 _EDGE_ANNULUS = 0.2
 
+#: Significance level of ``reticle_periodicity`` and ``edge_concentration``.
+_ALPHA = 0.01
+
 
 @dataclass(frozen=True)
 class ChipSite:
@@ -185,18 +188,13 @@ class CellStat:
     flagged: bool
 
 
-def reticle_periodicity(
-    sites,
-    outcomes: dict,
-    code: str | None = None,
-    alpha: float = 0.01,
-) -> list[CellStat]:
+def reticle_periodicity(sites, outcomes: dict, code: str | None = None) -> list[CellStat]:
     """Per-reticle-cell excess-failure test.
 
     Counts failures (of ``code``, or any non-PASS outcome when ``code`` is
     None) per reticle cell and asks, cell by cell, how likely at least the
     observed count is under a uniform failure rate: an exact binomial tail
-    with the pooled rate, Bonferroni-corrected over the 9 reticle cells.
+    with the pooled rate, at level ``_ALPHA`` / 9 (Bonferroni over the cells).
     Flagged cells with a tiny p value indicate a mask or reticle-local
     process defect.
     """
@@ -215,7 +213,7 @@ def reticle_periodicity(
             total_fail += 1
     n_total = sum(per_cell_sites.values())
     rate = total_fail / n_total if n_total else 0.0
-    threshold = alpha / 9.0  # Bonferroni over the reticle
+    threshold = _ALPHA / 9.0  # Bonferroni over the reticle
     from scipy import special
 
     out = []
@@ -253,14 +251,13 @@ def edge_concentration(
     sites,
     outcomes: dict,
     code: str | None = None,
-    alpha: float = 0.01,
     layout: WaferLayout = DEFAULT_LAYOUT,
 ) -> EdgeStat:
     """One-sided test for failures concentrating in the outer annulus.
 
     Sites in the outer ``_EDGE_ANNULUS`` (20%) of the usable radius form the
-    edge group; a pooled two-proportion z test asks whether their failure
-    rate exceeds the interior's.
+    edge group; a pooled two-proportion z test at level ``_ALPHA`` (1%) asks
+    whether their failure rate exceeds the interior's.
     """
 
     def is_hit(outcome: str) -> bool:
@@ -295,7 +292,7 @@ def edge_concentration(
         n_inner_fail=fi,
         z=float(z),
         p_value=p,
-        flagged=p < alpha,
+        flagged=p < _ALPHA,
     )
 
 

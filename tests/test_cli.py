@@ -556,6 +556,18 @@ def test_yieldmap_non_number_rate_exits_2(tmp_path, capsys, monkeypatch, rate):
     assert not (tmp_path / "w.svg").exists() and not (tmp_path / "w.csv").exists()
 
 
+def test_yieldmap_stats_without_a_passing_chip_exits_2(tmp_path, capsys, monkeypatch):
+    # the map and the CSV used to be written before the defect estimate refused
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rates.json").write_text(json.dumps({"CONTINUITY_FAIL": 1.0}))
+    outs = ["w.svg", "w.csv", "w.json"]
+    err = _refused(
+        capsys, "yieldmap", "--rates", "rates.json", "--out-svg", outs[0], "--out-csv", outs[1], "--out-stats", outs[2]
+    )
+    assert err.count("\n") == 1 and "no chip passed" in err
+    assert not any((tmp_path / o).exists() for o in outs)
+
+
 def test_parser_defaults_match_the_analysis_modules():
     # the parser repeats these so that building it imports no analysis module
     from trapqa import cli, dissipation, thermometry
@@ -594,6 +606,39 @@ def test_thermo_calibration_temperature_without_finite_model_exits_2(tmp_path, c
     assert not out.exists()
 
 
+def test_thermo_preset_with_calibration_exits_2(tmp_path, capsys):
+    # the preset would win and the calibration file would never be opened
+    out = tmp_path / "thermo.json"
+    err = _refused(capsys, "thermo", "--preset", "TS1", "--calibration", tmp_path / "missing.csv", "--out", out)
+    assert "--calibration: not allowed with argument --preset" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("filled", [1, 3, 19])
+def test_thermo_partial_sigma_column_exits_2(tmp_path, capsys, filled):
+    # one filled row used to weigh every row alike; three hit a numpy broadcast error
+    rows = [f"{4 + 15 * k},{2000 + 25 * k * k},{5 if k < filled else ''}" for k in range(20)]
+    cal = tmp_path / "cal.csv"
+    cal.write_text("\n".join(["T_K,R_ohm,sigma_ohm", *rows]) + "\n")
+    out = tmp_path / "fit.json"
+    err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert err == (
+        f"trapqa: bad input: --calibration: sigma_ohm is on {filled} of 20 rows; give it on all rows or none\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("temps", [[10, 10, 10, 10], [10, 20, 10, 20]], ids=["one", "two"])
+def test_thermo_calibration_with_too_few_temperatures_exits_2(tmp_path, capsys, temps):
+    # the fit used to report its start value, or near it, as converged
+    cal = tmp_path / "cal.csv"
+    cal.write_text("\n".join(["T_K,R_ohm", *(f"{t},{2000 + t + k}" for k, t in enumerate(temps))]) + "\n")
+    out = tmp_path / "fit.json"
+    err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert err.count("\n") == 1 and f"at least 3 distinct temperatures, one per model parameter, got {len(set(temps))}" in err
+    assert not out.exists()
+
+
 def test_diagnose_window_missing_well_exits_2(tmp_path, capsys):
     spec = json.loads(_scenario(tmp_path, {"kind": "SHORTED", "electrode": "DC19"}).read_text())
     spec["window_um"] = [200, 400]
@@ -618,7 +663,7 @@ def test_diagnose_non_finite_window_exits_2(tmp_path, capsys, window):
         # numpy used to warn on the unbounded scan before the misleading refusal
         warnings.simplefilter("error")
         err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
-    assert "window ends must be finite" in err
+    assert "scenario 'window_um' is not finite" in err
     assert not out.exists()
 
 
@@ -727,7 +772,6 @@ _MALFORMED = [
      "net 0 'element_resistance_ohm' must be a number"),
     ("netlist_pads_string", _NETLIST, _net(pads="AB"), "net 0 'pads' must be a list"),
     ("netlist_id_number", _NETLIST, _net(id=1), "net 0 'id' must be a string"),
-    ("netlist_group_list", _NETLIST, _net(group=["SUP1"]), "net 0 'group' must be a string"),
     # geometries
     ("geometry_list_document", _GEOMETRY, [], "geometry must be a JSON object"),
     ("geometry_electrodes_string", _GEOMETRY, {"electrodes": "E1"}, "geometry 'electrodes' must be a list"),
@@ -843,13 +887,21 @@ def test_field_csv_is_the_same_at_every_thread_count(tmp_path, monkeypatch, geom
 
 
 _ELECTRODE_IDS = paper_trap_geometry().ids()
+_DIAGNOSE_SCENARIO = {
+    "geometry": "builtin",
+    "voltages": {"DC17": 1.0, "DC18": -2.0, "DC19": 1.0, "DC52": 1.0, "DC53": -2.0, "DC54": 1.0},
+    "scales": [1.0, 2.0, 4.0],
+    "window_um": [-300, 300],
+}
 
 # Frozen SHA-256 of electrostatics artifacts, one per path to the kernels: the
 # README field scan, a scan with every electrode at 0 V (no rectangle reaches
 # the kernels), a scan of four kernel blocks with all 79 electrodes driven,
 # the README-style strayfield, and a GAP_CHARGE diagnosis, whose charge
-# rectangle is stacked under the driven electrodes' rectangles. Each case is
-# (input documents, arguments without --out, exit code, digest).
+# rectangle is stacked under the driven electrodes' rectangles; and the
+# SHORTED and FLOATING diagnoses, frozen before the search and
+# classification tolerances became constants. Each case is (input
+# documents, arguments without --out, exit code, digest).
 _ELECTROSTATICS_PINS = {
     "field_readme": (
         {},
@@ -889,6 +941,23 @@ _ELECTROSTATICS_PINS = {
         1,
         "55b91189c88e98ef517bafa9722e54db5b2438e413c6e945f1fbf211155dd467",
     ),
+    "diagnose_shorted": (
+        {"scenario.json": {**_DIAGNOSE_SCENARIO, "fault": {"kind": "SHORTED", "electrode": "DC19"}}},
+        ["diagnose", "--scenario", "scenario.json"],
+        1,
+        "4281c3d9c47b2f129a877217d5f48072874fcb1dc23e3d877b4e3e0d9af2d1f1",
+    ),
+    "diagnose_floating": (
+        {
+            "scenario.json": {
+                **_DIAGNOSE_SCENARIO,
+                "fault": {"kind": "FLOATING", "electrode": "DC19", "held_voltage": -0.8},
+            }
+        },
+        ["diagnose", "--scenario", "scenario.json"],
+        1,
+        "8e787c50b6a4a2dc1ff8fc8c3478bce7e6c89c556ccbb1c8559e64fa9851cd70",
+    ),
 }
 
 
@@ -900,6 +969,38 @@ def test_electrostatics_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
         (tmp_path / path).write_text(json.dumps(doc))
     assert run_cli(*args, "--out", "out") == code
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == sha
+
+
+# SHA-256 of the SVG, CSV and stats JSON of the README's two yieldmap
+# commands, frozen before the significance level became a constant
+_YIELDMAP_PINS = {
+    "seed_99": (
+        ["--seed", "99", "yieldmap"],
+        0,
+        (
+            "ed225932f8b0da637cc7cb2deac81c6373f5eb8a7e7b66e1fc0be69eb587beac",
+            "d9e232b772acdefca98411b72bb44e4428308d1ef8f290d7120ac08f46c8f8c5",
+            "73db4a9ab0018eee9c5b2861ae11c76dbc6549a123cc528c13943236be597ef3",
+        ),
+    ),
+    "plant_cell": (
+        ["yieldmap", "--plant-cell", "1,1,LEAK_DC_DC,0.9"],
+        1,
+        (
+            "d10fd2712f9f051d6e10d0f4302b23977f7858946a48db4326fecef76a8ac7bd",
+            "2cb0909bee4177fc5b6779fba8ea6f53728787dba8d0e1321b936d7d82b61832",
+            "ad876f5a255b74eaf9756bf10eae53996251aec64a96a91ce52c176737ee55ce",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_YIELDMAP_PINS))
+def test_yieldmap_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
+    args, code, shas = _YIELDMAP_PINS[name]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*args, "--out-svg", "w.svg", "--out-csv", "w.csv", "--out-stats", "s.json") == code
+    assert tuple(hashlib.sha256((tmp_path / p).read_bytes()).hexdigest() for p in ("w.svg", "w.csv", "s.json")) == shas
 
 
 # a seeded calibration of RTModel(2000, 5100, 180) with 0.1% noise, 2.5..295 K

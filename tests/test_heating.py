@@ -132,6 +132,13 @@ def test_site_rates_filters():
         assert all(r.site == site for r in rows)
 
 
+@pytest.mark.parametrize("sigmas", [[0.5], [0.5, 0.5, 0.5], 0.5], ids=["one", "three", "scalar"])
+def test_heating_fit_refuses_sigmas_of_another_shape(sigmas):
+    # numpy used to broadcast a length-1 or scalar sigma over every point
+    with pytest.raises(ValueError, match=r"sigmas has shape .*, the data \(4,\)"):
+        heating_rate_fit([0.0, 1.0, 2.0, 3.0], [0.1, 1.2, 2.1, 3.3], sigmas)
+
+
 def test_power_law_needs_three_points():
     with pytest.raises(ValueError):
         power_law_fit([1.0, 2.0], [3.0, 1.0], [0.1, 0.1])

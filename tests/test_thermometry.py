@@ -42,6 +42,13 @@ def test_bg_integral_small_argument():
     assert bg_integral(u) == pytest.approx(u**4 / 4, rel=1e-5)
 
 
+def test_bg_integral_refuses_a_negative_upper_limit():
+    # J is even: J(-2) = J(2) = 3.23, where 0.0 used to be returned
+    with pytest.raises(ValueError, match=r"upper limit -2\.0 is below zero"):
+        bg_integral(-2.0)
+    assert bg_integral(0.0) == 0.0
+
+
 def test_model_resistance_monotone():
     model = RTModel(r_res=100.0, amplitude=5000.0, theta=150.0)
     ts = np.linspace(2.0, 320.0, 50)
@@ -56,6 +63,32 @@ def test_analytic_derivative_matches_difference():
         h = 1e-4 * t
         num = (model_resistance(model, t + h) - model_resistance(model, t - h)) / (2 * h)
         assert d_resistance_d_t(model, t) == pytest.approx(num, rel=1e-6)
+
+
+# float.hex of dR/dT for TS1 at T = Theta/u, frozen while J'(u) was still
+# replaced by 0 for u >= 700: there u J'(u) < 1e-280 is lost against 5 J(u)
+_SLOPE_PINS = {
+    690.0: "0x1.f206baf67018dp-23",
+    699.5: "0x1.d78476b0b4631p-23",
+    699.999: "0x1.d62ca3b2b1253p-23",
+    700.0: "0x1.d62bf39f43465p-23",
+    700.001: "0x1.d62b438c27d3dp-23",
+    703.3: "0x1.cd68bb46399ebp-23",
+    709.7: "0x1.bcfd383ad7216p-23",
+    709.8: "0x1.bcbd095270a19p-23",
+    710.0: "0x1.bc3cce35160a3p-23",
+    750.0: "0x1.64c853c6069a1p-23",
+    1e3: "0x1.c38d8a06a05adp-25",
+    1e4: "0x1.71e9810b92848p-38",
+    1e5: "0x1.2f0832032e19dp-51",
+}
+
+
+@pytest.mark.filterwarnings("ignore::trapqa._solvers.IntegrationWarning")
+@pytest.mark.parametrize("u", list(_SLOPE_PINS))
+def test_slope_keeps_its_bits_where_the_integrand_underflows(u):
+    model = SENSOR_PRESETS["TS1"]
+    assert d_resistance_d_t(model, model.theta / u).hex() == _SLOPE_PINS[u]
 
 
 def test_fit_recovers_parameters_noiseless():
@@ -153,6 +186,21 @@ def test_fit_refuses_nonpositive_temperature(t_bad):
     ts = np.array([t_bad, 77.0, 150.0, 295.0])
     with pytest.raises(ValueError, match="temperature must be positive"):
         fit_rt_curve(ts, np.array([2000.1, 2400.5, 3900.2, 6800.9]))
+
+
+@pytest.mark.parametrize("sigma", [[5.0], [5.0] * 3, 5.0], ids=["one", "three", "scalar"])
+def test_fit_refuses_sigma_of_another_shape(sigma):
+    ts = np.linspace(4.0, 300.0, 20)
+    rs = model_resistance(RTModel(r_res=2000.0, amplitude=5100.0, theta=180.0), ts)
+    with pytest.raises(ValueError, match=r"sigma has shape .*, the data \(20,\)"):
+        fit_rt_curve(ts, rs, sigma=sigma)
+
+
+@pytest.mark.parametrize("ts", [[10.0] * 4, [10.0, 20.0, 10.0, 20.0]], ids=["one", "two"])
+def test_fit_refuses_fewer_temperatures_than_parameters(ts):
+    # one temperature used to return the start value as a converged fit
+    with pytest.raises(ValueError, match=f"at least 3 distinct temperatures, one per model parameter, got {len(set(ts))}"):
+        fit_rt_curve(ts, [2000.0, 2001.0, 2002.0, 2003.0])
 
 
 def _quad_bg(u):
