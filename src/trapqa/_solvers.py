@@ -11,7 +11,9 @@ without the second or so it takes to import scipy:
   results; ``_qags`` moves a batch of integrals forward together, with one
   vectorised integrand call per round.
 - ``_brentq``: scipy's C ``brentq``.
-- ``_fminbound``: ``scipy.optimize.minimize_scalar(method="bounded")``.
+
+Both serve ``thermometry``; the bounded minimizer that ``diagnosis`` runs
+lives in that module, so a ``diagnose`` process does not load this one.
 
 The routines keep QUADPACK's 1-based arrays (index 0 unused) and its names,
 so they read line for line against the Fortran.
@@ -640,91 +642,3 @@ def _brentq(
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-# --------------------------------------------------------- fminbound
-
-
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_MAXFUN = 500  # scipy's default evaluation cap (its maxiter)
-
-
-def _fminbound(func, lo, hi, xatol: float):
-    """Bounded scalar minimization: Brent's golden-section search with
-    parabolic steps, returning ``(x, func(x))`` at the best point found.
-
-    A port of ``scipy.optimize.minimize_scalar(method="bounded")``
-    (``_minimize_scalar_bounded``, i.e. fminbound) that performs the same
-    floating-point operations in the same order, the ``sqrt(2.2e-16)`` and
-    ``xatol / 3`` tolerances and the 500-evaluation cap included, so
-    it returns scipy's ``x`` and ``fun`` bit for bit (tests/test_diagnosis.py
-    keeps scipy as the reference). ``func`` takes and returns a float.
-    """
-    a, b = float(lo), float(hi)
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign1(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
-
-        x = xf + _sign1(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAXFUN:
-            break
-    return xf, fx
-
-
-def _sign1(v: float) -> float:
-    """scipy's ``np.sign(v) + (v == 0)``: +1.0 for v >= 0, -1.0 below."""
-    return 1.0 if v >= 0.0 else -1.0

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._solvers import _fminbound
 from .electrostatics.fields import _as_points, _checked
 from .electrostatics.geometry import TrapGeometry
 
-# The bounded refine is a port of scipy's fminbound (trapqa._solvers), so
-# diagnosis needs numpy alone: importing scipy.optimize would cost about
-# 0.6 s per ``diagnose`` process for one scalar minimizer.
+# The bounded refine is a port of scipy's fminbound (below), so diagnosis
+# needs numpy alone: importing scipy.optimize would cost about 0.6 s per
+# ``diagnose`` process for one scalar minimizer.
 
 __all__ = [
     "FaultScenario",
@@ -164,6 +163,91 @@ def equilibrium_position(potential, window: tuple[float, float], tol: float = SE
     return EquilibriumResult(position=float(x), value=float(fx), at_boundary=False)
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXFUN = 500  # scipy's default evaluation cap (its maxiter)
+
+
+def _fminbound(func, lo, hi, xatol: float):
+    """Bounded scalar minimization: Brent's golden-section search with
+    parabolic steps, returning ``(x, func(x))`` at the best point found.
+
+    A port of ``scipy.optimize.minimize_scalar(method="bounded")``
+    (``_minimize_scalar_bounded``, i.e. fminbound) that performs the same
+    floating-point operations in the same order, the ``sqrt(2.2e-16)`` and
+    ``xatol / 3`` tolerances and the 500-evaluation cap included, so
+    it returns scipy's ``x`` and ``fun`` bit for bit (tests/test_diagnosis.py
+    keeps scipy as the reference). ``func`` takes and returns a float.
+    """
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign1(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _sign1(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
+
+
+def _sign1(v: float) -> float:
+    """scipy's ``np.sign(v) + (v == 0)``: +1.0 for v >= 0, -1.0 below."""
+    return 1.0 if v >= 0.0 else -1.0
+
+
 def simulate_positions(
     geometry: TrapGeometry,
     voltages: dict,
@@ -174,11 +258,14 @@ def simulate_positions(
 ) -> list[PositionMeasurement]:
     """Predicted axial positions, found to ``SEARCH_TOL``, for each global scale factor.
 
-    Raises ``ValueError`` when a minimum is pinned at a window edge: the
-    window then misses the well and the edge is no position of the ion.
+    Raises ``ValueError`` for a scale that is not above zero, naming it, and
+    when a minimum is pinned at a window edge: the window then misses the
+    well and the edge is no position of the ion.
     """
     out = []
     for s in scales:
+        if not s > 0:
+            raise ValueError(f"scale {s:g} is not above zero: a DC scale factor must be positive")
         phi = axial_potential(geometry, voltages, scenario, s, axis=axis)
         eq = equilibrium_position(phi, window)
         if eq.at_boundary:
@@ -195,11 +282,12 @@ def classify_fault(measured: list[PositionMeasurement], nominal: list[PositionMe
     """Assign a fault class from scale-sweep position data.
 
     ``measured`` and ``nominal`` must cover the same scale factors (at least
-    two); positions within ``POSITION_TOL`` agree. Decision order matters:
-    nominal agreement is checked first since a healthy trap is scale-invariant.
+    two distinct ones: a repeated scale is one probe); positions within
+    ``POSITION_TOL`` agree. Decision order matters: nominal agreement is
+    checked first since a healthy trap is scale-invariant.
     """
-    if len(measured) < 2:
-        raise ValueError("need measurements at two or more scale factors")
+    if len({m.scale for m in measured}) < 2:
+        raise ValueError("need measurements at two or more distinct scale factors")
     meas = sorted(measured, key=lambda m: m.scale)
     nom = sorted(nominal, key=lambda m: m.scale)
     if [m.scale for m in meas] != [n.scale for n in nom]:

@@ -108,10 +108,15 @@ class Net:
 
 @dataclass(frozen=True)
 class ChipNetlist:
+    """The nets of one chip design, immutable.
+
+    The test plan and the fault-free run depend on the netlist alone, so
+    each netlist object computes them once, on first use, and keeps them.
+    """
+
     nets: tuple[Net, ...]
     name: str = ""
     _index: dict = field(init=False, repr=False, compare=False, default=None)
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         ids = [n.id for n in self.nets]
@@ -121,16 +126,6 @@ class ChipNetlist:
         if len(set(pads)) != len(pads):
             raise ValueError("pad names must be unique across nets")
         object.__setattr__(self, "_index", {n.id: n for n in self.nets})
-        # the value the dataclass hash would compute on every call, kept once:
-        # hashing 80 nets on each build_plan cache lookup costs ~15 us
-        object.__setattr__(self, "_hash", hash((self.nets, self.name)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through __init__: string hashes differ between processes
-        return (type(self), (self.nets, self.name))
 
     def net(self, net_id: str) -> Net:
         try:
@@ -142,6 +137,42 @@ class ChipNetlist:
         """Net ids with any of the given roles (all if none given), ascending."""
         out = [n.id for n in self.nets if not roles or n.role in roles]
         return sorted(out)
+
+    @functools.cached_property
+    def _plan(self) -> tuple["TestStep", ...]:
+        # what build_plan returns; a refusal raises again on every use
+        steps = []
+
+        def add(kind, net, pass_index=0, pad=None):
+            label = f"{kind}_{pass_index}" if pass_index else kind
+            steps.append(
+                TestStep(index=len(steps), kind=kind, net=net, pass_index=pass_index, pad=pad, label=label)
+            )
+
+        loop_ids = self.ids("dc", "comp", "ts", "rf")
+        for nid in loop_ids:
+            add("CONTINUITY", nid)
+
+        for pass_index in (1, 2):
+            for nid in self.ids("dc", "comp", "rf", "ts"):
+                net = self.net(nid)
+                if net.role == "rf":
+                    add("LEAKAGE_RF", nid, pass_index)
+                else:
+                    for pad in net.pads:
+                        add("LEAKAGE", nid, pass_index, pad=pad)
+
+        for nid in loop_ids:
+            add("RESISTANCE", nid)
+
+        if not steps:
+            raise ValueError("the netlist has no dc, comp, ts or rf net to test")
+        return tuple(steps)
+
+    @functools.cached_property
+    def _clean_run(self) -> "ChipResult":
+        # what run_chip returns without faults; an aborted run is kept as it aborted
+        return _walk_plan(self, ())
 
 
 @dataclass(frozen=True)
@@ -373,42 +404,15 @@ def load_faults(path) -> tuple[Fault, ...]:
     return faults_from_dict(read_json(path))
 
 
-@functools.lru_cache(maxsize=16)
 def build_plan(netlist: ChipNetlist) -> tuple[TestStep, ...]:
     """The four-phase plan, intra-phase order ascending by net id (then pad).
 
     The plan depends only on the (frozen) netlist, so it is built once per
-    netlist and the same tuple of frozen steps is returned to every caller.
-    A netlist without a net to test raises ``ValueError``: its empty plan
-    would pass every chip.
+    netlist object, and that object returns the same tuple of frozen steps
+    to every caller. A netlist without a net to test raises ``ValueError``,
+    on every call: its empty plan would pass every chip.
     """
-    steps = []
-
-    def add(kind, net, pass_index=0, pad=None):
-        label = f"{kind}_{pass_index}" if pass_index else kind
-        steps.append(
-            TestStep(index=len(steps), kind=kind, net=net, pass_index=pass_index, pad=pad, label=label)
-        )
-
-    loop_ids = netlist.ids("dc", "comp", "ts", "rf")
-    for nid in loop_ids:
-        add("CONTINUITY", nid)
-
-    for pass_index in (1, 2):
-        for nid in netlist.ids("dc", "comp", "rf", "ts"):
-            net = netlist.net(nid)
-            if net.role == "rf":
-                add("LEAKAGE_RF", nid, pass_index)
-            else:
-                for pad in net.pads:
-                    add("LEAKAGE", nid, pass_index, pad=pad)
-
-    for nid in loop_ids:
-        add("RESISTANCE", nid)
-
-    if not steps:
-        raise ValueError("the netlist has no dc, comp, ts or rf net to test")
-    return tuple(steps)
+    return netlist._plan
 
 
 _SHORT_CODES = {"rf": "LEAK_DC_RF", "gnd": "LEAK_DC_GND"}
@@ -551,23 +555,13 @@ def run_chip(netlist: ChipNetlist, faults=()) -> ChipResult:
     ``faults`` may be any iterable; it is read once, into one fault index
     that every step of the walk consults, and the walk calls
     ``simulate_step`` once per executed step. Without faults the result
-    depends only on the netlist, so it is computed once per netlist and the
-    same immutable ``ChipResult`` is returned to every such call.
+    depends only on the netlist, so it is computed once per netlist object
+    and the same immutable ``ChipResult`` is returned to every such call.
     """
     faults = tuple(faults)
     if not faults:
-        return _clean_chip(netlist)
+        return netlist._clean_run
     return _walk_plan(netlist, faults)
-
-
-@functools.lru_cache(maxsize=16)
-def _clean_chip(netlist: ChipNetlist) -> ChipResult:
-    """The fault-free result, cached like ``build_plan``.
-
-    A clean chip can still abort, e.g. on a loop resistance outside its
-    band; the aborted result is then what is shared.
-    """
-    return _walk_plan(netlist, ())
 
 
 def _walk_plan(netlist: ChipNetlist, faults: tuple) -> ChipResult:

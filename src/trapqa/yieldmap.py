@@ -12,6 +12,7 @@ edge exclusion 3.25 mm with the shot grid centered on the wafer give exactly
 """
 
 import numbers
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -134,11 +135,8 @@ def yield_stats(outcomes: dict) -> YieldStats:
     total = len(outcomes)
     if total == 0:
         raise ValueError("no outcomes")
-    passed = sum(1 for o in outcomes.values() if o == "PASS")
-    codes = {}
-    for o in outcomes.values():
-        if o != "PASS":
-            codes[o] = codes.get(o, 0) + 1
+    codes = Counter(outcomes.values())
+    passed = codes.pop("PASS", 0)
     return YieldStats(
         total=total,
         passed=passed,
@@ -178,6 +176,11 @@ def yield_from_defects(total_defects: float, n_chips: int) -> float:
     return float(np.exp(-total_defects / n_chips))
 
 
+def _is_hit(outcome: str, code: str | None) -> bool:
+    """Whether a chip outcome counts as a failure of ``code`` (of any code if None)."""
+    return outcome == code if code is not None else outcome != "PASS"
+
+
 @dataclass(frozen=True)
 class CellStat:
     cell: tuple[int, int]
@@ -198,28 +201,19 @@ def reticle_periodicity(sites, outcomes: dict, code: str | None = None) -> list[
     Flagged cells with a tiny p value indicate a mask or reticle-local
     process defect.
     """
-
-    def is_hit(outcome: str) -> bool:
-        return outcome == code if code is not None else outcome != "PASS"
-
-    per_cell_sites: dict = {}
-    per_cell_fails: dict = {}
-    total_fail = 0
+    per_cell_sites, per_cell_fails = Counter(), Counter()
     for s in sites:
-        o = outcomes[s.chip_id]
-        per_cell_sites[s.cell] = per_cell_sites.get(s.cell, 0) + 1
-        if is_hit(o):
-            per_cell_fails[s.cell] = per_cell_fails.get(s.cell, 0) + 1
-            total_fail += 1
-    n_total = sum(per_cell_sites.values())
-    rate = total_fail / n_total if n_total else 0.0
+        per_cell_sites[s.cell] += 1
+        per_cell_fails[s.cell] += _is_hit(outcomes[s.chip_id], code)
+    n_total = per_cell_sites.total()
+    rate = per_cell_fails.total() / n_total if n_total else 0.0
     threshold = _ALPHA / 9.0  # Bonferroni over the reticle
     from scipy import special
 
     out = []
     for cell in sorted(per_cell_sites):
         n = per_cell_sites[cell]
-        k = per_cell_fails.get(cell, 0)
+        k = per_cell_fails[cell]
         # P(X >= k), X ~ Binomial(n, rate): the regularized incomplete beta
         # I_rate(k, n - k + 1), bit for bit what scipy.stats.binom.sf gives
         p = float(special.betainc(k, n - k + 1, rate)) if k > 0 else 1.0
@@ -259,14 +253,10 @@ def edge_concentration(
     edge group; a pooled two-proportion z test at level ``_ALPHA`` (1%) asks
     whether their failure rate exceeds the interior's.
     """
-
-    def is_hit(outcome: str) -> bool:
-        return outcome == code if code is not None else outcome != "PASS"
-
     r_split = (1.0 - _EDGE_ANNULUS) * layout.usable_radius
     ne = ni = fe = fi = 0
     for s in sites:
-        hit = is_hit(outcomes[s.chip_id])
+        hit = _is_hit(outcomes[s.chip_id], code)
         if np.hypot(s.x, s.y) > r_split:
             ne += 1
             fe += hit

@@ -678,6 +678,40 @@ def test_diagnose_axis_below_plane_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+_FLOATING = {"kind": "FLOATING", "electrode": "DC19", "held_voltage": -0.8}
+_GAP_CHARGE = {"kind": "GAP_CHARGE", "charge_rects_um": [[20, 60, 20, 60]], "charge_voltage": 1.0}
+
+
+@pytest.mark.parametrize(
+    "fault, scales",
+    [(_FLOATING, [2.0, 2.0]), (_FLOATING, [4.0, 4.0, 4.0]), (_GAP_CHARGE, [2.0, 2.0])],
+    ids=["floating_2_2", "floating_4_4_4", "gap_charge_2_2"],
+)
+def test_diagnose_with_one_repeated_scale_exits_2(tmp_path, capsys, fault, scales):
+    # one scale repeated is one probe; each of these used to read SHORTED
+    spec = json.loads(_scenario(tmp_path, fault).read_text())
+    spec["scales"] = scales
+    scenario = tmp_path / "repeated.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "diag.json"
+    err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
+    assert err == "trapqa: bad input: need measurements at two or more distinct scale factors\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scales", [[0.0, 1.0, 2.0], [-1.0, 1.0, 2.0]], ids=["zero", "negative"])
+def test_diagnose_scale_not_above_zero_exits_2(tmp_path, capsys, scales):
+    # these used to be refused as a window that "misses the well"
+    spec = json.loads(_scenario(tmp_path, _FLOATING).read_text())
+    spec["scales"] = scales
+    scenario = tmp_path / "unscaled.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "diag.json"
+    err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
+    assert err == f"trapqa: bad input: scale {scales[0]:g} is not above zero: a DC scale factor must be positive\n"
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

@@ -4,8 +4,8 @@ Key invariants: a grounded short pins the ion to a scale-independent
 position; a fixed charge (or floating electrode) produces a displacement
 falling off as 1/scale; a healthy trap matches the nominal prediction at
 every scale. The equilibrium solver itself is checked against analytic
-minima of synthetic wells, and its bounded refine (trapqa._solvers) against
-scipy's, which it ports.
+minima of synthetic wells, and its bounded refine against scipy's, which it
+ports.
 """
 
 import math
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from trapqa._solvers import _fminbound
 from trapqa.diagnosis import (
     CLASSES,
     POSITION_TOL,
@@ -22,6 +21,7 @@ from trapqa.diagnosis import (
     EquilibriumResult,
     FaultScenario,
     PositionMeasurement,
+    _fminbound,
     axial_potential,
     classify_fault,
     equilibrium_position,
@@ -272,6 +272,21 @@ def test_classify_validates_inputs():
     b = [PositionMeasurement(scale=s, position=0.0) for s in (1.0, 3.0)]
     with pytest.raises(ValueError):
         classify_fault(a, b)
+
+
+def test_classify_refuses_one_repeated_scale():
+    # a scale repeated is one probe: a floating electrode used to read SHORTED
+    nominal = [PositionMeasurement(scale=2.0, position=0.0)] * 2
+    measured = [PositionMeasurement(scale=2.0, position=-5e-6)] * 2
+    with pytest.raises(ValueError, match="two or more distinct scale factors"):
+        classify_fault(measured, nominal)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+def test_simulate_positions_refuses_a_scale_not_above_zero(geometry, scale):
+    # a zero or negative scale used to be refused as a window missing the well
+    with pytest.raises(ValueError, match=f"scale {scale:g} is not above zero"):
+        simulate_positions(geometry, WELL, FaultScenario(kind="NOMINAL"), [scale, 1.0], WINDOW)
 
 
 def test_scenario_validation():

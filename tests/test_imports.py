@@ -168,6 +168,13 @@ def test_numpy_only_command_loads_no_scipy(argv, tmp_path):
     assert _scipy_modules_after(_run_main(argv), tmp_path) == []
 
 
+def test_diagnose_loads_no_quadrature_port(tmp_path):
+    # the bounded minimizer lives in diagnosis; the QUADPACK port is thermometry's
+    (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
+    argv = ["diagnose", "--scenario", "scenario.json", "--out", "diag.json"]
+    assert "trapqa._solvers" not in _modules_after(_run_main(argv), tmp_path)
+
+
 def test_field_loads_no_other_analysis_module(tmp_path):
     argv = ["field", "--z", "50:200:4", "--y", "42.331:42.331:1", "--out", "scan.csv"]
     loaded = _modules_after(_run_main(argv), tmp_path)

@@ -254,9 +254,9 @@ def test_simulate_step_is_pure(netlist, plan):
 def test_equal_netlists_share_one_plan(netlist):
     other = default_netlist()
     assert other is not netlist and other == netlist
-    assert build_plan(other) is build_plan(netlist)
+    assert build_plan(netlist) is build_plan(netlist)
     # the cached plan is the plan a fresh build gives
-    assert build_plan.__wrapped__(other) == build_plan(netlist)
+    assert build_plan(other) == build_plan(netlist)
 
 
 def test_different_netlist_gets_its_own_plan(netlist):
@@ -264,13 +264,10 @@ def test_different_netlist_gets_its_own_plan(netlist):
     assert len(build_plan(smaller)) < len(build_plan(netlist))
 
 
-def test_netlist_hash_is_kept(monkeypatch, netlist):
-    # equal netlists hash equal, and a lookup does not rehash the 80 nets
+def test_netlist_hash_is_kept(netlist):
+    # equal netlists hash equal: the frozen dataclass hashes its fields
     other = default_netlist()
     assert hash(other) == hash(netlist) == hash((netlist.nets, netlist.name))
-    monkeypatch.setattr(Net, "__hash__", lambda self: pytest.fail("net rehashed"))
-    assert hash(netlist) == hash(other)
-    assert build_plan(other) is build_plan(netlist)
 
 
 def test_netlist_pickled_elsewhere_hashes_here(netlist):
@@ -284,7 +281,36 @@ def test_netlist_pickled_elsewhere_hashes_here(netlist):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
     copy = pickle.loads(proc.stdout)
     assert copy == netlist and hash(copy) == hash(netlist)
-    assert build_plan(copy) is build_plan(netlist)
+    assert build_plan(copy) == build_plan(netlist)
+    assert run_chip(copy) == run_chip(netlist)
+
+
+def test_netlist_pickled_with_its_cache_gives_equal_results():
+    netlist = default_netlist()
+    plan, clean = build_plan(netlist), run_chip(netlist)
+    copy = pickle.loads(pickle.dumps(netlist))
+    assert copy == netlist and hash(copy) == hash(netlist)
+    assert build_plan(copy) == plan
+    assert run_chip(copy) == clean
+    fault = (Fault.open("DC05"),)
+    assert run_chip(copy, fault) == run_chip(netlist, fault)
+
+
+def test_plan_and_clean_run_are_computed_once_per_netlist(monkeypatch):
+    import trapqa.wafertest as wt
+
+    built, walked = [], []
+    steps = wt.ChipNetlist._plan.func
+    walk = wt._walk_plan
+    monkeypatch.setattr(wt.ChipNetlist._plan, "func", lambda self: built.append(1) or steps(self))
+    monkeypatch.setattr(wt, "_walk_plan", lambda n, faults: walked.append(faults) or walk(n, faults))
+    netlist = default_netlist()
+    faults = (Fault.open("DC05"),)
+    results = [run_chip(netlist, faults if k % 2 else ()) for k in range(200)]
+    assert len(built) == 1
+    assert walked.count(()) == 1 and walked.count(faults) == 100
+    assert all(r is results[0] for r in results[::2])
+    assert all(r == results[1] for r in results[1::2])
 
 
 def _per_step_reference(netlist, faults):
@@ -330,11 +356,14 @@ def test_clean_chip_result_is_shared(netlist):
     first = run_chip(netlist)
     assert run_chip(netlist) is first
     assert run_chip(netlist, []) is first
-    assert run_chip(default_netlist(), (f for f in ())) is first
+    assert run_chip(netlist, (f for f in ())) is first
+    assert run_chip(default_netlist(), (f for f in ())) == first
     # an aborting clean run is cached as it aborted
-    swapped = run_chip(_swapped_sensors())
+    swapped_netlist = _swapped_sensors()
+    swapped = run_chip(swapped_netlist)
     assert swapped.outcome == "RES_FAIL_TS"
-    assert run_chip(_swapped_sensors()) is swapped
+    assert run_chip(swapped_netlist) is swapped
+    assert run_chip(_swapped_sensors()) == swapped
 
 
 # ---------------------------------------------------------------------------
