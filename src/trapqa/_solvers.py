@@ -15,6 +15,13 @@ without the second or so it takes to import scipy:
 Both serve ``thermometry``; the bounded minimizer that ``diagnosis`` runs
 lives in that module, so a ``diagnose`` process does not load this one.
 
+Bit-identity with ``quad`` also rests on the integrand, which is the
+caller's: ``thermometry`` computes x**5 with ``np.float_power``, which runs
+libm's ``pow`` as the scalar calls did (``np.power`` differs in the last
+bit at some x), and e^x with ``np.exp`` on an array, which gives the scalar
+bits on the machines measured. ``dqk21``'s per-interval ``**1.5`` stays a
+scalar float power here.
+
 The routines keep QUADPACK's 1-based arrays (index 0 unused) and its names,
 so they read line for line against the Fortran.
 """
@@ -205,17 +212,10 @@ def _ier_message(ier: int, limit: int) -> str:
 def _dqagse(a: float, b: float, epsabs: float, epsrel: float, limit: int):
     """QUADPACK's ``dqagse`` as a generator: it yields the intervals whose
     ``dqk21`` results it needs next, is sent those results, and returns
-    ``(result, abserr, ier)``. Labels in the comments are the Fortran's."""
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
+    ``(result, abserr, ier)``. Labels in the comments are the Fortran's.
+    The work lists are built only once the first approximation fails the
+    accuracy test: many integrals of a batch return there."""
     ier = 0
-    alist[1] = a
-    blist[1] = b
 
     # first approximation to the integral
     ierro = 0
@@ -224,10 +224,6 @@ def _dqagse(a: float, b: float, epsabs: float, epsrel: float, limit: int):
     # test on accuracy
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
-    last = 1
-    rlist[1] = result
-    elist[1] = abserr
-    iord[1] = 1
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
     if limit == 1:
@@ -236,6 +232,19 @@ def _dqagse(a: float, b: float, epsabs: float, epsrel: float, limit: int):
         return result, abserr, ier  # 140
 
     # initialization
+    alist = [0.0] * (limit + 1)
+    blist = [0.0] * (limit + 1)
+    rlist = [0.0] * (limit + 1)
+    elist = [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    alist[1] = a
+    blist[1] = b
+    last = 1
+    rlist[1] = result
+    elist[1] = abserr
+    iord[1] = 1
     rlist2[1] = result
     errmax = abserr
     maxerr = 1

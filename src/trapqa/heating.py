@@ -6,6 +6,7 @@ measurements against wait time give the heating rate; rates across mode
 frequencies are fitted to a power law ``rate ~ omega^-alpha`` in log space.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -67,25 +68,43 @@ def nbar_from_sidebands(
     return Nbar(value=r / (1.0 - r), sigma=s_r / (1.0 - r) ** 2)
 
 
-def _weighted_linfit(x, y, sigma):
-    """Weighted straight-line fit; returns slope, intercept, variances, chi2."""
-    w = 1.0 / np.asarray(sigma, dtype=float) ** 2
+def _weighted_linfit(x, y, sigma, given):
+    """Weighted straight-line fit; returns slope, intercept, variances, chi2.
+
+    ``sigma`` are the uncertainties of ``y``, computed from the caller's
+    ``given`` ones; a weight ``1/sigma**2`` that is not finite and above
+    zero raises ValueError naming the ``given`` sigma it came from, and so
+    does a fit whose weighted sums overflow.
+    """
+    given = np.asarray(given, dtype=float).tolist()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = 1.0 / np.asarray(sigma, dtype=float) ** 2
+    for s, wi in zip(given, w.tolist()):
+        if not 0.0 < wi < math.inf:
+            raise ValueError(f"sigma {s!r} gives the weight 1/sigma**2 = {wi!r}; it must be finite and above zero")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sw = w.sum()
-    sx = (w * x).sum()
-    sy = (w * y).sum()
-    sxx = (w * x * x).sum()
-    sxy = (w * x * y).sum()
-    d = sw * sxx - sx * sx
-    if d <= 0:
-        raise ValueError("degenerate abscissa; cannot fit a line")
-    slope = (sw * sxy - sx * sy) / d
-    intercept = (sxx * sy - sx * sxy) / d
-    var_slope = sw / d
-    var_intercept = sxx / d
-    chi2 = float((w * (y - slope * x - intercept) ** 2).sum())
-    return slope, intercept, var_slope, var_intercept, chi2
+    with np.errstate(over="ignore", invalid="ignore"):
+        sw = w.sum()
+        sx = (w * x).sum()
+        sy = (w * y).sum()
+        sxx = (w * x * x).sum()
+        sxy = (w * x * y).sum()
+        d = sw * sxx - sx * sx
+        if d <= 0:
+            raise ValueError("degenerate abscissa; cannot fit a line")
+        slope = (sw * sxy - sx * sy) / d
+        intercept = (sxx * sy - sx * sxy) / d
+        var_slope = sw / d
+        var_intercept = sxx / d
+        chi2 = float((w * (y - slope * x - intercept) ** 2).sum())
+    fit = (slope, intercept, var_slope, var_intercept, chi2)
+    if not (math.isfinite(d) and all(map(math.isfinite, fit))):
+        i = int(np.argmax(w))
+        raise ValueError(
+            f"sigma {given[i]!r} gives the weight 1/sigma**2 = {float(w[i])!r}, which overflows the fit's sums"
+        )
+    return fit
 
 
 @dataclass(frozen=True)
@@ -114,7 +133,7 @@ def heating_rate_fit(times, nbars, sigmas=None) -> LinearFit:
         raise ValueError(f"sigmas has shape {s.shape}, the data {nbars.shape}")
     if np.any(s <= 0):
         raise ValueError("sigmas must be positive")
-    slope, intercept, vs, vi, chi2 = _weighted_linfit(times, nbars, s)
+    slope, intercept, vs, vi, chi2 = _weighted_linfit(times, nbars, s, s)
     return LinearFit(
         slope=float(slope),
         sigma_slope=float(np.sqrt(vs)),
@@ -152,7 +171,9 @@ def power_law_fit(frequencies, rates, sigmas) -> PowerLaw:
         raise ValueError("need matching 1D arrays with at least 3 points")
     if np.any(f <= 0) or np.any(r <= 0) or np.any(s <= 0):
         raise ValueError("frequencies, rates and sigmas must be positive")
-    slope, intercept, vs, vi, chi2 = _weighted_linfit(np.log(f), np.log(r), s / r)
+    with np.errstate(over="ignore", under="ignore"):
+        log_sigma = s / r
+    slope, intercept, vs, vi, chi2 = _weighted_linfit(np.log(f), np.log(r), log_sigma, s)
     return PowerLaw(
         alpha=float(-slope),
         sigma_alpha=float(np.sqrt(vs)),

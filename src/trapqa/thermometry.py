@@ -25,7 +25,6 @@ sensitivities, so the presets carry a dominant residual term.
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -75,9 +74,9 @@ class RTModel:
 def _bg_integrand(x: np.ndarray) -> np.ndarray:
     """x^5 / ((e^x - 1)(1 - e^-x)) at each x: the Bloch-Grueneisen integrand, J'(x).
 
-    ``x**5`` is a float power, libm's ``pow`` as ``quad``'s scalar calls
-    had it (numpy's array power differs in the last bit at some x), and the
-    exponentials are one ``np.exp`` call on one contiguous array.
+    ``x**5`` is ``np.float_power``, which runs libm's ``pow`` as ``quad``'s
+    scalar calls did (``np.power`` differs in the last bit at some x), and
+    the exponentials are one ``np.exp`` call on one contiguous array.
     """
     flat = x.ravel()
     n = flat.size
@@ -86,8 +85,7 @@ def _bg_integrand(x: np.ndarray) -> np.ndarray:
     # infinite or nan, which _bg_integrals refuses by name
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = np.exp(np.concatenate((flat, -flat)))
-        x5 = np.fromiter(map(pow, flat.tolist(), repeat(5.0)), float, n)
-        return (x5 / ((e[:n] - 1.0) * (1.0 - e[n:]))).reshape(x.shape)
+        return (np.float_power(flat, 5.0) / ((e[:n] - 1.0) * (1.0 - e[n:]))).reshape(x.shape)
 
 
 def _bg_integrals(uppers, temperatures=None) -> list[float]:
@@ -198,7 +196,9 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     constrained to the aluminum-like window 100..600 K; starting values come
     from the data (residual from the coldest point, amplitude from the
     warmest). Raises ``ValueError`` for fewer than 3 distinct temperatures,
-    one per parameter, and with the solver status when the fit does not converge.
+    one per parameter, for a resistance that is not above zero, with the
+    solver status when the fit does not converge, and when Theta ends bit for
+    bit at its start value, never estimated.
     """
     t = np.asarray(temperatures, dtype=float)
     r = np.asarray(resistances, dtype=float)
@@ -212,6 +212,9 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
     ts = t.tolist()
+    for ti, ri in zip(ts, r.tolist()):
+        if not ri > 0.0:
+            raise ValueError(f"resistance {ri!r} ohm at {ti!r} K is not above zero")
     if len(set(ts)) < 3:
         raise ValueError(f"need at least 3 distinct temperatures, one per model parameter, got {len(set(ts))}")
 
@@ -248,6 +251,11 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
             f"evaluations ({res.message})"
         )
     model = RTModel(r_res=float(res.x[0]), amplitude=float(res.x[1]), theta=float(res.x[2]))
+    if model.theta == theta0:
+        raise ValueError(
+            f"R(T) fit did not estimate Theta: it is still its start value {theta0!r} K after "
+            f"{res.nfev} evaluations (least_squares status {res.status})"
+        )
     # covariance from the Jacobian at the solution
     jac = res.jac
     chi2 = float(np.sum(res.fun**2))

@@ -1249,3 +1249,38 @@ def test_any_json_document_is_answered_or_refused(tmp_path, monkeypatch, args, v
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("trapqa: "), err.getvalue()
+
+
+@pytest.mark.parametrize("sigmas", [["1e-320", "5", "2"], ["1e300"] * 3], ids=["weight_inf", "weights_zero"])
+def test_heating_sigma_without_a_weight_exits_2(tmp_path, capsys, sigmas):
+    # 1e-320 used to write NaN and exit 0; 1e300 was refused as a "degenerate abscissa"
+    table = tmp_path / "rates.csv"
+    rows = [f"{f},{r},{s}" for f, r, s in zip((1.0, 2.0, 3.0), (100.0, 30.0, 12.0), sigmas)]
+    table.write_text("\n".join(["frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s", *rows]) + "\n")
+    out = tmp_path / "heating.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, "heating", "--csv", table, "--out", out)
+    assert caught == []
+    assert err.count("\n") == 1 and err.startswith(f"trapqa: bad input: sigma {float(sigmas[0])!r} gives the weight")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        (["10,100", "20,100", "30,100", "40,100"], "did not estimate Theta"),
+        (["10,100,1e300", "20,101,1e300", "30,105,1e300", "40,110,1e300"], "did not estimate Theta"),
+        (["10,-100", "20,100", "30,105", "40,110"], "resistance -100.0 ohm at 10.0 K is not above zero"),
+    ],
+    ids=["flat", "huge_sigma", "negative"],
+)
+def test_thermo_calibration_without_an_estimate_exits_2(tmp_path, capsys, rows, reason):
+    # the first two used to exit 0 with Theta at its start value, 300.0
+    header = "T_K,R_ohm,sigma_ohm" if rows[0].count(",") == 2 else "T_K,R_ohm"
+    cal = tmp_path / "cal.csv"
+    cal.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "fit.json"
+    err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert err.count("\n") == 1 and reason in err
+    assert not out.exists()

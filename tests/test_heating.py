@@ -6,6 +6,9 @@ probabilities, push each draw through r/(1-r), and compare the spread with
 the propagated sigma.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,3 +150,30 @@ def test_power_law_needs_three_points():
 def test_heating_record_is_plain_data():
     rec = HeatingRecord(site=1, frequency_mhz=1.0, rate=10.0, sigma=1.0)
     assert rec.site == 1
+
+
+@pytest.mark.parametrize(
+    "bad, sigma",
+    [(0, 1e-320), (2, 1e-200), (1, np.nan), ("all", 1e300)],
+    ids=["weight_inf", "weight_overflows", "nan", "weights_zero"],
+)
+def test_fits_refuse_weights_not_finite_and_above_zero(bad, sigma):
+    # 1/sigma**2 used to overflow to inf, giving NaN fits, or underflow to 0,
+    # refused as a "degenerate abscissa"; both with RuntimeWarnings
+    sigmas = [sigma] * 4 if bad == "all" else [sigma if i == bad else 0.5 for i in range(4)]
+    match = re.escape(f"sigma {sigma!r} gives the weight")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            heating_rate_fit([0.0, 1.0, 2.0, 3.0], [0.1, 1.2, 2.1, 3.3], sigmas)
+        with pytest.raises(ValueError, match=match):
+            power_law_fit([1.0, 2.0, 3.0, 4.0], [100.0, 30.0, 12.0, 6.0], sigmas)
+
+
+def test_power_law_refuses_weights_that_overflow_its_sums():
+    # each weight is finite, but w * ln(f)**2 summed against w is not: the
+    # fit used to write NaN with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"sigma 1e-150 gives the weight .*, which overflows the fit's sums"):
+            power_law_fit([2.0, 3.0, 4.0], [100.0, 30.0, 12.0], [1e-150, 5.0, 2.0])

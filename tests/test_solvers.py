@@ -185,3 +185,90 @@ def test_brentq_refuses_what_scipy_refuses():
 
     with pytest.raises(ValueError, match="is NaN"):
         _brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+
+
+def test_float_power_is_libm_pow():
+    # the integrand's x**5 is np.float_power on the abscissa array: it must
+    # give math.pow's bits at every x (np.power does not, at some x)
+    rng = np.random.default_rng(25)
+    xs = np.concatenate([1e3 - rng.uniform(0.0, 1e3, 100_000), np.exp(rng.uniform(-46.0, 23.0, 20_000))])
+    assert np.float_power(xs, 5.0).tolist() == [math.pow(x, 5.0) for x in xs.tolist()]
+
+
+# float.hex of fits and readouts, frozen before the integrand's x**5 moved
+# from one Python pow per abscissa to np.float_power
+
+
+def _rt_curve(seed):
+    """A seeded 120-point noisy R(T) curve, drawn as perfbench's rt_truth draws one."""
+    rng = np.random.default_rng(seed)
+    truth = RTModel(
+        r_res=rng.uniform(1500.0, 2500.0), amplitude=rng.uniform(4000.0, 6000.0), theta=rng.uniform(150.0, 250.0)
+    )
+    ts = np.logspace(np.log10(2.0), np.log10(300.0), 120)
+    return ts, model_resistance(truth, ts) * (1.0 + 1e-3 * rng.standard_normal(ts.size))
+
+
+# seed: (r_res, amplitude, theta, chi2), covariance row by row, status, nfev
+_FIT_PINS = {
+    25101: (
+        ("0x1.ff886f15c63a1p+10", "0x1.17b48a7534e27p+12", "0x1.dc3f479e760f1p+7", "0x1.cd4c7d69aeb70p+8"),
+        ("0x1.eb98540ccae4ep-5", "0x1.82ade0b3bd75ep+0", "0x1.55ff5c113c8f0p-4",
+         "0x1.82ade0b3bd73dp+0", "0x1.99680c8238dfdp+7", "0x1.2e1a4d2ae0ffdp+3",
+         "0x1.55ff5c113c8d3p-4", "0x1.2e1a4d2ae0ffep+3", "0x1.ca16b5a2a6b4fp-2"),
+        2, 9,
+    ),
+    25102: (
+        ("0x1.7d79da3b38ef2p+10", "0x1.3f595b94581f0p+12", "0x1.7a7a746210667p+7", "0x1.8de3ed45429b0p+8"),
+        ("0x1.cdd675ddd91d1p-5", "0x1.5e9f2ccbb95fep+0", "0x1.b4f63242cdca0p-5",
+         "0x1.5e9f2ccbb9620p+0", "0x1.1db5ac3378eacp+7", "0x1.35139adce2fa1p+2",
+         "0x1.b4f63242cdcb5p-5", "0x1.35139adce2fa1p+2", "0x1.552992aad3310p-3"),
+        2, 9,
+    ),
+    25103: (
+        ("0x1.261b23e85327cp+11", "0x1.3e4976aa39b28p+12", "0x1.c9d16d47cb810p+7", "0x1.a11300adcc6b0p+9"),
+        ("0x1.c2c0c7e921027p-4", "0x1.5f9470eb8891fp+1", "0x1.07767767ddea8p-3",
+         "0x1.5f9470eb8892fp+1", "0x1.62bc96144044dp+8", "0x1.beb11387b5df0p+3",
+         "0x1.07767767ddeb6p-3", "0x1.beb11387b5deep+3", "0x1.209c531560056p-1"),
+        2, 9,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", list(_FIT_PINS))
+def test_fit_keeps_its_bits(seed):
+    fit = fit_rt_curve(*_rt_curve(seed))
+    params = (fit.model.r_res, fit.model.amplitude, fit.model.theta, fit.chi2)
+    assert (
+        tuple(v.hex() for v in params),
+        tuple(v.hex() for v in fit.covariance.ravel().tolist()),
+        fit.status,
+        fit.nfev,
+    ) == _FIT_PINS[seed]
+
+
+_READOUT_TEMPERATURES = [3.0, 6.0, 10.0, 12.5, 15.0, 40.0, 77.0, 295.0]
+# preset: (sensitivity, then (T, sigma_T) read back from R at each temperature above)
+_READOUT_PINS = {
+    "TS1": (
+        "0x1.3fffbc3dc8194p+1",
+        (("0x1.7ffffffff2128p+1", "0x1.db93d2e812df1p+6"), ("0x1.7ffffffffee72p+2", "0x1.db94a6c190b66p+2"),
+         ("0x1.4000000000152p+3", "0x1.f133c6c121e40p-1"), ("0x1.8fffffffe5c5cp+3", "0x1.a8ca25f28ac1bp-2"),
+         ("0x1.e000000000134p+3", "0x1.c3cb88aa77661p-3"), ("0x1.4000000000895p+5", "0x1.5b27c9326327fp-5"),
+         ("0x1.3400000002009p+6", "0x1.554328424a9cbp-5"), ("0x1.26ffffffffffep+8", "0x1.7e7c00ce0a23fp-5")),
+    ),
+    "TS2": (
+        "0x1.00004e2b33853p+0",
+        (("0x1.800000001cb01p+1", "0x1.293bca1de8a1ap+8"), ("0x1.80000000007d3p+2", "0x1.293c4e8611d9dp+4"),
+         ("0x1.3fffffffffd88p+3", "0x1.36bfbb88f90fap+1"), ("0x1.8fffffffe5bb7p+3", "0x1.097dce6edda79p+0"),
+         ("0x1.dffffffffffe4p+3", "0x1.1a5ea3678aaf9p-1"), ("0x1.400000000088ap+5", "0x1.b1f0db1b952b6p-4"),
+         ("0x1.3400000002008p+6", "0x1.aa9315be9582bp-4"), ("0x1.2700000000000p+8", "0x1.de1a09c84dd34p-4")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READOUT_PINS))
+def test_readouts_keep_their_bits(name):
+    model = SENSOR_PRESETS[name]
+    readouts = [invert_temperature(model, r) for r in model_resistance(model, _READOUT_TEMPERATURES).tolist()]
+    assert (sensitivity(model).hex(), tuple((t.hex(), s.hex()) for t, s in readouts)) == _READOUT_PINS[name]

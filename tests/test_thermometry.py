@@ -262,3 +262,20 @@ def test_fit_computes_each_integral_once_per_theta(monkeypatch, rng):
     # the solver's own account of how it ended is passed through
     assert (fit.status, fit.nfev) == (ref.status, ref.nfev)
     assert 1 <= fit.status <= 4 and fit.nfev > 0
+
+
+@pytest.mark.parametrize("r_bad", [0.0, -100.0, np.nan])
+def test_fit_refuses_a_resistance_not_above_zero(r_bad):
+    # a negative one used to stop in least_squares' "Initial guess is outside
+    # of provided bounds"
+    with pytest.raises(ValueError, match=f"resistance {r_bad!r} ohm at 20.0 K is not above zero"):
+        fit_rt_curve([10.0, 20.0, 30.0, 40.0], [100.0, r_bad, 105.0, 110.0])
+
+
+@pytest.mark.parametrize(
+    "rs, sigma", [([100.0] * 4, None), ([100.0, 101.0, 105.0, 110.0], [1e300] * 4)], ids=["flat", "huge_sigma"]
+)
+def test_fit_refuses_a_theta_never_estimated(rs, sigma):
+    # both used to come back converged with Theta at its start value, 300.0
+    with pytest.raises(ValueError, match=r"did not estimate Theta: it is still its start value 300\.0 K"):
+        fit_rt_curve([10.0, 20.0, 30.0, 40.0], rs, sigma=sigma)
