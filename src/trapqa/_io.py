@@ -101,6 +101,24 @@ def read_csv(lines, what: str, required, optional=()) -> list[dict]:
     return rows
 
 
+def fit_weights(sigma, given):
+    """The weights ``1/sigma**2`` of a weighted fit, as a numpy array.
+
+    ``sigma`` are the uncertainties the fit divides by, computed from the
+    caller's ``given`` ones; a weight that is not finite and above zero
+    raises ValueError naming the ``given`` sigma it came from. Every fit
+    checks its weights here.
+    """
+    import numpy as np  # a fit has loaded it; this module must not
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = 1.0 / np.asarray(sigma, dtype=float) ** 2
+    for s, wi in zip(np.asarray(given, dtype=float).tolist(), w.tolist()):
+        if not 0.0 < wi < math.inf:
+            raise ValueError(f"sigma {s!r} gives the weight 1/sigma**2 = {wi!r}; it must be finite and above zero")
+    return w
+
+
 def csv_text(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import as_int, read_csv
+from ._io import as_int, fit_weights, read_csv
 
 __all__ = [
     "Nbar",
@@ -76,12 +76,8 @@ def _weighted_linfit(x, y, sigma, given):
     zero raises ValueError naming the ``given`` sigma it came from, and so
     does a fit whose weighted sums overflow.
     """
+    w = fit_weights(sigma, given)
     given = np.asarray(given, dtype=float).tolist()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = 1.0 / np.asarray(sigma, dtype=float) ** 2
-    for s, wi in zip(given, w.tolist()):
-        if not 0.0 < wi < math.inf:
-            raise ValueError(f"sigma {s!r} gives the weight 1/sigma**2 = {wi!r}; it must be finite and above zero")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):

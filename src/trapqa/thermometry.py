@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import fit_weights
 from ._solvers import IntegrationWarning, _brentq, _ier_message, _qags
 
 # The integrals and the readout's root find run on ports of scipy's quad and
@@ -196,9 +197,11 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     constrained to the aluminum-like window 100..600 K; starting values come
     from the data (residual from the coldest point, amplitude from the
     warmest). Raises ``ValueError`` for fewer than 3 distinct temperatures,
-    one per parameter, for a resistance that is not above zero, with the
-    solver status when the fit does not converge, and when Theta ends bit for
-    bit at its start value, never estimated.
+    one per parameter, for a resistance that is not above zero, for a sigma
+    whose weight 1/sigma**2 is not finite and above zero, with the solver
+    status when the fit does not converge, when Theta ends pinned at a bound
+    of ``THETA_BOUNDS``, and when Theta ends bit for bit at its start value,
+    never estimated.
     """
     t = np.asarray(temperatures, dtype=float)
     r = np.asarray(resistances, dtype=float)
@@ -209,6 +212,7 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
         raise ValueError(f"sigma has shape {s.shape}, the data {r.shape}")
     if np.any(s <= 0):
         raise ValueError("sigma values must be positive")
+    fit_weights(s, s)
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
     ts = t.tolist()
@@ -251,6 +255,13 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
             f"evaluations ({res.message})"
         )
     model = RTModel(r_res=float(res.x[0]), amplitude=float(res.x[1]), theta=float(res.x[2]))
+    if res.active_mask[2]:
+        # the solver keeps Theta strictly inside its bounds, so ask it, not the value
+        bound = THETA_BOUNDS[0] if res.active_mask[2] < 0 else THETA_BOUNDS[1]
+        raise ValueError(
+            f"R(T) fit ended with Theta {model.theta!r} K pinned at its bound {bound!r} K "
+            f"(allowed {THETA_BOUNDS[0]!r}..{THETA_BOUNDS[1]!r} K; least_squares status {res.status})"
+        )
     if model.theta == theta0:
         raise ValueError(
             f"R(T) fit did not estimate Theta: it is still its start value {theta0!r} K after "

@@ -22,16 +22,16 @@ The bundled default netlist (70 DC loops, 6 compensation electrodes,
 stress) + 79 resistance. At 16.25 ms per step a defect-free chip completes
 in 7.8 s.
 
-Each executed step is logged as a ``StepRecord``, a named tuple of the step
-index, the net, the ``test_kind`` label, the forced value, the measured
-voltage and current, and the verdict. ``build_plan`` fixes each step's label
-once: ``CONTINUITY``, ``LEAKAGE_1`` / ``LEAKAGE_2`` and ``LEAKAGE_RF_1`` /
-``LEAKAGE_RF_2`` for the two leakage passes, and ``RESISTANCE``.
+The plan is data. ``build_plan`` reads the netlist and ``DEFAULT_LIMITS``,
+the one table of instrument settings and pass windows, once, and each
+``TestStep`` carries its log label, forced value, pass windows, failure code
+and nominal resistance. ``simulate_step`` applies the chip's faults to those
+values and judges the result against the step's windows. Each executed step
+is logged as a ``StepRecord``: the step index, the net, the ``test_kind``
+label, the forced value, the measured voltage and current, and the verdict.
 
-Simulation is deterministic: nominal isolation is perfect, the meters read
-the exact values, and every run is checked against the one table of pass
-windows, ``DEFAULT_LIMITS``. A run depends on the netlist and the faults
-alone.
+Simulation is deterministic: nominal isolation is perfect and the meters
+read the exact values. A run depends on the netlist and the faults alone.
 """
 
 import functools
@@ -141,29 +141,40 @@ class ChipNetlist:
     @functools.cached_property
     def _plan(self) -> tuple["TestStep", ...]:
         # what build_plan returns; a refusal raises again on every use
+        lim = DEFAULT_LIMITS
+        # the first sensor (ascending id) gets the high band, the second the low one
+        sensor_bands = (lim.ts_band_high, lim.ts_band_low)
+        ts_band = {nid: sensor_bands[k % 2] for k, nid in enumerate(self.ids("ts"))}
+        continuity = (lim.continuity_v, lim.continuity_i)
+        leakage = ((-lim.leakage_v_window, lim.leakage_v_window), (-math.inf, lim.leakage_i_max))
         steps = []
 
-        def add(kind, net, pass_index=0, pad=None):
-            label = f"{kind}_{pass_index}" if pass_index else kind
+        def add(kind, net, forced, windows, code, pass_index=0, pad=None):
+            element = kind == "RESISTANCE" and net.role == "ts"
             steps.append(
-                TestStep(index=len(steps), kind=kind, net=net, pass_index=pass_index, pad=pad, label=label)
+                TestStep(
+                    index=len(steps), kind=kind, net=net.id, pass_index=pass_index, pad=pad,
+                    label=f"{kind}_{pass_index}" if pass_index else kind,
+                    forced=forced, compliance=lim.compliance_v, windows=windows, code=code,
+                    nominal=net.element_resistance if element else net.loop_resistance,
+                )
             )
 
-        loop_ids = self.ids("dc", "comp", "ts", "rf")
-        for nid in loop_ids:
-            add("CONTINUITY", nid)
+        loops = [self._index[nid] for nid in self.ids("dc", "comp", "ts", "rf")]
+        for net in loops:
+            add("CONTINUITY", net, lim.continuity_force, continuity, "CONTINUITY_FAIL")
 
         for pass_index in (1, 2):
-            for nid in self.ids("dc", "comp", "rf", "ts"):
-                net = self.net(nid)
+            for net in loops:
                 if net.role == "rf":
-                    add("LEAKAGE_RF", nid, pass_index)
+                    add("LEAKAGE_RF", net, lim.leakage_bias_rf, leakage, "LEAK_RF", pass_index)
                 else:
                     for pad in net.pads:
-                        add("LEAKAGE", nid, pass_index, pad=pad)
+                        add("LEAKAGE", net, lim.leakage_bias_dc, leakage, "LEAK_DC_DC", pass_index, pad)
 
-        for nid in loop_ids:
-            add("RESISTANCE", nid)
+        for net in loops:
+            band = ts_band[net.id] if net.role == "ts" else lim.loop_band
+            add("RESISTANCE", net, lim.resistance_force, (band,), _RES_CODES.get(net.role, "RES_FAIL_DC"))
 
         if not steps:
             raise ValueError("the netlist has no dc, comp, ts or rf net to test")
@@ -262,10 +273,16 @@ DEFAULT_LIMITS = TestLimits()
 
 @dataclass(frozen=True)
 class TestStep:
-    """One plan entry: a force/sense configuration with a pass window.
+    """One plan entry: a force/sense configuration with its pass windows.
 
-    ``label`` is the ``test_kind`` an executed step logs: the kind, with the
-    pass appended for leakage steps (``LEAKAGE_2``, ``LEAKAGE_RF_1``).
+    ``build_plan`` fills in, from ``DEFAULT_LIMITS`` and the netlist,
+    ``label``, the ``test_kind`` an executed step logs (the kind, with the
+    pass appended for leakage steps: ``LEAKAGE_2``, ``LEAKAGE_RF_1``), and
+    what executing the step needs. ``windows`` are the inclusive pass windows
+    of the measured voltage and current, ``((V_lo, V_hi), (I_lo, I_hi))``,
+    or of the measured resistance, ``((R_lo, R_hi),)``. ``code`` is the
+    verdict of a failing step; a failing per-pad leakage step with a defect
+    path is named by its strongest path instead.
     """
 
     index: int
@@ -274,6 +291,11 @@ class TestStep:
     pass_index: int = 0  # 1 or 2 for the two leakage passes
     pad: str | None = None  # sensed pad for per-pad leakage steps
     label: str = field(kw_only=True)
+    forced: float = field(kw_only=True)  # A for a continuity step, V for the others
+    compliance: float = field(kw_only=True)  # V, the most the source can apply
+    windows: tuple[tuple[float, float], ...] = field(kw_only=True)
+    code: str = field(kw_only=True)
+    nominal: float = field(kw_only=True)  # ohm: the sensor element for a ts resistance step, else the loop
 
 
 class StepRecord(NamedTuple):
@@ -416,6 +438,7 @@ def build_plan(netlist: ChipNetlist) -> tuple[TestStep, ...]:
 
 
 _SHORT_CODES = {"rf": "LEAK_DC_RF", "gnd": "LEAK_DC_GND"}
+_RES_CODES = {"ts": "RES_FAIL_TS", "rf": "RES_FAIL_RF"}
 
 
 class _FaultIndex(NamedTuple):
@@ -459,87 +482,54 @@ def _index_faults(netlist: ChipNetlist, faults, plan_length: int) -> _FaultIndex
             leaks[f.net] = leaks.get(f.net, ()) + ((f.resistance, "LEAK_DC_GND"),)
         else:  # SHORT: a path from each end, coded by the role of the other
             for net_id, other in ((f.net, f.other), (f.other, f.net)):
-                code = _SHORT_CODES.get(netlist.net(other).role, "LEAK_DC_DC")
+                code = _SHORT_CODES.get(netlist._index[other].role, "LEAK_DC_DC")
                 leaks[net_id] = leaks.get(net_id, ()) + ((f.resistance, code),)
     return _FaultIndex(frozenset(hw_fail), frozenset(opens), shift, leaks)
-
-
-def _in(value: float, band: tuple[float, float]) -> bool:
-    return band[0] <= value <= band[1]
-
-
-def _ts_band(netlist: ChipNetlist, net_id: str) -> tuple[float, float]:
-    bands = (DEFAULT_LIMITS.ts_band_high, DEFAULT_LIMITS.ts_band_low)
-    return bands[netlist.ids("ts").index(net_id) % 2]
 
 
 def simulate_step(netlist: ChipNetlist, faults, step: TestStep) -> StepRecord:
     """Execute one plan step against the fault set.
 
-    ``faults`` is any iterable of ``Fault``; it is indexed and checked like
-    ``run_chip`` does, so a fault the chip cannot host raises ``ValueError``.
-    A plan walk passes the index it built once for the chip instead.
+    The faults on the step's net act on the step's nominal values, and the
+    result is judged against the step's windows. ``faults`` is any iterable
+    of ``Fault``; it is indexed and checked like ``run_chip`` does, so a
+    fault the chip cannot host raises ``ValueError``. A plan walk passes the
+    index it built once for the chip instead.
     """
     if not isinstance(faults, _FaultIndex):
         faults = _index_faults(netlist, faults, len(build_plan(netlist)))
-    limits = DEFAULT_LIMITS
-    net = netlist.net(step.net)
-    shift = faults.shift.get(step.net, 1.0)
-    is_open = step.net in faults.open
-    paths = faults.leaks.get(step.net, ())
+    net, forced, code = step.net, step.forced, step.code
 
     if step.index in faults.hw_fail:
         forced = v = i = 0.0
-        verdict = "HW_FAIL"
+        ok, code = False, "HW_FAIL"
 
-    elif step.kind == "CONTINUITY":
-        forced = limits.continuity_force
-        if is_open:
-            v, i = limits.compliance_v, 0.0
-        else:
-            loop = net.loop_resistance * shift
-            v_would = forced * loop
-            if v_would >= limits.compliance_v:
-                v, i = limits.compliance_v, limits.compliance_v / loop
-            else:
-                v, i = v_would, forced
-        ok = _in(v, limits.continuity_v) and _in(i, limits.continuity_i)
-        verdict = "PASS" if ok else "CONTINUITY_FAIL"
-
-    elif step.kind in ("LEAKAGE", "LEAKAGE_RF"):
-        forced = limits.leakage_bias_rf if step.kind == "LEAKAGE_RF" else limits.leakage_bias_dc
-        i = sum(forced / r for r, _ in paths)
-        v = 0.0  # sense node held at virtual ground
-        if i <= limits.leakage_i_max and abs(v) <= limits.leakage_v_window:
-            verdict = "PASS"
-        elif step.kind == "LEAKAGE_RF":
-            verdict = "LEAK_RF"
-        else:
-            # attribute the failure to the strongest defect path
-            verdict = min(paths)[1] if paths else "LEAK_DC_DC"
-
-    else:  # RESISTANCE
-        forced = limits.resistance_force
-        r_nominal = net.element_resistance if net.role == "ts" else net.loop_resistance
-        i = 0.0 if is_open else forced / (r_nominal * shift)
+    elif step.kind == "RESISTANCE":
+        i = 0.0 if net in faults.open else forced / (step.nominal * faults.shift.get(net, 1.0))
         v = forced
-        r_meas = v / i if i > 0 else math.inf
-        if net.role == "ts":
-            band = _ts_band(netlist, step.net)
-            code = "RES_FAIL_TS"
-        else:
-            band = limits.loop_band
-            code = "RES_FAIL_RF" if net.role == "rf" else "RES_FAIL_DC"
-        verdict = "PASS" if _in(r_meas, band) else code
+        ((r_lo, r_hi),) = step.windows
+        ok = r_lo <= (v / i if i > 0 else math.inf) <= r_hi
+
+    else:
+        if step.kind == "CONTINUITY":
+            if net in faults.open:
+                v, i = step.compliance, 0.0
+            else:
+                loop = step.nominal * faults.shift.get(net, 1.0)
+                v, i = forced * loop, forced
+                if v >= step.compliance:
+                    v, i = step.compliance, step.compliance / loop
+        else:  # LEAKAGE, LEAKAGE_RF: the sense node is held at virtual ground
+            paths = faults.leaks.get(net, ())
+            v, i = 0.0, sum(forced / r for r, _ in paths)
+            if paths and step.kind == "LEAKAGE":
+                code = min(paths)[1]  # the strongest defect path names a pad's failure
+        (v_lo, v_hi), (i_lo, i_hi) = step.windows
+        ok = v_lo <= v <= v_hi and i_lo <= i <= i_hi
 
     return StepRecord(
-        index=step.index,
-        net=step.net,
-        test_kind=step.label,
-        forced=forced,
-        measured_v=v,
-        measured_i=i,
-        verdict=verdict,
+        index=step.index, net=net, test_kind=step.label, forced=forced,
+        measured_v=v, measured_i=i, verdict="PASS" if ok else code,
     )
 
 

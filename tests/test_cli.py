@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from trapqa.cli import main
 from trapqa.electrostatics import paper_trap_geometry
+from trapqa.thermometry import SENSOR_PRESETS, RTModel, model_resistance
 
 
 def run_cli(*args):
@@ -903,6 +904,37 @@ def test_key_errors_print_plainly(tmp_path, capsys, monkeypatch, args, document,
     assert _refused(capsys, *args) == f"trapqa: bad input: {line}\n"
 
 
+# (id, command, document, the one-line refusal): values of the right type
+# that the wafer-test domain types refuse
+_WAFERTEST_REFUSALS = [
+    ("short_zero_resistance", _FAULTS, _fault(kind="SHORT", net="DC01", other="RF", resistance_ohm=0),
+     "SHORT needs a positive path resistance"),
+    ("open_without_net", _FAULTS, _fault(kind="OPEN"), "OPEN needs a net"),
+    ("hw_fail_negative_step", _FAULTS, _fault(kind="HW_FAIL", step_index=-3), "HW_FAIL needs a step_index >= 0"),
+    ("leak_negative_resistance", _FAULTS, _fault(kind="LEAK_TO_GND", net="DC01", resistance_ohm=-1),
+     "LEAK_TO_GND needs a net and positive resistance"),
+    ("shift_zero_factor", _FAULTS, _fault(kind="RESISTANCE_SHIFT", net="DC01", factor=0),
+     "RESISTANCE_SHIFT needs a net and positive factor"),
+    ("net_zero_loop_resistance", _NETLIST, _net(loop_resistance_ohm=0), "net 'DC01': loop_resistance must be positive"),
+    ("sensor_without_element", _NETLIST, _net(id="TS1", role="ts", pads=["A", "B", "C", "D"]),
+     "sensor net 'TS1' needs element_resistance > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, document, line", [pytest.param(*case[1:], id=case[0]) for case in _WAFERTEST_REFUSALS]
+)
+def test_wafertest_refuses_faults_and_nets_it_cannot_simulate(tmp_path, capsys, monkeypatch, args, document, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(document))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, *args)
+    assert caught == []
+    assert err == f"trapqa: bad input: {line}\n"
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_field_csv_is_the_same_at_every_thread_count(tmp_path, monkeypatch, geometry):
     # all 79 electrodes driven: 8000 points are 39 kernel blocks
     from trapqa.kernels import rect_np
@@ -1270,7 +1302,7 @@ def test_heating_sigma_without_a_weight_exits_2(tmp_path, capsys, sigmas):
     "rows, reason",
     [
         (["10,100", "20,100", "30,100", "40,100"], "did not estimate Theta"),
-        (["10,100,1e300", "20,101,1e300", "30,105,1e300", "40,110,1e300"], "did not estimate Theta"),
+        (["10,100,1e150", "20,101,1e150", "30,105,1e150", "40,110,1e150"], "did not estimate Theta"),
         (["10,-100", "20,100", "30,105", "40,110"], "resistance -100.0 ohm at 10.0 K is not above zero"),
     ],
     ids=["flat", "huge_sigma", "negative"],
@@ -1283,4 +1315,39 @@ def test_thermo_calibration_without_an_estimate_exits_2(tmp_path, capsys, rows, 
     out = tmp_path / "fit.json"
     err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
     assert err.count("\n") == 1 and reason in err
+    assert not out.exists()
+
+
+def _calibration_rows(model, count, sigmas):
+    """A noiseless calibration table of ``count`` rows from 10 to 300 K."""
+    ts = [10.0 + 290.0 * k / (count - 1) for k in range(count)]
+    rs = model_resistance(model, ts).tolist()
+    if sigmas is None:
+        return ["T_K,R_ohm", *(f"{t!r},{r!r}" for t, r in zip(ts, rs))]
+    return ["T_K,R_ohm,sigma_ohm", *(f"{t!r},{r!r},{s!r}" for t, r, s in zip(ts, rs, sigmas))]
+
+
+@pytest.mark.parametrize(
+    "model, count, sigmas, line",
+    [
+        (RTModel(r_res=100.0, amplitude=1000.0, theta=900.0), 40, None,
+         "R(T) fit ended with Theta 599.9999999999999 K pinned at its bound 600.0 K (allowed 100.0..600.0 K;"),
+        (RTModel(r_res=100.0, amplitude=1000.0, theta=60.0), 40, None,
+         "R(T) fit ended with Theta 100.00000000000001 K pinned at its bound 100.0 K (allowed 100.0..600.0 K;"),
+        (SENSOR_PRESETS["TS1"], 10, [1e-320] + [5.0] * 9,
+         "sigma 1e-320 gives the weight 1/sigma**2 = inf; it must be finite and above zero"),
+    ],
+    ids=["theta_above_bounds", "theta_below_bounds", "weight_inf"],
+)
+def test_thermo_calibration_refuses_a_pinned_theta_and_an_infinite_weight(tmp_path, capsys, model, count, sigmas, line):
+    # the first two used to write Theta at its bound and exit 0; the third
+    # printed two RuntimeWarnings and stopped in scipy's "Residuals are not finite"
+    cal = tmp_path / "cal.csv"
+    cal.write_text("\n".join(_calibration_rows(model, count, sigmas)) + "\n")
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert caught == []
+    assert err.count("\n") == 1 and err.startswith(f"trapqa: bad input: {line}")
     assert not out.exists()

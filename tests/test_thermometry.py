@@ -8,6 +8,8 @@ is cross-checked against a composite-midpoint quadrature on a million
 panels, which is independent of the adaptive scheme used by the library.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -273,9 +275,33 @@ def test_fit_refuses_a_resistance_not_above_zero(r_bad):
 
 
 @pytest.mark.parametrize(
-    "rs, sigma", [([100.0] * 4, None), ([100.0, 101.0, 105.0, 110.0], [1e300] * 4)], ids=["flat", "huge_sigma"]
+    "rs, sigma", [([100.0] * 4, None), ([100.0, 101.0, 105.0, 110.0], [1e150] * 4)], ids=["flat", "huge_sigma"]
 )
 def test_fit_refuses_a_theta_never_estimated(rs, sigma):
-    # both used to come back converged with Theta at its start value, 300.0
+    # both used to come back converged with Theta at its start value, 300.0;
+    # the huge sigma's weight, 1e-300, is finite and above zero
     with pytest.raises(ValueError, match=r"did not estimate Theta: it is still its start value 300\.0 K"):
         fit_rt_curve([10.0, 20.0, 30.0, 40.0], rs, sigma=sigma)
+
+
+@pytest.mark.parametrize("theta, bound", [(900.0, 600.0), (60.0, 100.0)])
+def test_fit_refuses_a_theta_pinned_at_a_bound(theta, bound):
+    # noiseless curves whose Theta lies outside THETA_BOUNDS used to come back
+    # converged, at 599.9999999999999 and 100.00000000000001
+    ts = np.linspace(10.0, 300.0, 40)
+    rs = model_resistance(RTModel(r_res=100.0, amplitude=1000.0, theta=theta), ts)
+    with pytest.raises(ValueError, match=rf"Theta \S+ K pinned at its bound {bound!r} K"):
+        fit_rt_curve(ts, rs)
+
+
+@pytest.mark.parametrize(
+    "sigma, weight", [([1e-320] + [1.0] * 9, "inf"), ([1e300] * 10, "0.0")], ids=["weight_inf", "weights_zero"]
+)
+def test_fit_refuses_weights_not_finite_and_above_zero(sigma, weight):
+    # 1e-320 used to overflow the residuals and stop in least_squares with
+    # "Residuals are not finite in the initial point"
+    ts = np.linspace(10.0, 300.0, 10)
+    rs = model_resistance(SENSOR_PRESETS["TS1"], ts)
+    message = f"sigma {sigma[0]!r} gives the weight 1/sigma**2 = {weight}; it must be finite and above zero"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_rt_curve(ts, rs, sigma=sigma)

@@ -25,8 +25,6 @@ from trapqa.wafertest import (
     Fault,
     Net,
     StepRecord,
-    _in,
-    _ts_band,
     build_plan,
     default_netlist,
     faults_from_dict,
@@ -371,6 +369,15 @@ def test_clean_chip_result_is_shared(netlist):
 # whole fault list. The indexed walk must reproduce it record for record.
 
 
+def _in(value, band):
+    return band[0] <= value <= band[1]
+
+
+def _ts_band(netlist, net_id):
+    bands = (DEFAULT_LIMITS.ts_band_high, DEFAULT_LIMITS.ts_band_low)
+    return bands[netlist.ids("ts").index(net_id) % 2]
+
+
 def _ref_shift_factor(net_id, faults):
     f = 1.0
     for fault in faults:
@@ -619,6 +626,46 @@ def test_walk_calls_simulate_step_once_per_executed_step(monkeypatch, netlist):
     monkeypatch.setattr(wt, "simulate_step", counted)
     result = run_chip(netlist, (Fault.hw_fail(250), Fault.resistance_shift("DC05", 1.2)))
     assert calls == list(range(result.steps_executed)) == list(range(251))
+
+
+def test_walk_reads_the_plan_not_the_netlist(monkeypatch):
+    # once the plan is built, a step looks up neither a net nor an id list
+    netlist = default_netlist()
+    sweep = _sweep_faults(netlist)
+    want = [run_chip(netlist, (fault,)) for fault in sweep]
+    plan = build_plan(netlist)
+    steps = [simulate_step(netlist, (fault,), step) for fault, step in zip(sweep, plan[::-1])]
+
+    def refuse(*args):
+        raise AssertionError("the walk read the netlist")
+
+    monkeypatch.setattr(ChipNetlist, "net", refuse)
+    monkeypatch.setattr(ChipNetlist, "ids", refuse)
+    assert [run_chip(netlist, (fault,)) for fault in sweep] == want
+    assert [simulate_step(netlist, (fault,), step) for fault, step in zip(sweep, plan[::-1])] == steps
+
+
+def test_plan_steps_carry_their_limits(netlist, plan):
+    lim = DEFAULT_LIMITS
+    for step in plan:
+        net = netlist.net(step.net)
+        assert step.compliance == lim.compliance_v
+        if step.kind == "CONTINUITY":
+            assert (step.forced, step.windows, step.code) == (
+                lim.continuity_force, (lim.continuity_v, lim.continuity_i), "CONTINUITY_FAIL"
+            )
+        elif step.kind == "RESISTANCE":
+            band = _ts_band(netlist, step.net) if net.role == "ts" else lim.loop_band
+            code = {"ts": "RES_FAIL_TS", "rf": "RES_FAIL_RF"}.get(net.role, "RES_FAIL_DC")
+            assert (step.forced, step.windows, step.code) == (lim.resistance_force, (band,), code)
+        else:
+            rf = step.kind == "LEAKAGE_RF"
+            assert step.forced == (lim.leakage_bias_rf if rf else lim.leakage_bias_dc)
+            assert step.code == ("LEAK_RF" if rf else "LEAK_DC_DC")
+            v_window, i_window = step.windows
+            assert v_window == (-lim.leakage_v_window, lim.leakage_v_window) and i_window[1] == lim.leakage_i_max
+        element = step.kind == "RESISTANCE" and net.role == "ts"
+        assert step.nominal == (net.element_resistance if element else net.loop_resistance)
 
 
 def test_simulate_step_indexes_plain_faults(netlist, plan):
