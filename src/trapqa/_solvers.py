@@ -2,7 +2,8 @@
 
 Each port does scipy's operations in scipy's order, so it returns scipy's
 results bit for bit (tests/test_solvers.py keeps scipy as the reference)
-without the second or so it takes to import scipy:
+without loading scipy, which costs about 0.4 s and 50 MB for
+``scipy.optimize`` alone:
 
 - ``_qags``: QUADPACK's ``dqagse`` with ``dqk21``, ``dqpsrt`` and ``dqelg``
   (Piessens et al., *QUADPACK*, Springer 1983), which is what
@@ -11,9 +12,16 @@ without the second or so it takes to import scipy:
   results; ``_qags`` moves a batch of integrals forward together, with one
   vectorised integrand call per round.
 - ``_brentq``: scipy's C ``brentq``.
+- ``_least_squares``: the path of ``scipy.optimize.least_squares`` that the
+  R(T) fit takes, the bounded trust-region-reflective method (Branch,
+  Coleman & Li, SIAM J. Sci. Comput. 21, 1999) with its exact trust-region
+  solver and a two-point Jacobian. Its one factorisation is
+  ``numpy.linalg.svd``, whose bits equal ``scipy.linalg.svd``'s on the
+  machines measured (a guard in tests/test_solvers.py); the products that
+  follow it take scipy's column-major layout of the factors.
 
-Both serve ``thermometry``; the bounded minimizer that ``diagnosis`` runs
-lives in that module, so a ``diagnose`` process does not load this one.
+All three serve ``thermometry``; the bounded minimizer that ``diagnosis``
+runs lives in that module, so a ``diagnose`` process does not load this one.
 
 Bit-identity with ``quad`` also rests on the integrand, which is the
 caller's: ``thermometry`` computes x**5 with ``np.float_power``, which runs
@@ -22,15 +30,18 @@ bit at some x), and e^x with ``np.exp`` on an array, which gives the scalar
 bits on the machines measured. ``dqk21``'s per-interval ``**1.5`` stays a
 scalar float power here.
 
-The routines keep QUADPACK's 1-based arrays (index 0 unused) and its names,
-so they read line for line against the Fortran.
+The QUADPACK routines keep its 1-based arrays (index 0 unused) and its
+names, so they read line for line against the Fortran; the least_squares
+port keeps scipy's names, and its comments cite scipy's lines.
 """
 
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import norm, svd
 
 _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _UFLOW = sys.float_info.min  # d1mach(1)
@@ -651,3 +662,420 @@ def _brentq(
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# ------------------------------------------------------- least_squares
+#
+# scipy 1.17.1's least_squares(fun, x0, bounds=(lb, ub), ftol=..., xtol=...)
+# with its other arguments at their defaults: method "trf" with bounds
+# (trf_bounds and select_step), tr_solver "exact", loss "linear", x_scale
+# 1.0 and the bound-aware "2-point" Jacobian. Comments cite the lines of
+# scipy/optimize/_lsq/{least_squares,trf,common}.py and _numdiff.py. The
+# products with x_scale (all ones) are exact, so they are left out.
+
+_GTOL = 1e-8  # least_squares' default gtol
+
+# least_squares' message for each status that trf returns
+_LSQ_MESSAGES = {
+    0: "The maximum number of function evaluations is exceeded.",
+    1: "`gtol` termination condition is satisfied.",
+    2: "`ftol` termination condition is satisfied.",
+    3: "`xtol` termination condition is satisfied.",
+    4: "Both `ftol` and `xtol` termination conditions are satisfied.",
+}
+
+
+@dataclass(frozen=True)
+class LsqResult:
+    """The fields of least_squares' result that its callers here read."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    jac: np.ndarray
+    status: int
+    nfev: int
+    active_mask: np.ndarray
+    success: bool
+    message: str
+
+
+def _least_squares(fun, x0, lb, ub, ftol: float, xtol: float, max_nfev=None) -> LsqResult:
+    """``scipy.optimize.least_squares(fun, x0, bounds=(lb, ub), ftol=ftol,
+    xtol=xtol, max_nfev=max_nfev)``, bit for bit.
+
+    ``fun`` maps a float array to a 1-D float array. ``x0`` must lie within
+    the bounds, each ``lb < ub``, and each tolerance be at least machine
+    epsilon, which scipy checks and the callers here meet. As in scipy,
+    residuals that are not finite at the start raise ValueError.
+    """
+    x0 = np.atleast_1d(x0).astype(float)  # least_squares.py:876
+    lb = np.asarray(lb, dtype=float)  # :886
+    ub = np.asarray(ub, dtype=float)
+    x0 = _make_strictly_feasible(x0, lb, ub, 1e-10)  # :908
+    f0 = np.atleast_1d(fun(x0))  # :938
+    J0 = _jac_2point(fun, x0, f0, lb, ub)
+    if not np.all(np.isfinite(f0)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    x, f, J, status, nfev = _trf_bounds(fun, x0, f0, J0, lb, ub, ftol, xtol, max_nfev)
+    return LsqResult(
+        x=x, fun=f, jac=J, status=status, nfev=nfev,
+        active_mask=_find_active_constraints(x, lb, ub, xtol),  # trf.py:408
+        success=status > 0, message=_LSQ_MESSAGES[status],
+    )
+
+
+def _trf_bounds(fun, x0, f0, J0, lb, ub, ftol, xtol, max_nfev):
+    """trf.py:206 ``trf_bounds``; returns ``(x, fun, jac, status, nfev)``."""
+    x = x0.copy()
+    f = f0  # with loss "linear", scipy's f_true is f
+    nfev = 1
+    J = J0
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)  # common.py:590 compute_grad
+
+    v, dv = _cl_scaling_vector(x, g, lb, ub)
+    Delta = norm(x0 / v**0.5)  # :236
+    if Delta == 0:
+        Delta = 1.0
+
+    f_augmented = np.zeros(m + n)
+    J_augmented = np.empty((m + n, n))
+    if max_nfev is None:
+        max_nfev = x0.size * 100
+    alpha = 0.0  # "Levenberg-Marquardt" parameter
+    status = None
+
+    while True:
+        v, dv = _cl_scaling_vector(x, g, lb, ub)  # :263
+        g_norm = norm(g * v, ord=np.inf)
+        if g_norm < _GTOL:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+
+        d = v**0.5  # :288, the variables in "hat" space
+        diag_h = g * dv
+        g_h = d * g
+        f_augmented[:m] = f
+        J_augmented[:m] = J * d
+        J_h = J_augmented[:m]  # a view
+        J_augmented[m:] = np.diag(diag_h**0.5)
+        if not np.all(np.isfinite(J_augmented)):  # scipy.linalg.svd's check_finite
+            raise ValueError("array must not contain infs or NaNs")
+        U, s, V = svd(J_augmented, full_matrices=False)
+        # scipy.linalg hands back LAPACK's column-major U and V^T, numpy.linalg
+        # row-major copies of the same bits; the products below run another
+        # BLAS kernel for each layout, so take scipy's
+        V = np.asfortranarray(V).T
+        uf = np.asfortranarray(U).T.dot(f_augmented)  # :305
+
+        theta = max(0.995, 1 - g_norm)  # step back ratio from the bounds
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:  # :327
+            p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
+            p = d * p_h
+            step, step_h, predicted_reduction = _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta)
+            x_new = _make_strictly_feasible(x + step, lb, ub, 0)
+            f_new = np.atleast_1d(fun(x_new))
+            nfev += 1
+            step_h_norm = norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_h_norm
+                continue
+
+            cost_new = 0.5 * np.dot(f_new, f_new)  # :353
+            actual_reduction = cost - cost_new
+            Delta_new, ratio = _update_tr_radius(
+                Delta, actual_reduction, predicted_reduction, step_h_norm, step_h_norm > 0.95 * Delta
+            )
+            status = _check_termination(actual_reduction, cost, norm(step), norm(x), ratio, ftol, xtol)
+            if status is not None:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+
+        if actual_reduction > 0:  # :368
+            x = x_new
+            f = f_new
+            cost = cost_new
+            J = _jac_2point(fun, x, f, lb, ub)
+            g = J.T.dot(f)
+
+    if status is None:
+        status = 0
+    return x, f, J, status, nfev
+
+
+def _jac_2point(fun, x0, f0, lb, ub):
+    """_numdiff.py:278 ``approx_derivative(fun, x0, method="2-point", f0=f0,
+    bounds=(lb, ub))``: one-sided differences that stay within the bounds,
+    as the transpose of a row-major array, as scipy returns them."""
+    sign_x0 = (x0 >= 0).astype(float) * 2 - 1  # :147 _compute_absolute_step
+    h = _EPMACH**0.5 * sign_x0 * np.maximum(1.0, np.abs(x0))
+    lower_dist = x0 - lb  # :14 _adjust_scheme_to_bounds, one step
+    upper_dist = ub - x0
+    x = x0 + h
+    violated = (x < lb) | (x > ub)
+    fitting = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+    h[violated & fitting] *= -1
+    forward = (upper_dist >= lower_dist) & ~fitting
+    h[forward] = upper_dist[forward]
+    backward = (upper_dist < lower_dist) & ~fitting
+    h[backward] = -lower_dist[backward]
+    J_transposed = np.empty((x0.size, f0.size))  # :663 _dense_difference
+    for i in range(x0.size):
+        x1 = np.copy(x0)
+        x1[i] = x0[i] + h[i]
+        J_transposed[i] = (np.atleast_1d(fun(x1)) - f0) / ((x0[i] + h[i]) - x0[i])
+    return J_transposed.T
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+    """trf.py:129 ``select_step``: the best of the trust-region step, its
+    reflection off the first bound hit, and the constrained Cauchy step."""
+    if np.all((x + p >= lb) & (x + p <= ub)):  # common.py:367 in_bounds
+        p_value = _evaluate_quadratic(J_h, g_h, p_h, diag_h)
+        return p, p_h, -p_value
+
+    p_stride, hits = _step_size_to_bound(x, p, lb, ub)
+    r_h = np.copy(p_h)  # the reflected direction
+    r_h[hits.astype(bool)] *= -1
+    r = d * r_h
+    # restrict the trust-region step so that it hits the bound
+    p *= p_stride
+    p_h *= p_stride
+    x_on_bound = x + p
+    # the reflected direction crosses the feasible region's or the trust
+    # region's boundary first
+    _, to_tr = _intersect_trust_region(p_h, r_h, Delta)
+    to_bound, _ = _step_size_to_bound(x_on_bound, r, lb, ub)
+    r_stride = min(to_bound, to_tr)  # :156
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_stride_l = 0
+        r_stride_u = -1
+    if r_stride_l <= r_stride_u:  # :168
+        a, b, c = _build_quadratic_1d(J_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_quadratic_1d(a, b, r_stride_l, r_stride_u, c=c)
+        r_h *= r_stride
+        r_h += p_h
+        r = r_h * d
+    else:
+        r_value = np.inf
+
+    # make p_h strictly interior
+    p *= theta
+    p_h *= theta
+    p_value = _evaluate_quadratic(J_h, g_h, p_h, diag_h)
+
+    ag_h = -g_h  # :183
+    ag = d * ag_h
+    to_tr = Delta / norm(ag_h)
+    to_bound, _ = _step_size_to_bound(x, ag, lb, ub)
+    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
+    a, b = _build_quadratic_1d(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_quadratic_1d(a, b, 0, ag_stride)
+    ag_h *= ag_stride
+    ag *= ag_stride
+
+    if p_value < r_value and p_value < ag_value:  # :198
+        return p, p_h, -p_value
+    elif r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    else:
+        return ag, ag_h, -ag_value
+
+
+def _intersect_trust_region(x, s, Delta):
+    """common.py:18: the roots t of ||x + s t|| = Delta, smaller first."""
+    a = np.dot(s, s)
+    if a == 0:
+        raise ValueError("`s` is zero.")
+    b = np.dot(x, s)
+    c = np.dot(x, x) - Delta**2
+    if c > 0:
+        raise ValueError("`x` is not within the trust region.")
+    d = np.sqrt(b * b - a * c)  # the root of a fourth of the discriminant
+    q = -(b + math.copysign(d, b))
+    t1 = q / a
+    t2 = c / q
+    return (t1, t2) if t1 < t2 else (t2, t1)
+
+
+def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):
+    """common.py:57 ``solve_lsq_trust_region`` (More 1977) on one SVD of the
+    Jacobian, rtol 0.01: the step and the Levenberg-Marquardt alpha."""
+    rtol = 0.01
+
+    def phi_and_derivative(alpha, suf, s, Delta):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        phi = p_norm - Delta
+        phi_prime = -np.sum(suf**2 / denom**3) / p_norm
+        return phi, phi_prime
+
+    suf = s * uf
+    # try the Gauss-Newton step where J has full rank
+    full_rank = m >= n and s[-1] > _EPMACH * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+
+    alpha_upper = norm(suf) / Delta  # :143
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0, suf, s, Delta)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and initial_alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    else:
+        alpha = initial_alpha
+
+    for _ in range(10):  # :156
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha, suf, s, Delta)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < rtol * Delta:
+            break
+
+    p = -V.dot(suf / (s**2 + alpha))
+    # bring the norm of p to Delta, so that p does not leave the trust region
+    p *= Delta / norm(p)
+    return p, alpha
+
+
+def _update_tr_radius(Delta, actual_reduction, predicted_reduction, step_norm, bound_hit):
+    """common.py:222: the next trust-region radius, and the ratio of the
+    actual to the predicted reduction."""
+    if predicted_reduction > 0:
+        ratio = actual_reduction / predicted_reduction
+    elif predicted_reduction == actual_reduction == 0:
+        ratio = 1
+    else:
+        ratio = 0
+    if ratio < 0.25:
+        Delta = 0.25 * step_norm
+    elif ratio > 0.75 and bound_hit:
+        Delta *= 2.0
+    return Delta, ratio
+
+
+def _check_termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):
+    """common.py:705: the status that the ftol and xtol tests give, or None."""
+    ftol_satisfied = dF < ftol * F and ratio > 0.25
+    xtol_satisfied = dx_norm < xtol * (xtol + x_norm)
+    if ftol_satisfied:
+        return 4 if xtol_satisfied else 2
+    return 3 if xtol_satisfied else None
+
+
+def _build_quadratic_1d(J, g, s, diag, s0=None):
+    """common.py:251: the coefficients (a, b), or with ``s0`` (a, b, c), of
+    the quadratic along ``s`` from ``s0``."""
+    v = J.dot(s)
+    a = np.dot(v, v)
+    a += np.dot(s * diag, s)
+    a *= 0.5
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _minimize_quadratic_1d(a, b, lb, ub, c=0):
+    """common.py:302: where ``t (a t + b) + c`` is least on [lb, ub], and its value there."""
+    t = [lb, ub]
+    if a != 0:
+        extremum = -0.5 * b / a
+        if lb < extremum < ub:
+            t.append(extremum)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    min_index = np.argmin(y)
+    return t[min_index], y[min_index]
+
+
+def _evaluate_quadratic(J, g, s, diag):
+    """common.py:325: ``0.5 s^T (J^T J + diag) s + g^T s`` for one step ``s``."""
+    Js = J.dot(s)
+    q = np.dot(Js, Js)
+    q += np.dot(s * diag, s)
+    return 0.5 * q + np.dot(s, g)
+
+
+def _step_size_to_bound(x, s, lb, ub):
+    """common.py:372: the least t >= 0 that puts ``x + s t`` on a bound, and
+    which bound each variable hits there (-1 lower, 1 upper, 0 none)."""
+    non_zero = np.nonzero(s)
+    s_non_zero = s[non_zero]
+    steps = np.empty_like(x)
+    steps.fill(np.inf)
+    with np.errstate(over="ignore"):
+        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero, (ub - x)[non_zero] / s_non_zero)
+    min_step = np.min(steps)
+    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
+
+
+def _find_active_constraints(x, lb, ub, rtol):
+    """common.py:401: -1 where a lower bound is active, 1 where an upper one
+    is, 0 elsewhere, to within ``rtol`` of the closest bound."""
+    active = np.zeros_like(x, dtype=int)
+    if rtol == 0:
+        active[x <= lb] = -1
+        active[x >= ub] = 1
+        return active
+    lower_dist = x - lb
+    upper_dist = ub - x
+    lower_threshold = rtol * np.maximum(1, np.abs(lb))
+    upper_threshold = rtol * np.maximum(1, np.abs(ub))
+    active[np.isfinite(lb) & (lower_dist <= np.minimum(upper_dist, lower_threshold))] = -1
+    active[np.isfinite(ub) & (upper_dist <= np.minimum(lower_dist, upper_threshold))] = 1
+    return active
+
+
+def _make_strictly_feasible(x, lb, ub, rstep):
+    """common.py:440: ``x`` moved inside the bounds, at least ``rstep``
+    (relative) from each, or with ``rstep`` 0 by one ulp."""
+    x_new = x.copy()
+    active = _find_active_constraints(x, lb, ub, rstep)
+    lower_mask = np.equal(active, -1)
+    upper_mask = np.equal(active, 1)
+    if rstep == 0:
+        x_new[lower_mask] = np.nextafter(lb[lower_mask], ub[lower_mask])
+        x_new[upper_mask] = np.nextafter(ub[upper_mask], lb[upper_mask])
+    else:
+        x_new[lower_mask] = lb[lower_mask] + rstep * np.maximum(1, np.abs(lb[lower_mask]))
+        x_new[upper_mask] = ub[upper_mask] - rstep * np.maximum(1, np.abs(ub[upper_mask]))
+    tight_bounds = (x_new < lb) | (x_new > ub)
+    x_new[tight_bounds] = 0.5 * (lb[tight_bounds] + ub[tight_bounds])
+    return x_new
+
+
+def _cl_scaling_vector(x, g, lb, ub):
+    """common.py:467: the Coleman-Li scaling vector v, the distance to the
+    bound that -g points at (1 where it is infinite), and its derivative dv
+    (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999)."""
+    v = np.ones_like(x)
+    dv = np.zeros_like(x)
+    mask = (g < 0) & np.isfinite(ub)
+    v[mask] = ub[mask] - x[mask]
+    dv[mask] = -1
+    mask = (g > 0) & np.isfinite(lb)
+    v[mask] = x[mask] - lb[mask]
+    dv[mask] = 1
+    return v, dv

@@ -127,8 +127,9 @@ def heating_rate_fit(times, nbars, sigmas=None) -> LinearFit:
     s = np.ones_like(nbars) if sigmas is None else np.asarray(sigmas, dtype=float)
     if s.shape != nbars.shape:
         raise ValueError(f"sigmas has shape {s.shape}, the data {nbars.shape}")
-    if np.any(s <= 0):
-        raise ValueError("sigmas must be positive")
+    for ti, si in zip(times.tolist(), s.tolist()):
+        if si <= 0.0:
+            raise ValueError(f"sigma {si!r} at time {ti!r} is not above zero")
     slope, intercept, vs, vi, chi2 = _weighted_linfit(times, nbars, s, s)
     return LinearFit(
         slope=float(slope),
@@ -165,8 +166,13 @@ def power_law_fit(frequencies, rates, sigmas) -> PowerLaw:
     s = np.asarray(sigmas, dtype=float)
     if not (f.shape == r.shape == s.shape) or f.ndim != 1 or len(f) < 3:
         raise ValueError("need matching 1D arrays with at least 3 points")
-    if np.any(f <= 0) or np.any(r <= 0) or np.any(s <= 0):
-        raise ValueError("frequencies, rates and sigmas must be positive")
+    for fi, ri, si in zip(f.tolist(), r.tolist(), s.tolist()):
+        if fi <= 0.0:
+            raise ValueError(f"frequency {fi!r} is not above zero")
+        if ri <= 0.0:
+            raise ValueError(f"rate {ri!r} at frequency {fi!r} is not above zero")
+        if si <= 0.0:
+            raise ValueError(f"sigma {si!r} at frequency {fi!r} is not above zero")
     with np.errstate(over="ignore", under="ignore"):
         log_sigma = s / r
     slope, intercept, vs, vi, chi2 = _weighted_linfit(np.log(f), np.log(r), log_sigma, s)

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import fit_weights
-from ._solvers import IntegrationWarning, _brentq, _ier_message, _qags
+from ._solvers import IntegrationWarning, _brentq, _ier_message, _least_squares, _qags
 
-# The integrals and the readout's root find run on ports of scipy's quad and
-# brentq (trapqa._solvers), which keep every bit of scipy's results; only
-# fit_rt_curve imports scipy, for least_squares, inside the function: loading
-# scipy takes about a second, which every thermo process would pay.
+# The integrals, the readout's root find and the fit run on ports of scipy's
+# quad, brentq and least_squares (trapqa._solvers), which keep every bit of
+# scipy's results: loading scipy.optimize would cost every thermo process
+# about 0.4 s and 50 MB.
 
 __all__ = [
     "RTModel",
@@ -180,7 +180,8 @@ def d_resistance_d_t(model: RTModel, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class RTFit:
-    """A converged R(T) fit; ``status`` (1..4) and ``nfev`` are least_squares' own."""
+    """A converged R(T) fit; ``status`` (1..4) and ``nfev`` are the solver's,
+    with the values scipy's least_squares gives."""
 
     model: RTModel
     covariance: np.ndarray  # order (r_res, amplitude, theta)
@@ -210,8 +211,9 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     s = np.ones_like(r) if sigma is None else np.asarray(sigma, dtype=float)
     if s.shape != r.shape:
         raise ValueError(f"sigma has shape {s.shape}, the data {r.shape}")
-    if np.any(s <= 0):
-        raise ValueError("sigma values must be positive")
+    for ti, si in zip(t.tolist(), s.tolist()):
+        if si <= 0.0:
+            raise ValueError(f"sigma {si!r} ohm at {ti!r} K is not above zero")
     fit_weights(s, s)
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
@@ -240,14 +242,13 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
             integrals[m.theta] = _integrals(float(m.theta), ts)
         return (_resistances(m, ts, integrals[m.theta]) - r) / s
 
-    from scipy import optimize
-
-    res = optimize.least_squares(
+    res = _least_squares(
         residuals,
-        x0=[r_res0, a0, theta0],
-        bounds=([0.0, 1e-12, THETA_BOUNDS[0]], [np.inf, np.inf, THETA_BOUNDS[1]]),
-        xtol=1e-12,
+        [r_res0, a0, theta0],
+        [0.0, 1e-12, THETA_BOUNDS[0]],
+        [np.inf, np.inf, THETA_BOUNDS[1]],
         ftol=1e-12,
+        xtol=1e-12,
     )
     if not res.success:
         raise ValueError(

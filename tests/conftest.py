@@ -29,9 +29,7 @@ def rng():
 @pytest.fixture
 def starved_fit(monkeypatch):
     """Make every R(T) fit stop after one evaluation, unconverged."""
-    from scipy import optimize
+    from trapqa import thermometry
 
-    real = optimize.least_squares
-    monkeypatch.setattr(
-        optimize, "least_squares", lambda *a, **kw: real(*a, **{**kw, "max_nfev": 1})
-    )
+    real = thermometry._least_squares
+    monkeypatch.setattr(thermometry, "_least_squares", lambda *a, **kw: real(*a, **{**kw, "max_nfev": 1}))

@@ -1299,6 +1299,27 @@ def test_heating_sigma_without_a_weight_exits_2(tmp_path, capsys, sigmas):
 
 
 @pytest.mark.parametrize(
+    "command, header, rows, line",
+    [
+        ("thermo", "T_K,R_ohm,sigma_ohm", ["10,100,1", "20,101,0", "30,105,-1", "40,110,1"],
+         "sigma 0.0 ohm at 20.0 K is not above zero"),
+        ("heating", "frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s", ["1.0,100,5", "2.0,30,-2", "3.0,12,0"],
+         "sigma -2.0 at frequency 2.0 is not above zero"),
+    ],
+    ids=["thermo_calibration", "heating_csv"],
+)
+def test_sigma_not_above_zero_exits_2_naming_its_row(tmp_path, capsys, command, header, rows, line):
+    # both used to refuse with a message that named neither the row nor the sigma
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out.json"
+    option = "--calibration" if command == "thermo" else "--csv"
+    err = _refused(capsys, command, option, table, "--out", out)
+    assert err == f"trapqa: bad input: {line}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "rows, reason",
     [
         (["10,100", "20,100", "30,100", "40,100"], "did not estimate Theta"),

@@ -142,6 +142,29 @@ def test_heating_fit_refuses_sigmas_of_another_shape(sigmas):
         heating_rate_fit([0.0, 1.0, 2.0, 3.0], [0.1, 1.2, 2.1, 3.3], sigmas)
 
 
+def test_heating_fit_names_a_sigma_not_above_zero():
+    # it used to say "sigmas must be positive", naming no row
+    with pytest.raises(ValueError, match=re.escape("sigma -0.5 at time 2.0 is not above zero")):
+        heating_rate_fit([0.0, 1.0, 2.0, 3.0], [0.1, 1.2, 2.1, 3.3], [0.5, 0.5, -0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((0.0, 30.0, 1.0), "frequency 0.0 is not above zero"),
+        ((2.0, -30.0, 1.0), "rate -30.0 at frequency 2.0 is not above zero"),
+        ((2.0, 30.0, 0.0), "sigma 0.0 at frequency 2.0 is not above zero"),
+    ],
+    ids=["frequency", "rate", "sigma"],
+)
+def test_power_law_names_a_value_not_above_zero(row, message):
+    # each used to say "frequencies, rates and sigmas must be positive"; the
+    # first offending row is named, though a later one is bad as well
+    f, r, s = zip((1.0, 100.0, 5.0), row, (3.0, 12.0, -1.0), (4.0, -6.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        power_law_fit(f, r, s)
+
+
 def test_power_law_needs_three_points():
     with pytest.raises(ValueError):
         power_law_fit([1.0, 2.0], [3.0, 1.0], [0.1, 0.1])

@@ -1,16 +1,18 @@
 """Import weight: each CLI process loads only what its command runs.
 
-Loading scipy takes about a second and numpy about 0.15 s, which every CLI
-process would pay. So the CLI imports each command's analysis modules, and
-numpy, inside that command; the only scipy call left, ``least_squares`` in
-the R(T) fit, is imported inside the function that calls it; the chip test
-and the power table are plain Python and load no numpy at all. Each check
-runs in a fresh interpreter, since this test session has long since loaded
-them all.
+Loading scipy takes about half a second and numpy about 0.15 s, which every
+CLI process would pay. So the CLI imports each command's analysis modules,
+and numpy, inside that command; the solvers the analyses run are ports in
+``trapqa._solvers``, so of the README's commands only ``yieldmap`` loads
+scipy, for ``scipy.special``'s tails, inside the functions that call them;
+the chip test and the power table are plain Python and load no numpy at
+all. Each check runs in a fresh interpreter, since this test session has
+long since loaded them all.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,7 +46,11 @@ def _scipy_modules_after(code, cwd):
 
 
 def _run_main(argv, code=0):
-    return f"from trapqa.cli import main\nassert main({argv!r}) == {code}"
+    # a command that writes to stdout must not mix its output into the report
+    return (
+        "import contextlib, io\nfrom trapqa.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == {code}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -110,21 +116,6 @@ def test_usage_error_loads_no_numpy(tmp_path):
     assert _modules_after(code, tmp_path) == ["trapqa", "trapqa._io", "trapqa.cli"]
 
 
-def test_thermo_preset_loads_no_scipy(tmp_path):
-    # the readout integrates and finds its root with the ports in trapqa._solvers
-    argv = ["thermo", "--preset", "TS1", "--resistance", "29500", "--out", "thermo.json"]
-    assert _scipy_modules_after(_run_main(argv), tmp_path) == []
-
-
-def test_thermo_calibration_loads_no_quadrature(tmp_path):
-    # the fit imports scipy for least_squares alone
-    (tmp_path / "cal.csv").write_text("T_K,R_ohm\n4,2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")
-    argv = ["thermo", "--calibration", "cal.csv", "--resistance", "2300", "--out", "fit.json"]
-    loaded = _scipy_modules_after(_run_main(argv), tmp_path)
-    assert "scipy.optimize" in loaded
-    assert [m for m in loaded if m.startswith("scipy.integrate")] == []
-
-
 def test_kernels_import_loads_no_executor(tmp_path):
     # the kernels run their blocks on plain threads: concurrent.futures
     # would add import time to every process that computes a field
@@ -141,31 +132,55 @@ SCENARIO = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["dissipation", "--out", "power.csv"],
-        ["wafertest", "--out", "steps.csv", "--summary", "run.json"],
-        ["heating", "--out", "heating.json"],
-        ["field", "--z", "50:200:4", "--y", "42.331:42.331:1", "--out", "scan.csv"],
-        ["strayfield", "--applied", "applied.json", "--reference", "ideal.json",
-         "--point", "0,42.3,124.4", "--out", "stray.json"],
-        ["diagnose", "--scenario", "scenario.json", "--out", "diag.json"],
-        ["diagnose", "--scenario", "scenario.json", "--measurements", "positions.csv",
-         "--out", "diag.json"],
-    ],
-    ids=["dissipation", "wafertest", "heating", "field", "strayfield", "diagnose",
-         "diagnose_measurements"],
-)
-def test_numpy_only_command_loads_no_scipy(argv, tmp_path):
+# Every command of the README, by the id its test takes. Each exits 0 on the
+# inputs that _readme_inputs writes, but for those in EXIT_1; only those in
+# SCIPY_COMMANDS may load scipy (yieldmap's binomial and normal tails).
+README_COMMANDS = {
+    "dissipation_stdout": "dissipation",
+    "dissipation": "dissipation --out power.csv",
+    "wafertest": "wafertest --out steps.csv --summary run.json",
+    "wafertest_faults": "wafertest --faults faults.json --out steps.csv",
+    "yieldmap": "--seed 99 yieldmap --out-svg wafer.svg --out-csv wafer.csv --out-stats stats.json",
+    "yieldmap_plant": "yieldmap --plant-cell 1,1,LEAK_DC_DC,0.9 --out-svg wafer.svg --out-csv wafer.csv",
+    "field": "field --z 50:200:16 --y 42.331:42.331:1 --out scan.csv",
+    "strayfield": "strayfield --applied applied.json --reference ideal.json --point 0,42.3,124.4 --out stray.json",
+    "diagnose": "diagnose --scenario scenario.json --out diag.json",
+    "diagnose_measurements": "diagnose --scenario scenario.json --measurements positions.csv --out diag.json",
+    "thermo_preset": "thermo --preset TS1 --resistance 29500 --out thermo.json",
+    "thermo_calibration": "thermo --calibration rt_curve.csv --out fit.json",
+    "heating": "heating --site 10 --out heating.json",
+}
+EXIT_1 = {"wafertest_faults"}
+SCIPY_COMMANDS = {"yieldmap", "yieldmap_plant"}
+
+
+def _readme_inputs(tmp_path):
+    """The input files the README's commands name."""
+    (tmp_path / "faults.json").write_text(json.dumps({"faults": [{"kind": "OPEN", "net": "DC05"}]}))
     (tmp_path / "applied.json").write_text(json.dumps({"CP1": 0.2, "DC05": -0.1}))
     (tmp_path / "ideal.json").write_text(json.dumps({"CP1": 0.1}))
     # a nominal trap measured at the nominal positions: diagnose exits 0
     (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
-    (tmp_path / "positions.csv").write_text(
-        "scale,position_um\n1.0,0.0\n2.0,0.0\n4.0,0.0\n"
-    )
-    assert _scipy_modules_after(_run_main(argv), tmp_path) == []
+    (tmp_path / "positions.csv").write_text("scale,position_um\n1.0,0.0\n2.0,0.0\n4.0,0.0\n")
+    (tmp_path / "rt_curve.csv").write_text("T_K,R_ohm\n4,2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")
+
+
+def test_readme_commands_are_the_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line.split("#")[0].split()
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+    ]
+    commands = [" ".join(words[1:]) for words in lines if words[:1] == ["trapqa"]]
+    assert sorted(commands) == sorted(README_COMMANDS.values())
+
+
+@pytest.mark.parametrize("name", [name for name in README_COMMANDS if name not in SCIPY_COMMANDS])
+def test_numpy_only_command_loads_no_scipy(name, tmp_path):
+    _readme_inputs(tmp_path)
+    argv = README_COMMANDS[name].split()
+    assert _scipy_modules_after(_run_main(argv, 1 if name in EXIT_1 else 0), tmp_path) == []
 
 
 def test_diagnose_loads_no_quadrature_port(tmp_path):

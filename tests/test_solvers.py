@@ -4,23 +4,27 @@
 and warn exactly where quad warns, over the whole range of upper limits a
 temperature can give; a batch must return what one-at-a-time integrals
 return; ``_brentq`` must return ``scipy.optimize.brentq``'s root bit for bit
-and refuse what it refuses. The battery is the guard for the numpy details
-the port relies on (``np.exp`` on an array equal to scalar calls), so keep
-it large.
+and refuse what it refuses; ``_least_squares`` must return the fields of
+``scipy.optimize.least_squares``' result that the R(T) fit reads, bit for
+bit, and refuse what it refuses. The batteries are the guards for the numpy
+details the ports rely on (``np.exp`` on an array equal to scalar calls,
+``numpy.linalg.svd`` equal to ``scipy.linalg.svd``), so keep them large.
 """
 
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, linalg, optimize
 
-from trapqa import thermometry
-from trapqa._solvers import IntegrationWarning, _brentq, _qags
+from trapqa import _solvers, thermometry
+from trapqa._solvers import IntegrationWarning, _brentq, _least_squares, _qags
 from trapqa.thermometry import (
     SENSOR_PRESETS,
+    THETA_BOUNDS,
     RTModel,
     bg_integral,
     fit_rt_curve,
@@ -272,3 +276,131 @@ def test_readouts_keep_their_bits(name):
     model = SENSOR_PRESETS[name]
     readouts = [invert_temperature(model, r) for r in model_resistance(model, _READOUT_TEMPERATURES).tolist()]
     assert (sensitivity(model).hex(), tuple((t.hex(), s.hex()) for t, s in readouts)) == _READOUT_PINS[name]
+
+
+# least_squares, bit for bit: the bounds and tolerances of the R(T) fit
+
+_LB = [0.0, 1e-12, THETA_BOUNDS[0]]
+_UB = [np.inf, np.inf, THETA_BOUNDS[1]]
+
+
+def _lsq_fields(res):
+    """The fields of a least_squares result that the fit reads, arrays as
+    bytes, and the Jacobian's layout, which the fit's covariance product
+    depends on."""
+    return (
+        res.x.tobytes(), res.fun.tobytes(), res.jac.tobytes(), res.jac.flags.f_contiguous,
+        int(res.status), int(res.nfev), res.active_mask.tolist(), bool(res.success), res.message,
+    )
+
+
+def _lsq_outcome(solve):
+    """A solve's fields, or the message of the ValueError it raised."""
+    try:
+        return _lsq_fields(solve())
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_least_squares_is_scipy_on_a_cheap_model():
+    # r + A u^2 / (1 + u^2) with u = T/Theta: the fit's three parameters,
+    # bounds and tolerances, on a residual that costs next to nothing.
+    # Theta lies inside its bounds or past either; some solves are starved
+    # of evaluations, and some residuals turn nan past a Theta, where the
+    # trust region shrinks, or scipy refuses the start or the Jacobian
+    rng = np.random.default_rng(28)
+    seen = Counter()
+    for case in range(260):
+        m = int(rng.integers(4, 201))
+        t = np.sort(rng.uniform(2.0, 300.0, m))
+        theta = [rng.uniform(100.0, 600.0), rng.uniform(60.0, 110.0), rng.uniform(580.0, 900.0)][case % 3]
+        noise = [0.0, 1e-6, 1e-4, 1e-3, 1e-2][case % 5]
+        y = rng.uniform(0.0, 3e3) + rng.uniform(1e3, 6e3) * (t / theta) ** 2 / (1 + (t / theta) ** 2)
+        y = y * (1 + noise * rng.standard_normal(m))
+        s = 1.0 if case % 2 else noise * y + 1.0
+        cut = rng.uniform(250.0, 700.0) if case % 7 == 0 else np.inf
+
+        def fun(p):
+            u2 = (t / p[2]) ** 2
+            f = (max(p[0], 0.0) + max(p[1], 1e-12) * u2 / (1 + u2) - y) / s
+            return f + np.nan if p[2] > cut else f
+
+        x0 = [float(y.min()), max(float(y.max() - y.min()), 1e-6), 300.0]
+        max_nfev = [None, None, None, None, None, 1, 4, 12][case % 8]
+        want = _lsq_outcome(
+            lambda: optimize.least_squares(fun, x0, bounds=(_LB, _UB), ftol=1e-12, xtol=1e-12, max_nfev=max_nfev)
+        )
+        got = _lsq_outcome(lambda: _least_squares(fun, x0, _LB, _UB, ftol=1e-12, xtol=1e-12, max_nfev=max_nfev))
+        assert got == want, case
+        seen[want if isinstance(want, str) else (want[4], want[6][2])] += 1
+    # every status, Theta free and at each bound, and both refusals
+    assert {k[0] for k in seen if isinstance(k, tuple)} == {0, 1, 2, 3, 4}
+    assert {k[1] for k in seen if isinstance(k, tuple)} == {-1, 0, 1}
+    assert {k for k in seen if isinstance(k, str)} == {
+        "Residuals are not finite in the initial point.", "array must not contain infs or NaNs"
+    }
+
+
+def _rt_battery():
+    """48 drawn calibration curves, then four that the fit refuses after the
+    solve: a flat one and one of huge sigmas (Theta never estimated), and
+    Theta 900 K and 60 K (pinned at a bound)."""
+    rng = np.random.default_rng(2028)
+    for case in range(48):
+        m = int(np.exp(rng.uniform(math.log(4), math.log(200))))
+        theta = [rng.uniform(120.0, 580.0), rng.uniform(60.0, 110.0), rng.uniform(560.0, 900.0)][case % 3]
+        truth = RTModel(r_res=rng.uniform(0.0, 3e3), amplitude=rng.uniform(1e3, 6e3), theta=theta)
+        ts = np.sort(rng.uniform(2.0, 300.0, m))
+        noise = [0.0, 1e-5, 1e-3, 1e-2][case % 4]
+        rs = model_resistance(truth, ts) * (1 + noise * rng.standard_normal(m))
+        yield ts, rs, None if case % 2 else noise * rs + 0.1
+    yield [10.0, 20.0, 30.0, 40.0], [100.0] * 4, None
+    yield [10.0, 20.0, 30.0, 40.0], [100.0, 101.0, 105.0, 110.0], [1e150] * 4
+    ts = np.linspace(10.0, 300.0, 40)
+    for theta in (900.0, 60.0):
+        yield ts, model_resistance(RTModel(r_res=100.0, amplitude=1000.0, theta=theta), ts), None
+
+
+def test_least_squares_is_scipy_on_rt_fits(monkeypatch):
+    # each fit solves its own residuals with the port and with scipy
+    pairs = []
+
+    def both(fun, x0, lb, ub, **kw):
+        got = _least_squares(fun, x0, lb, ub, **kw)
+        pairs.append((_lsq_fields(got), _lsq_fields(optimize.least_squares(fun, x0, bounds=(lb, ub), **kw))))
+        return got
+
+    monkeypatch.setattr(thermometry, "_least_squares", both)
+    refused = 0
+    for ts, rs, sigma in _rt_battery():
+        try:
+            fit_rt_curve(ts, rs, sigma=sigma)
+        except ValueError:
+            refused += 1
+    assert len(pairs) == 52 and 0 < refused < 52
+    for k, (got, want) in enumerate(pairs):
+        assert got == want, k
+
+
+def test_numpy_svd_is_scipy_svd_on_the_fits_matrices(monkeypatch):
+    # the port factorises with numpy.linalg.svd where least_squares calls
+    # scipy.linalg.svd (two builds of LAPACK): the factors must have the same
+    # bits on what the fits factorise. The exact trust-region solver calls
+    # no qr; only least_squares' lsmr solver does
+    seen = []
+
+    def spy(a, full_matrices):
+        seen.append(a.copy())
+        return np.linalg.svd(a, full_matrices=full_matrices)
+
+    monkeypatch.setattr(_solvers, "svd", spy)
+    for ts, rs, sigma in _rt_battery():
+        try:
+            fit_rt_curve(ts, rs, sigma=sigma)
+        except ValueError:
+            pass
+    assert len(seen) > 300
+    for a in seen:
+        got = np.linalg.svd(a, full_matrices=False)
+        want = linalg.svd(a, full_matrices=False)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

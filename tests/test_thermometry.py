@@ -274,6 +274,13 @@ def test_fit_refuses_a_resistance_not_above_zero(r_bad):
         fit_rt_curve([10.0, 20.0, 30.0, 40.0], [100.0, r_bad, 105.0, 110.0])
 
 
+@pytest.mark.parametrize("s_bad", [0.0, -2.0])
+def test_fit_names_a_sigma_not_above_zero(s_bad):
+    # it used to say "sigma values must be positive", naming no row
+    with pytest.raises(ValueError, match=re.escape(f"sigma {s_bad!r} ohm at 30.0 K is not above zero")):
+        fit_rt_curve([10.0, 20.0, 30.0, 40.0], [100.0, 101.0, 105.0, 110.0], sigma=[1.0, 1.0, s_bad, -1.0])
+
+
 @pytest.mark.parametrize(
     "rs, sigma", [([100.0] * 4, None), ([100.0, 101.0, 105.0, 110.0], [1e150] * 4)], ids=["flat", "huge_sigma"]
 )
