@@ -23,9 +23,20 @@ def read_json(path):
         return json.load(fh)
 
 
-def as_object(value, what: str) -> dict:
+def as_object(value, what: str, keys=None) -> dict:
+    """A JSON object; with ``keys``, the set of keys it may hold, any other
+    key is refused, naming it and the nearest accepted key."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                import difflib  # only a refusal needs it
+
+                accepted = sorted(keys)
+                near = difflib.get_close_matches(key, accepted, n=1) if isinstance(key, str) else []
+                hint = f"did you mean {near[0]!r}?" if near else "it takes " + ", ".join(map(repr, accepted))
+                raise ValueError(f"{what} has an unknown key {key!r}; {hint}")
     return value
 
 
@@ -37,9 +48,10 @@ def as_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
-def as_objects(value, what: str, entry: str) -> list[tuple[str, dict]]:
-    """A JSON list of objects as ``(name, object)`` pairs, named ``f"{entry} {k}"``."""
-    return [(f"{entry} {k}", as_object(v, f"{entry} {k}")) for k, v in enumerate(as_list(value, what))]
+def as_objects(value, what: str, entry: str, keys) -> list[tuple[str, dict]]:
+    """A JSON list of objects with ``keys`` (see :func:`as_object`) as
+    ``(name, object)`` pairs, named ``f"{entry} {k}"``."""
+    return [(f"{entry} {k}", as_object(v, f"{entry} {k}", keys)) for k, v in enumerate(as_list(value, what))]
 
 
 def as_text(value, what: str, optional: bool = False) -> str | None:

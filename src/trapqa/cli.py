@@ -290,7 +290,9 @@ def _cmd_strayfield(args) -> int:
 def _cmd_diagnose(args) -> int:
     from .diagnosis import FaultScenario, PositionMeasurement, classify_fault, simulate_positions
 
-    spec = as_object(read_json(args.scenario), "a scenario")
+    spec = as_object(
+        read_json(args.scenario), "a scenario", {"geometry", "voltages", "scales", "window_um", "axis_um", "fault"}
+    )
     geometry = _geometry(as_text(spec.get("geometry", "builtin"), "scenario 'geometry'"))
     voltages = _voltage_map(spec["voltages"], "scenario 'voltages'", geometry)
     scales = as_list(spec.get("scales", [1.0, 2.0, 4.0]), "scenario 'scales'")
@@ -300,7 +302,7 @@ def _cmd_diagnose(args) -> int:
     )
     axis = spec.get("axis_um")
     if axis is not None:
-        axis = as_object(axis, "scenario 'axis_um'")
+        axis = as_object(axis, "scenario 'axis_um'", {"y", "z"})
         axis = tuple(as_number(axis[c], f"scenario 'axis_um' {c}") * 1e-6 for c in ("y", "z"))
 
     nominal = simulate_positions(
@@ -315,7 +317,9 @@ def _cmd_diagnose(args) -> int:
         fault = spec.get("fault")
         if fault is None:
             raise ValueError("scenario has no 'fault'; give one or pass --measurements")
-        fault = as_object(fault, "scenario 'fault'")
+        fault = as_object(
+            fault, "scenario 'fault'", {"kind", "electrode", "held_voltage", "charge_rects_um", "charge_voltage"}
+        )
         electrode = as_text(fault.get("electrode"), "fault 'electrode'", optional=True)
         rects = as_list(fault.get("charge_rects_um", []), "fault 'charge_rects_um'")
         scenario = FaultScenario(

@@ -119,7 +119,7 @@ def load_geometry(path) -> TrapGeometry:
 
 def geometry_from_dict(data: dict) -> TrapGeometry:
     """A geometry from its JSON form; lengths in ``length_unit`` (default um)."""
-    data = as_object(data, "a geometry")
+    data = as_object(data, "a geometry", {"length_unit", "electrodes", "ion_axis", "name"})
     unit = as_text(data.get("length_unit", "um"), "geometry 'length_unit'")
     scale = {"um": 1e-6, "mm": 1e-3, "m": 1.0}.get(unit)
     if scale is None:
@@ -133,11 +133,11 @@ def geometry_from_dict(data: dict) -> TrapGeometry:
                 for r in as_list(e["rects"], f"{at} 'rects'")
             ),
         )
-        for at, e in as_objects(data["electrodes"], "geometry 'electrodes'", "electrode")
+        for at, e in as_objects(data["electrodes"], "geometry 'electrodes'", "electrode", {"id", "role", "rects"})
     )
     axis = data.get("ion_axis")
     if axis is not None:
-        axis = as_object(axis, "geometry 'ion_axis'")
+        axis = as_object(axis, "geometry 'ion_axis'", {"y", "z"})
         axis = tuple(as_number(axis[c], f"geometry 'ion_axis' {c}") * scale for c in ("y", "z"))
     name = as_text(data.get("name", ""), "geometry 'name'", optional=True)
     return TrapGeometry(electrodes=electrodes, ion_axis=axis, name=name)

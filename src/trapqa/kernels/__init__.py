@@ -23,9 +23,10 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
     ``sum_m weights[m] * E_m`` with ``E_m`` the field at 1 V of the non-empty
     rectangle group ``rect_groups[m]`` (such as the rectangles of one
     electrode), returns ``(N, 3)``; no group gives +0.0. The weighted terms
-    are added left to right in group order (``np.cumsum``), starting from
-    0.0, so the result is bit for bit that of a Python loop
-    ``total += weights[m] * E_m``.
+    are the rows of one C-order array, summed down its first axis, which
+    adds whole rows left to right in group order, into a +0.0 output; so
+    the result is bit for bit that of a Python loop
+    ``total += weights[m] * E_m`` starting from 0.0.
 
 Points are evaluated in blocks of at most about 2**16 corner terms, so
 memory stays bounded for any ``N``, and a call of several blocks runs them

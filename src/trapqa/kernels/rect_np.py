@@ -56,9 +56,14 @@ The result is a contiguous ``(n, M)`` array of per-rectangle sums.
 ``rect_potential_sum``, ``rect_field_sum`` and ``rect_field_grad_sum``
 weight those by the voltages with one matrix-vector product each.
 ``rect_field_superpose`` instead forms each weighted term ``w_m E_m``
-(``E_m`` the summed field of rectangle group ``m`` at 1 V) and adds the
-terms left to right in rectangle order with ``np.cumsum``, the order of a
-Python loop over the rectangles.
+(``E_m`` the summed field of rectangle group ``m`` at 1 V) as a row
+``t[m]`` (3, n) of one C-order ``(G, 3, n)`` array and adds them with
+``np.add.reduce(t, axis=0)``. A reduction down the outer axis of a C-order
+array adds whole rows in order, ``(t[0] + t[1]) + t[2] ...``, never
+pairwise: the order of a Python loop over the groups. For a few rows numpy
+may seed the sum with +0.0 instead of ``t[0]``, which can change only the
+sign of a zero total; the sum is added into a +0.0 output, as the loop's
+total starts from 0.0, and that makes every zero total +0.0 either way.
 
 Points go in blocks of ``max(1, 2**16 // (4M))``, counted from point 0,
 so no corner array holds more than about 2**16 doubles (0.5 MB) whatever
@@ -75,7 +80,7 @@ block let the C allocator hand the memory back to the system and
 page-fault it in again (up to 87k faults, about 150 ms, per 32768-point
 scan on a 2-core Xeon VM). The per-rectangle sums of a block's sub-blocks
 go into one array for the whole block, one such array per thread, and the
-``@ volts`` products (``reduceat`` and ``cumsum`` for
+``@ volts`` products (the group sums and the row sum for
 ``rect_field_superpose``) run once per whole block, in the block's shapes.
 So that these arrays do not grow with the CPU count, a call runs on no
 more threads than hold ``4 * 2**16`` doubles (2 MB) of them together: up
@@ -369,9 +374,12 @@ def rect_field_superpose(rect_groups, weights, points):
 
     ``rect_groups[m]`` is a non-empty sequence of ``(x1, x2, y1, y2)``
     rectangles and ``E_m`` their summed field at 1 V: the rectangles of a
-    group are added before the weight is applied. The weighted terms are
-    added left to right, starting from 0.0, exactly as
-    ``total += weights[m] * E_m`` in a loop over ``m`` would add them.
+    group are added before the weight is applied (one ``np.add.reduceat``
+    along the rectangles, none when every group holds one rectangle). The
+    weighted terms are the rows of one C-order (G, 3, n) array, summed
+    down its first axis, which adds whole rows left to right; the sum is
+    added into a +0.0 output, exactly as ``total += weights[m] * E_m`` in
+    a loop over ``m`` starting from 0.0 would add them.
     """
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -382,16 +390,20 @@ def rect_field_superpose(rect_groups, weights, points):
         raise ValueError("every rectangle group needs a rectangle")
     out = np.zeros((len(points), 3))
     rects = [r for g in rect_groups for r in g]
-    starts = np.cumsum([0] + sizes[:-1])
+    # over groups of one rectangle each, reduceat would only copy
+    starts = None if len(rects) == len(sizes) else np.cumsum([0] + sizes[:-1])
+    w = weights[:, None, None]
 
     def body(blocks):
         for b in blocks:
             if not b.end:
                 continue
-            dX, dY, dz = (np.add.reduceat(d, starts, axis=1) for d in b.sums)
-            out[b.s, 0] += np.cumsum(weights * (dX / _TWO_PI), axis=1)[:, -1]
-            out[b.s, 1] += np.cumsum(weights * (dY / _TWO_PI), axis=1)[:, -1]
-            out[b.s, 2] += np.cumsum(weights * (-dz / _TWO_PI), axis=1)[:, -1]
+            g = b.sums if starts is None else np.add.reduceat(b.sums, starts, axis=2)
+            # the terms w_m E_m as whole rows t[m] (3, k), C order
+            t = np.divide(g.transpose(2, 0, 1), _TWO_PI, order="C")
+            np.negative(t[:, 2], out=t[:, 2])
+            np.multiply(t, w, out=t)
+            out[b.s] += np.add.reduce(t, axis=0).T
 
     _run(rects, points, True, 0, 3, body)
     return out

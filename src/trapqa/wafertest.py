@@ -377,7 +377,7 @@ def default_netlist() -> ChipNetlist:
 
 def netlist_from_dict(data: dict) -> ChipNetlist:
     """A netlist from ``{"name": ..., "nets": [{...}, ...]}``, resistances in ohm."""
-    data = as_object(data, "a netlist")
+    data = as_object(data, "a netlist", {"name", "nets"})
     nets = tuple(
         Net(
             id=as_text(n["id"], f"{at} 'id'"),
@@ -394,7 +394,9 @@ def netlist_from_dict(data: dict) -> ChipNetlist:
                 if "element_resistance_ohm" in n else None
             ),
         )
-        for at, n in as_objects(data["nets"], "'nets'", "net")
+        for at, n in as_objects(
+            data["nets"], "'nets'", "net", {"id", "role", "pads", "loop_resistance_ohm", "element_resistance_ohm"}
+        )
     )
     return ChipNetlist(nets=nets, name=as_text(data.get("name", ""), "netlist 'name'", optional=True))
 
@@ -418,7 +420,12 @@ def faults_from_dict(data: dict) -> tuple[Fault, ...]:
             factor=as_number(f.get("factor", 1.0), f"{at} 'factor'"),
             step_index=as_int(f.get("step_index", -1), f"{at} 'step_index'"),
         )
-        for at, f in as_objects(as_object(data, "a fault set").get("faults", []), "'faults'", "fault")
+        for at, f in as_objects(
+            as_object(data, "a fault set", {"faults"}).get("faults", []),
+            "'faults'",
+            "fault",
+            {"kind", "net", "other", "resistance_ohm", "factor", "step_index"},
+        )
     )
 
 

@@ -935,6 +935,43 @@ def test_wafertest_refuses_faults_and_nets_it_cannot_simulate(tmp_path, capsys, 
     assert not list(tmp_path.glob("out.*"))
 
 
+# (id, command, document, the one-line refusal): a key that nothing reads; a
+# misspelt optional key used to take its default without a word
+_UNKNOWN_KEYS = [
+    ("scenario", _DIAGNOSE, {**_SCENARIO, "scale": [1.0, 3.0]},
+     "a scenario has an unknown key 'scale'; did you mean 'scales'?"),
+    ("scenario_axis", _DIAGNOSE, {**_SCENARIO, "axis_um": {"y": 42.3, "z": 124.4, "x": 0.0}},
+     "scenario 'axis_um' has an unknown key 'x'; it takes 'y', 'z'"),
+    ("scenario_fault", _DIAGNOSE, _scenario_fault(held_volts=1.0),
+     "scenario 'fault' has an unknown key 'held_volts'; did you mean 'held_voltage'?"),
+    ("fault_set", _FAULTS, {"fault": [{"kind": "OPEN", "net": "DC05"}]},
+     "a fault set has an unknown key 'fault'; did you mean 'faults'?"),
+    ("fault", _FAULTS, _fault(kind="LEAK_TO_GND", net="DC05", resistance=1e6),
+     "fault 0 has an unknown key 'resistance'; did you mean 'resistance_ohm'?"),
+    ("netlist", _NETLIST, {**_net(), "title": "toy"}, "a netlist has an unknown key 'title'; it takes 'name', 'nets'"),
+    ("net", _NETLIST, _net(group="SUP1"),
+     "net 0 has an unknown key 'group'; it takes 'element_resistance_ohm', 'id', 'loop_resistance_ohm', 'pads', 'role'"),
+    ("geometry", _GEOMETRY, {**_electrode(), "unit": "mm"},
+     "a geometry has an unknown key 'unit'; it takes 'electrodes', 'ion_axis', 'length_unit', 'name'"),
+    ("electrode", _GEOMETRY, _electrode(rect=[[-10, 10, -5, 5]]),
+     "electrode 0 has an unknown key 'rect'; did you mean 'rects'?"),
+    ("ion_axis", _GEOMETRY, {**_electrode(), "ion_axis": {"y": 0, "Z": 50}},
+     "geometry 'ion_axis' has an unknown key 'Z'; it takes 'y', 'z'"),
+]
+
+
+@pytest.mark.parametrize("args, document, line", [pytest.param(*case[1:], id=case[0]) for case in _UNKNOWN_KEYS])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, args, document, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(document))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, *args)
+    assert caught == []
+    assert err == f"trapqa: bad input: {line}\n"
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_field_csv_is_the_same_at_every_thread_count(tmp_path, monkeypatch, geometry):
     # all 79 electrodes driven: 8000 points are 39 kernel blocks
     from trapqa.kernels import rect_np
@@ -1235,7 +1272,7 @@ def _documents(draw, valid):
 
 
 _VALID_NETLIST = {"name": "toy", "nets": [
-    {"id": "DC01", "role": "dc", "pads": ["P1", "P2"], "loop_resistance_ohm": 20.0, "group": "SUP1"},
+    {"id": "DC01", "role": "dc", "pads": ["P1", "P2"], "loop_resistance_ohm": 20.0},
     {"id": "TS1", "role": "ts", "pads": ["T1", "T2", "T3", "T4"], "loop_resistance_ohm": 15.0,
      "element_resistance_ohm": 32.3e3},
     {"id": "RF", "role": "rf", "pads": ["R1", "R2"], "loop_resistance_ohm": 5.0},

@@ -460,6 +460,19 @@ def test_stray_field_matches_basis_field_loop(geometry, rng, size):
     assert np.array_equal(one, reference_stray(geometry, applied, reference, pts[:1])[0])
 
 
+@pytest.mark.parametrize("size", ["line", "blocks"])
+def test_stray_line_is_its_points(monkeypatch, geometry, rng, size):
+    # the benchmark times lines, the CLI writes one --point: each row of a
+    # line must be that point's own field, bit for bit, in every block shape
+    if size == "blocks":
+        monkeypatch.setattr(rect_np, "_usable_cpus", lambda: 2)
+    n = {"line": 64, "blocks": 3 * _stray_block(geometry)}[size]
+    applied, reference, pts = _stray_case(rng, geometry, n)
+    line = stray_field(geometry, applied, reference, pts)
+    points = np.array([stray_field(geometry, applied, reference, p) for p in pts])
+    assert np.array_equal(line, points) and np.array_equal(np.signbit(line), np.signbit(points))
+
+
 def _split_pads(geometry):
     """The bundled geometry with every other DC and compensation pad cut in
     two rectangles along x."""

@@ -80,7 +80,7 @@ def test_wafertest_import_loads_no_numpy(tmp_path):
 
 
 NETLIST = {"name": "toy", "nets": [
-    {"id": "DC01", "role": "dc", "pads": ["P1", "P2"], "loop_resistance_ohm": 20.0, "group": "SUP1"},
+    {"id": "DC01", "role": "dc", "pads": ["P1", "P2"], "loop_resistance_ohm": 20.0},
     {"id": "TS1", "role": "ts", "pads": ["T1", "T2", "T3", "T4"], "loop_resistance_ohm": 15.0,
      "element_resistance_ohm": 32.3e3},
     {"id": "RF", "role": "rf", "pads": ["R1", "R2"], "loop_resistance_ohm": 5.0},

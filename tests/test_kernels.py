@@ -501,6 +501,26 @@ def test_blocked_kernels_match_plain_expressions(rng):
         assert _same_bits(got_e, e) and _same_bits(got_grad, grad)
         got = rect_np.rect_field_superpose(groups, weights, pts)
         assert _same_bits(got, _plain_superpose(groups, weights, pts))
+        # groups of one rectangle each: the kernel makes no reduceat
+        singles = rects[:, None, :]
+        got = rect_np.rect_field_superpose(singles, volts, pts)
+        assert _same_bits(got, _plain_superpose(singles, volts, pts))
+
+
+def test_row_reduce_is_the_row_loop():
+    # rect_field_superpose sums its terms (G, 3, k) with np.add.reduce down
+    # axis 0, into a +0.0 output: that must add whole rows in order, as a
+    # Python loop does, signed zeros included, or the artifacts change bytes
+    rng = np.random.default_rng(29)
+    for g in (1, 2, 3, 4, 5, 8, 17, 76, 150):
+        for k in (1, 2, 7, 64, 300):
+            t = rng.standard_normal((g, 3, k)) * 10.0 ** rng.uniform(-12.0, 12.0, (g, 3, k))
+            zero = rng.random(t.shape) < 0.1
+            t[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+            total = np.zeros((3, k))
+            for row in t:
+                total += row
+            assert _same_bits(0.0 + np.add.reduce(t, axis=0), 0.0 + total), (g, k)
 
 
 def _grad_case(rng, n):
