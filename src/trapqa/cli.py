@@ -304,6 +304,8 @@ def _cmd_diagnose(args) -> int:
     if axis is not None:
         axis = as_object(axis, "scenario 'axis_um'", {"y", "z"})
         axis = tuple(as_number(axis[c], f"scenario 'axis_um' {c}") * 1e-6 for c in ("y", "z"))
+    elif geometry.ion_axis is None:
+        raise ValueError("the geometry has no ion_axis; give scenario 'axis_um'")
 
     nominal = simulate_positions(
         geometry, voltages, FaultScenario(kind="NOMINAL"), scales, window, axis=axis

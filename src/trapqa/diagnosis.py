@@ -58,8 +58,11 @@ class FaultScenario:
 
     ``kind`` is one of ``NOMINAL``, ``SHORTED`` (electrode tied to ground),
     ``FLOATING`` (electrode stuck at ``held_voltage``), ``GAP_CHARGE``
-    (exposed dielectric rectangles at an effective ``charge_voltage``; the
-    rectangles are in meters and must lie in otherwise empty plane).
+    (exposed dielectric rectangles at an effective ``charge_voltage``). The
+    rectangles are ``(x1, x2, y1, y2)`` in meters, and each needs x2 > x1 and
+    y2 > y1, as an electrode's do: inverted corners would flip the sign of
+    the charge. Their potential is added to that of the electrodes; overlap
+    with an electrode is not checked.
     """
 
     kind: str
@@ -75,6 +78,10 @@ class FaultScenario:
             raise ValueError(f"{self.kind} scenario needs an electrode id")
         if self.kind == "GAP_CHARGE" and not self.charge_rects:
             raise ValueError("GAP_CHARGE scenario needs charge_rects")
+        for k, (x1, x2, y1, y2) in enumerate(self.charge_rects):
+            if not (x2 > x1 and y2 > y1):
+                um = ", ".join(f"{c * 1e6:g}" for c in (x1, x2, y1, y2))
+                raise ValueError(f"charge rectangle {k} (x1, x2, y1, y2) = ({um}) um needs x2 > x1 and y2 > y1")
         for name in ("held_voltage", "charge_voltage"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} is not finite: {getattr(self, name)!r}")

@@ -29,7 +29,7 @@ class Electrode:
 
     def __post_init__(self):
         if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
+            raise ValueError(f"electrode {self.id!r}: role must be one of {ROLES}, got {self.role!r}")
         if not self.rects:
             raise ValueError(f"electrode {self.id!r} has no rectangles")
         for x1, x2, y1, y2 in self.rects:
@@ -73,7 +73,8 @@ class TrapGeometry:
     def __post_init__(self):
         ids = [e.id for e in self.electrodes]
         if len(set(ids)) != len(ids):
-            raise ValueError("electrode ids must be unique")
+            repeated = next(i for i in ids if ids.count(i) > 1)
+            raise ValueError(f"electrode ids must be unique: {repeated!r} is repeated")
         flat = [(e.id, r) for e in self.electrodes for r in e.rects]
         for i in range(len(flat)):
             for j in range(i + 1, len(flat)):

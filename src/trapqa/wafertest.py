@@ -5,7 +5,7 @@ failing step:
 
 1. **Continuity** on every bond-pad loop: force 1 mA, the voltage must stay
    in the 0..100 mV window and the current in 0.8..1.3 mA. An open loop
-   drives the current source into its 10 V compliance.
+   drives the source into its 10 V compliance, the most any step applies.
 2. **Leakage** (twice): every electrode bond pad is sensed individually
    while 50 V DC is applied to all other electrodes and the ground plane;
    the sensed current must not exceed 100 nA and the sense voltage must stay
@@ -13,8 +13,9 @@ failing step:
    300 V while sensing the leak current it drives. The pass is repeated to
    catch marginal and intermittent paths.
 3. **Resistance**: force 5 mV across each net and check the measured
-   resistance band: 0..50 ohm for DC and RF loops, the sensor-element bands
-   for the two thermometers.
+   resistance band: 0..50 ohm for DC and RF loops, and for the sensing
+   elements of the thermometers 28.9..35.7 kohm for the first sensor
+   (ascending id) and 10.3..11.3 kohm for the second.
 
 The bundled default netlist (70 DC loops, 6 compensation electrodes,
 2 four-pad sensors, RF, ground) makes the plan exactly 480 steps long:
@@ -22,13 +23,16 @@ The bundled default netlist (70 DC loops, 6 compensation electrodes,
 stress) + 79 resistance. At 16.25 ms per step a defect-free chip completes
 in 7.8 s.
 
-The plan is data. ``build_plan`` reads the netlist and ``DEFAULT_LIMITS``,
-the one table of instrument settings and pass windows, once, and each
-``TestStep`` carries its log label, forced value, pass windows, failure code
-and nominal resistance. ``simulate_step`` applies the chip's faults to those
-values and judges the result against the step's windows. Each executed step
-is logged as a ``StepRecord``: the step index, the net, the ``test_kind``
-label, the forced value, the measured voltage and current, and the verdict.
+The plan is data, and the one place the limits above live. ``build_plan``
+reads the netlist once and writes each setting and pass window into the
+steps it builds, so each ``TestStep`` carries its log label, forced value,
+compliance, pass windows, failure code and nominal resistance.
+``simulate_step`` applies the chip's faults to those values and judges the
+result against the step's windows. Each executed step is logged as a
+``StepRecord``: the step index, the net, the ``test_kind`` label, the forced
+value, the measured voltage and current, and the verdict. A chip's
+``ChipResult`` is that log; its outcome, step count and model time are read
+off it.
 
 Simulation is deterministic: nominal isolation is perfect and the meters
 read the exact values. A run depends on the netlist and the faults alone.
@@ -45,11 +49,9 @@ __all__ = [
     "Net",
     "ChipNetlist",
     "Fault",
-    "TestLimits",
     "TestStep",
     "StepRecord",
     "ChipResult",
-    "DEFAULT_LIMITS",
     "default_netlist",
     "load_netlist",
     "netlist_from_dict",
@@ -74,6 +76,8 @@ FAILURE_CODES = (
 )
 
 NET_ROLES = ("dc", "comp", "ts", "rf", "gnd")
+
+_STEP_TIME = 0.01625  # s of model time per executed step
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,8 @@ class ChipNetlist:
     def __post_init__(self):
         ids = [n.id for n in self.nets]
         if len(set(ids)) != len(ids):
-            raise ValueError("net ids must be unique")
+            repeated = next(i for i in ids if ids.count(i) > 1)
+            raise ValueError(f"net ids must be unique: {repeated!r} is repeated")
         pads = [p for n in self.nets for p in n.pads]
         if len(set(pads)) != len(pads):
             raise ValueError("pad names must be unique across nets")
@@ -141,12 +146,11 @@ class ChipNetlist:
     @functools.cached_property
     def _plan(self) -> tuple["TestStep", ...]:
         # what build_plan returns; a refusal raises again on every use
-        lim = DEFAULT_LIMITS
         # the first sensor (ascending id) gets the high band, the second the low one
-        sensor_bands = (lim.ts_band_high, lim.ts_band_low)
+        sensor_bands = ((28.9e3, 35.7e3), (10.3e3, 11.3e3))
         ts_band = {nid: sensor_bands[k % 2] for k, nid in enumerate(self.ids("ts"))}
-        continuity = (lim.continuity_v, lim.continuity_i)
-        leakage = ((-lim.leakage_v_window, lim.leakage_v_window), (-math.inf, lim.leakage_i_max))
+        continuity = ((0.0, 0.1), (0.8e-3, 1.3e-3))
+        leakage = ((-0.1, 0.1), (-math.inf, 100e-9))
         steps = []
 
         def add(kind, net, forced, windows, code, pass_index=0, pad=None):
@@ -155,26 +159,26 @@ class ChipNetlist:
                 TestStep(
                     index=len(steps), kind=kind, net=net.id, pass_index=pass_index, pad=pad,
                     label=f"{kind}_{pass_index}" if pass_index else kind,
-                    forced=forced, compliance=lim.compliance_v, windows=windows, code=code,
+                    forced=forced, compliance=10.0, windows=windows, code=code,
                     nominal=net.element_resistance if element else net.loop_resistance,
                 )
             )
 
         loops = [self._index[nid] for nid in self.ids("dc", "comp", "ts", "rf")]
         for net in loops:
-            add("CONTINUITY", net, lim.continuity_force, continuity, "CONTINUITY_FAIL")
+            add("CONTINUITY", net, 1.0e-3, continuity, "CONTINUITY_FAIL")
 
         for pass_index in (1, 2):
             for net in loops:
                 if net.role == "rf":
-                    add("LEAKAGE_RF", net, lim.leakage_bias_rf, leakage, "LEAK_RF", pass_index)
+                    add("LEAKAGE_RF", net, 300.0, leakage, "LEAK_RF", pass_index)
                 else:
                     for pad in net.pads:
-                        add("LEAKAGE", net, lim.leakage_bias_dc, leakage, "LEAK_DC_DC", pass_index, pad)
+                        add("LEAKAGE", net, 50.0, leakage, "LEAK_DC_DC", pass_index, pad)
 
         for net in loops:
-            band = ts_band[net.id] if net.role == "ts" else lim.loop_band
-            add("RESISTANCE", net, lim.resistance_force, (band,), _RES_CODES.get(net.role, "RES_FAIL_DC"))
+            band = ts_band[net.id] if net.role == "ts" else (0.0, 50.0)
+            add("RESISTANCE", net, 5.0e-3, (band,), _RES_CODES.get(net.role, "RES_FAIL_DC"))
 
         if not steps:
             raise ValueError("the netlist has no dc, comp, ts or rf net to test")
@@ -246,36 +250,10 @@ class Fault:
 
 
 @dataclass(frozen=True)
-class TestLimits:
-    """Instrument settings and pass windows for the four test phases.
-
-    The first sensor (ascending id) is checked against the high resistance
-    band, the second against the low one.
-    """
-
-    continuity_force: float = 1.0e-3
-    continuity_v: tuple[float, float] = (0.0, 0.1)
-    continuity_i: tuple[float, float] = (0.8e-3, 1.3e-3)
-    leakage_bias_dc: float = 50.0
-    leakage_bias_rf: float = 300.0
-    leakage_i_max: float = 100e-9
-    leakage_v_window: float = 0.1
-    resistance_force: float = 5.0e-3
-    loop_band: tuple[float, float] = (0.0, 50.0)
-    ts_band_high: tuple[float, float] = (28.9e3, 35.7e3)
-    ts_band_low: tuple[float, float] = (10.3e3, 11.3e3)
-    compliance_v: float = 10.0
-    step_time: float = 0.01625
-
-
-DEFAULT_LIMITS = TestLimits()
-
-
-@dataclass(frozen=True)
 class TestStep:
     """One plan entry: a force/sense configuration with its pass windows.
 
-    ``build_plan`` fills in, from ``DEFAULT_LIMITS`` and the netlist,
+    ``build_plan`` fills in, from the plan's limits and the netlist,
     ``label``, the ``test_kind`` an executed step logs (the kind, with the
     pass appended for leakage steps: ``LEAKAGE_2``, ``LEAKAGE_RF_1``), and
     what executing the step needs. ``windows`` are the inclusive pass windows
@@ -316,10 +294,26 @@ class StepRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ChipResult:
-    outcome: str  # PASS or the failure code of the aborting step
-    steps_executed: int
-    elapsed_s: float
+    """A chip's test run: the log of its executed steps, up to and including
+    the aborting step of a failing chip. The rest is read off the log:
+    ``outcome`` is the last verdict (PASS or the aborting step's failure
+    code), ``steps_executed`` the log's length, and ``elapsed_s`` the fixed
+    per-step model time times that length.
+    """
+
     log: tuple[StepRecord, ...]
+
+    @property
+    def outcome(self) -> str:
+        return self.log[-1].verdict
+
+    @property
+    def steps_executed(self) -> int:
+        return len(self.log)
+
+    @property
+    def elapsed_s(self) -> float:
+        return len(self.log) * _STEP_TIME
 
     @property
     def passed(self) -> bool:
@@ -569,9 +563,4 @@ def _walk_plan(netlist: ChipNetlist, faults: tuple) -> ChipResult:
         log.append(simulate_step(netlist, index, step))
         if log[-1].verdict != "PASS":
             break
-    return ChipResult(
-        outcome=log[-1].verdict,
-        steps_executed=len(log),
-        elapsed_s=len(log) * DEFAULT_LIMITS.step_time,
-        log=tuple(log),
-    )
+    return ChipResult(tuple(log))

@@ -972,6 +972,61 @@ def test_unknown_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, args, docu
     assert not list(tmp_path.glob("out.*"))
 
 
+_NO_AXIS_GEOMETRY = {"electrodes": [{"id": "E1", "role": "dc", "rects": [[-10, 10, -5, 5]]}]}
+
+
+def _charge_rect(*rect):
+    return {**_SCENARIO, "fault": {"kind": "GAP_CHARGE", "charge_rects_um": [list(rect)], "charge_voltage": 1.0}}
+
+
+# (id, command, the files it reads, the refusal's last line): refusals that
+# no other test reaches, and those that did not name what they refused
+_MORE_REFUSALS = [
+    ("geometry_role", _GEOMETRY, {"bad.json": _electrode(role="xx")},
+     "trapqa: bad input: electrode 'E1': role must be one of ('rf', 'dc', 'comp', 'gnd'), got 'xx'"),
+    ("geometry_no_rects", _GEOMETRY, {"bad.json": _electrode(rects=[])},
+     "trapqa: bad input: electrode 'E1' has no rectangles"),
+    ("geometry_repeated_id", _GEOMETRY,
+     {"bad.json": {"electrodes": [*_electrode()["electrodes"], *_electrode(rects=[[20, 30, -5, 5]])["electrodes"]]}},
+     "trapqa: bad input: electrode ids must be unique: 'E1' is repeated"),
+    ("geometry_length_unit", _GEOMETRY, {"bad.json": {**_electrode(), "length_unit": "cm"}},
+     "trapqa: bad input: unsupported length_unit 'cm'"),
+    ("netlist_repeated_id", _NETLIST,
+     {"bad.json": {"nets": [*_net()["nets"], *_net(pads=["C", "D"])["nets"]]}},
+     "trapqa: bad input: net ids must be unique: 'DC01' is repeated"),
+    ("calibration_cell", ["thermo", "--calibration", "bad.csv", "--out", "out.json"],
+     {"bad.csv": "T_K,R_ohm\n4,2000.1\n77,abc\n150,3900.2\n295,6800.9\n"},
+     "trapqa: bad input: --calibration line 3: R_ohm must be a number, got 'abc'"),
+    ("resistance_option", ["thermo", "--preset", "TS1", "--resistance", "abc", "--out", "out.json"], {},
+     "trapqa thermo: error: argument --resistance: not a number: 'abc'"),
+    ("diagnose_no_ion_axis", _DIAGNOSE,
+     {"geom.json": _NO_AXIS_GEOMETRY, "bad.json": {**_SCENARIO, "geometry": "geom.json", "voltages": {"E1": 1.0}}},
+     "trapqa: bad input: the geometry has no ion_axis; give scenario 'axis_um'"),
+    # inverted corners flipped the sign of the charge and gave a confident class
+    ("charge_rect_x_inverted", _DIAGNOSE, {"bad.json": _charge_rect(-40, -60, 40, 140)},
+     "trapqa: bad input: charge rectangle 0 (x1, x2, y1, y2) = (-40, -60, 40, 140) um needs x2 > x1 and y2 > y1"),
+    ("charge_rect_y_inverted", _DIAGNOSE, {"bad.json": _charge_rect(-60, -40, 140, 40)},
+     "trapqa: bad input: charge rectangle 0 (x1, x2, y1, y2) = (-60, -40, 140, 40) um needs x2 > x1 and y2 > y1"),
+    ("charge_rect_zero_width", _DIAGNOSE, {"bad.json": _charge_rect(-40, -40, 40, 140)},
+     "trapqa: bad input: charge rectangle 0 (x1, x2, y1, y2) = (-40, -40, 40, 140) um needs x2 > x1 and y2 > y1"),
+]
+
+
+@pytest.mark.parametrize("args, files, line", [pytest.param(*case[1:], id=case[0]) for case in _MORE_REFUSALS])
+def test_refusal_exits_2_naming_what_it_refuses(tmp_path, capsys, monkeypatch, args, files, line):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, *args)
+    assert caught == []
+    # a bad input is one line; argparse prints its usage text first
+    assert err.splitlines()[-1] == line
+    assert err.startswith("usage:") or err.count("\n") == 1
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_field_csv_is_the_same_at_every_thread_count(tmp_path, monkeypatch, geometry):
     # all 79 electrodes driven: 8000 points are 39 kernel blocks
     from trapqa.kernels import rect_np

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trapqa.core import ATOMIC_MASS, CA40, ELEMENTARY_CHARGE, DriveParams
+from trapqa.core import ATOMIC_MASS, CA40, ELEMENTARY_CHARGE, DriveParams, IonSpecies
 
 
 def test_ion_species_mass():
@@ -23,3 +23,20 @@ def test_drive_params_from_mhz():
     d = DriveParams.from_mhz(120.0, 17.0)
     assert d.omega == pytest.approx(2 * np.pi * 17e6, rel=1e-12)
     assert d.v0 == 120.0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: IonSpecies("X", 0.0), "mass_amu must be positive", id="mass_zero"),
+        pytest.param(lambda: IonSpecies("X", -40.0), "mass_amu must be positive", id="mass_negative"),
+        pytest.param(lambda: IonSpecies("X", 40.0, 0), "charge_e must be a positive integer", id="charge_zero"),
+        pytest.param(lambda: DriveParams(-1.0, 1e8), "v0 must be >= 0", id="v0_negative"),
+        pytest.param(lambda: DriveParams(100.0, 0.0), "omega must be positive", id="omega_zero"),
+        pytest.param(lambda: DriveParams.from_mhz(100.0, -17.0), "omega must be positive", id="f_mhz_negative"),
+    ],
+)
+def test_core_types_refuse_unphysical_values(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -28,6 +28,7 @@ from trapqa.diagnosis import (
     scenario_voltages,
     simulate_positions,
 )
+from trapqa.electrostatics import Electrode, TrapGeometry
 
 WELL = {
     "DC17": 1.0,
@@ -328,3 +329,43 @@ def test_axis_outside_half_space_is_refused(geometry, axis):
 
 def test_class_labels_are_stable():
     assert CLASSES == ("NOMINAL", "SHORTED", "FLOATING_OR_CHARGE", "UNCLASSIFIED")
+
+
+_NO_AXIS = TrapGeometry(electrodes=(Electrode("D1", "dc", ((-1e-4, 1e-4, -1e-4, 1e-4),)),))
+
+
+def _gap_charge(*rects):
+    return FaultScenario(kind="GAP_CHARGE", charge_rects=rects, charge_voltage=1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: FaultScenario(kind="FLOATING", electrode="DC19", held_voltage=math.nan),
+                     "held_voltage is not finite: nan", id="held_voltage_nan"),
+        pytest.param(lambda: FaultScenario(kind="FLOATING", electrode="DC19", held_voltage=-math.inf),
+                     "held_voltage is not finite: -inf", id="held_voltage_infinite"),
+        pytest.param(lambda: FaultScenario(kind="GAP_CHARGE", charge_rects=((51.5e-6, 59.5e-6, 40e-6, 135e-6),),
+                                           charge_voltage=math.inf),
+                     "charge_voltage is not finite: inf", id="charge_voltage_infinite"),
+        # inverted corners would flip the sign of the charge's potential
+        pytest.param(lambda: _gap_charge((-40e-6, -60e-6, 40e-6, 140e-6)),
+                     "charge rectangle 0 (x1, x2, y1, y2) = (-40, -60, 40, 140) um needs x2 > x1 and y2 > y1",
+                     id="charge_rect_x_inverted"),
+        pytest.param(lambda: _gap_charge((-60e-6, -40e-6, 140e-6, 40e-6)),
+                     "charge rectangle 0 (x1, x2, y1, y2) = (-60, -40, 140, 40) um needs x2 > x1 and y2 > y1",
+                     id="charge_rect_y_inverted"),
+        pytest.param(lambda: _gap_charge((-60e-6, -40e-6, 40e-6, 140e-6), (10e-6, 10e-6, 40e-6, 140e-6)),
+                     "charge rectangle 1 (x1, x2, y1, y2) = (10, 10, 40, 140) um needs x2 > x1 and y2 > y1",
+                     id="charge_rect_zero_width"),
+        pytest.param(lambda: _gap_charge((-60e-6, -40e-6, 40e-6, math.nan)),
+                     "charge rectangle 0 (x1, x2, y1, y2) = (-60, -40, 40, nan) um needs x2 > x1 and y2 > y1",
+                     id="charge_rect_nan"),
+        pytest.param(lambda: axial_potential(_NO_AXIS, {}, FaultScenario(kind="NOMINAL"), 1.0),
+                     "geometry has no ion_axis; pass axis=(y, z)", id="no_ion_axis"),
+    ],
+)
+def test_scenarios_outside_the_model_are_refused(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -155,3 +155,18 @@ def test_finite_drive_above_the_validity_limit_still_warns():
 def test_preset_rejects_other_temperatures():
     with pytest.raises(ValueError):
         TRAP_PRESETS[0].circuit(77.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: CircuitModel(-1.0, 1e-12, 1e-4), "resistance must be >= 0", id="resistance_negative"),
+        pytest.param(lambda: CircuitModel(1.0, 0.0, 1e-4), "capacitance must be positive", id="capacitance_zero"),
+        pytest.param(lambda: CircuitModel(1.0, 1e-12, -1e-4), "tan_delta must be >= 0", id="tan_delta_negative"),
+        pytest.param(lambda: distributed_ohmic_power(-1.0, 0.1), "resistance must be >= 0", id="line_resistance_negative"),
+    ],
+)
+def test_circuit_values_out_of_domain_are_refused(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -608,3 +608,30 @@ def test_builtin_geometry_shape(geometry):
     assert len(geometry.ids(role="comp")) == 6
     y, z = geometry.ion_axis
     assert z == pytest.approx(124.4e-6, abs=0.5e-6)
+
+
+_DRIVE = DriveParams.from_mhz(100.0, 20.0)
+_DC_ONLY = TrapGeometry(electrodes=(Electrode("D1", "dc", ((-1e-4, 1e-4, -1e-4, 1e-4),)),))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: find_rf_minima(paper_trap_geometry(), CA40, _DRIVE, ((1e-4, -1e-4), (50e-6, 150e-6))),
+                     "window must be (y_lo < y_hi, 0 < z_lo < z_hi)", id="minima_y_reversed"),
+        pytest.param(lambda: find_rf_minima(paper_trap_geometry(), CA40, _DRIVE, ((-1e-4, 1e-4), (0.0, 150e-6))),
+                     "window must be (y_lo < y_hi, 0 < z_lo < z_hi)", id="minima_z_at_plane"),
+        pytest.param(lambda: find_rf_minima(paper_trap_geometry(), CA40, _DRIVE, ((-1e-4, 1e-4), (150e-6, 50e-6))),
+                     "window must be (y_lo < y_hi, 0 < z_lo < z_hi)", id="minima_z_reversed"),
+        pytest.param(lambda: micromotion_index(1.0, 0.0, CA40, _DRIVE, 1e7), "omega_radial must be positive",
+                     id="micromotion_omega_zero"),
+        pytest.param(lambda: micromotion_index(1.0, -1e6, CA40, _DRIVE, 1e7), "omega_radial must be positive",
+                     id="micromotion_omega_negative"),
+        pytest.param(lambda: pseudopotential(_DC_ONLY, CA40, _DRIVE, [[0.0, 0.0, 1e-4]]),
+                     "geometry has no RF electrodes", id="pseudopotential_no_rf"),
+    ],
+)
+def test_solvers_refuse_input_outside_their_domain(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -200,3 +200,34 @@ def test_power_law_refuses_weights_that_overflow_its_sums():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"sigma 1e-150 gives the weight .*, which overflows the fit's sums"):
             power_law_fit([2.0, 3.0, 4.0], [100.0, 30.0, 12.0], [1e-150, 5.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: heating_rate_fit([0.0], [1.0]), "need matching 1D arrays with at least 2 points",
+                     id="fit_one_point"),
+        pytest.param(lambda: heating_rate_fit([0.0, 1.0, 2.0], [1.0, 2.0]),
+                     "need matching 1D arrays with at least 2 points", id="fit_lengths_differ"),
+        pytest.param(lambda: heating_rate_fit([[0.0, 1.0]], [[1.0, 2.0]]),
+                     "need matching 1D arrays with at least 2 points", id="fit_two_dimensional"),
+        pytest.param(lambda: heating_rate_fit([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.0]),
+                     "sigmas has shape (2,), the data (3,)", id="fit_sigmas_short"),
+        pytest.param(lambda: nbar_from_sidebands(0.1, 0.5, 0), "shot counts must be positive", id="no_red_shots"),
+        pytest.param(lambda: nbar_from_sidebands(0.1, 0.5, 100, 0), "shot counts must be positive",
+                     id="no_blue_shots"),
+        pytest.param(lambda: nbar_from_sidebands(-0.1, 0.5, 100), "probabilities must lie in [0, 1] with p_blue > 0",
+                     id="p_red_negative"),
+        pytest.param(lambda: nbar_from_sidebands(0.1, 1.5, 100), "probabilities must lie in [0, 1] with p_blue > 0",
+                     id="p_blue_above_one"),
+        pytest.param(lambda: nbar_from_sidebands(0.0, 0.0, 100), "probabilities must lie in [0, 1] with p_blue > 0",
+                     id="p_blue_zero"),
+        pytest.param(lambda: nbar_from_sidebands(0.5, 0.5, 100), "p_red must be below p_blue for a finite occupation",
+                     id="ratio_one"),
+        pytest.param(lambda: site_rates(999), "no heating records for site 999", id="unknown_site"),
+    ],
+)
+def test_sideband_and_rate_inputs_out_of_domain_are_refused(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -312,3 +312,33 @@ def test_fit_refuses_weights_not_finite_and_above_zero(sigma, weight):
     message = f"sigma {sigma[0]!r} gives the weight 1/sigma**2 = {weight}; it must be finite and above zero"
     with pytest.raises(ValueError, match=re.escape(message)):
         fit_rt_curve(ts, rs, sigma=sigma)
+
+
+_MODEL = RTModel(10.0, 1000.0, 200.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: RTModel(-1.0, 1000.0, 200.0), "r_res must be >= 0", id="r_res_negative"),
+        pytest.param(lambda: RTModel(10.0, 0.0, 200.0), "amplitude must be positive", id="amplitude_zero"),
+        pytest.param(lambda: RTModel(10.0, 1000.0, 0.0), "theta must be positive", id="theta_zero"),
+        pytest.param(lambda: model_resistance(_MODEL, 0.0), "temperature must be positive", id="model_at_zero"),
+        pytest.param(lambda: model_resistance(_MODEL, [4.0, -1.0]), "temperature must be positive",
+                     id="model_one_negative"),
+        pytest.param(lambda: d_resistance_d_t(_MODEL, 0.0), "temperature must be positive", id="slope_at_zero"),
+        pytest.param(lambda: d_resistance_d_t(_MODEL, -4.0), "temperature must be positive", id="slope_negative"),
+        pytest.param(lambda: fit_rt_curve([10.0, 20.0, 30.0], [11.0, 12.0, 13.0]),
+                     "need matching 1D arrays with at least 4 points", id="fit_three_points"),
+        pytest.param(lambda: fit_rt_curve([10.0, 20.0, 30.0, 40.0], [11.0, 12.0, 13.0]),
+                     "need matching 1D arrays with at least 4 points", id="fit_lengths_differ"),
+        pytest.param(lambda: fit_rt_curve([[10.0, 20.0], [30.0, 40.0]], [[11.0, 12.0], [13.0, 14.0]]),
+                     "need matching 1D arrays with at least 4 points", id="fit_two_dimensional"),
+        pytest.param(lambda: fit_rt_curve([10.0, 20.0, 30.0, 40.0], [11.0, 12.0, 13.0, 14.0], [1.0, 1.0, 1.0]),
+                     "sigma has shape (3,), the data (4,)", id="fit_sigma_short"),
+    ],
+)
+def test_model_and_fit_refuse_out_of_domain_input(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -13,12 +13,12 @@ import os
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from trapqa.wafertest import (
-    DEFAULT_LIMITS,
     FAILURE_CODES,
     ChipNetlist,
     ChipResult,
@@ -32,6 +32,25 @@ from trapqa.wafertest import (
     netlist_from_dict,
     run_chip,
     simulate_step,
+)
+
+
+# The test limits as the module docstring documents them, copied here so that
+# a wrong value in the plan cannot also be the value a test compares with.
+_LIMITS = SimpleNamespace(
+    continuity_force=1.0e-3,  # A
+    continuity_v=(0.0, 0.1),  # V
+    continuity_i=(0.8e-3, 1.3e-3),  # A
+    leakage_bias_dc=50.0,  # V
+    leakage_bias_rf=300.0,  # V
+    leakage_i_max=100e-9,  # A
+    leakage_v_window=0.1,  # V, either sign
+    resistance_force=5.0e-3,  # V
+    loop_band=(0.0, 50.0),  # ohm
+    ts_band_high=(28.9e3, 35.7e3),  # ohm, the first sensor by ascending id
+    ts_band_low=(10.3e3, 11.3e3),  # ohm, the second sensor
+    compliance_v=10.0,  # V
+    step_time=0.01625,  # s per executed step
 )
 
 
@@ -347,7 +366,7 @@ def test_clean_chip_equals_per_step_reference(make):
     assert result.log == log
     assert result.outcome == log[-1].verdict
     assert result.steps_executed == len(log)
-    assert result.elapsed_s == len(log) * DEFAULT_LIMITS.step_time
+    assert result.elapsed_s == len(log) * _LIMITS.step_time
 
 
 def test_clean_chip_result_is_shared(netlist):
@@ -374,7 +393,7 @@ def _in(value, band):
 
 
 def _ts_band(netlist, net_id):
-    bands = (DEFAULT_LIMITS.ts_band_high, DEFAULT_LIMITS.ts_band_low)
+    bands = (_LIMITS.ts_band_high, _LIMITS.ts_band_low)
     return bands[netlist.ids("ts").index(net_id) % 2]
 
 
@@ -428,7 +447,7 @@ def _ref_kind_label(step):
 
 
 def _ref_simulate_step(netlist, faults, step):
-    limits = DEFAULT_LIMITS
+    limits = _LIMITS
     for f in faults:
         if f.kind == "HW_FAIL" and f.step_index == step.index:
             return StepRecord(
@@ -499,6 +518,7 @@ def _ref_simulate_step(netlist, faults, step):
 
 
 def _ref_run_chip(netlist, faults):
+    """``(outcome, steps_executed, elapsed_s, log)`` of the reference walk."""
     plan = build_plan(netlist)
     _ref_check_faults(netlist, faults, len(plan))
     log = []
@@ -506,12 +526,7 @@ def _ref_run_chip(netlist, faults):
         log.append(_ref_simulate_step(netlist, faults, step))
         if log[-1].verdict != "PASS":
             break
-    return ChipResult(
-        outcome=log[-1].verdict if log else "PASS",
-        steps_executed=len(log),
-        elapsed_s=len(log) * DEFAULT_LIMITS.step_time,
-        log=tuple(log),
-    )
+    return log[-1].verdict if log else "PASS", len(log), len(log) * _LIMITS.step_time, tuple(log)
 
 
 def _bits(value):
@@ -519,17 +534,17 @@ def _bits(value):
     return value.hex() if type(value) is float else (type(value).__name__, value)
 
 
-def _fields(result):
-    head = (result.outcome, result.steps_executed, _bits(result.elapsed_s))
+def _fields(outcome, steps_executed, elapsed_s, log):
+    head = (outcome, steps_executed, _bits(elapsed_s))
     return [head] + [
         (r.index, r.net, r.test_kind, _bits(r.forced), _bits(r.measured_v), _bits(r.measured_i), r.verdict)
-        for r in result.log
+        for r in log
     ]
 
 
 def _assert_matches_reference(netlist, faults):
     got, want = run_chip(netlist, faults), _ref_run_chip(netlist, faults)
-    assert _fields(got) == _fields(want), faults
+    assert _fields(got.outcome, got.steps_executed, got.elapsed_s, got.log) == _fields(*want), faults
 
 
 def _sweep_faults(netlist):
@@ -646,7 +661,7 @@ def test_walk_reads_the_plan_not_the_netlist(monkeypatch):
 
 
 def test_plan_steps_carry_their_limits(netlist, plan):
-    lim = DEFAULT_LIMITS
+    lim = _LIMITS
     for step in plan:
         net = netlist.net(step.net)
         assert step.compliance == lim.compliance_v
@@ -684,6 +699,18 @@ def test_plan_steps_carry_their_log_label(plan):
     assert {s.label for s in plan} == {
         "CONTINUITY", "LEAKAGE_1", "LEAKAGE_2", "LEAKAGE_RF_1", "LEAKAGE_RF_2", "RESISTANCE",
     }
+
+
+def test_chip_result_is_its_log(netlist):
+    # the log is the one stored field; the rest is read off it and cannot be set
+    assert [f.name for f in dataclasses.fields(ChipResult)] == ["log"]
+    result = run_chip(netlist, (Fault.hw_fail(250),))
+    assert result == ChipResult(result.log)
+    assert (result.outcome, result.steps_executed, result.passed) == ("HW_FAIL", 251, False)
+    assert result.elapsed_s.hex() == (251 * _LIMITS.step_time).hex()
+    for name in ("outcome", "steps_executed", "elapsed_s", "passed"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
 
 
 def test_step_record_is_immutable(netlist):
