@@ -15,6 +15,21 @@ DC scale factors against the nominal simulation separates fault classes:
 
 A floating electrode and trapped charge act identically under this probe
 (a fixed potential term), so they share the class ``FLOATING_OR_CHARGE``.
+
+Each equilibrium is a 201-point scan of the axis and a bounded Brent refine
+(Brent, *Algorithms for Minimization without Derivatives*, 1973) around the
+scan's best point. :func:`simulate_positions` evaluates a scenario's scales
+together. Their voltage sets drive the same rectangles (unless a voltage
+scales to zero and its electrode drops out: scales are grouped by the
+rectangles they drive), so one kernel call scans every scale of a group,
+with one voltage row per scale (``rect_potential_sum`` with ``(K, M)``
+voltages). The refine is a generator, :func:`_brent`, that
+yields each point it needs and is sent the potential there, so the refines
+of a group run in lockstep: one ``rect_potential_each`` call per round,
+with a point and a voltage row for each scale still refining. Both kernel
+forms give, for every row or point, the bits of the one-scale call, so each
+position is that of :func:`equilibrium_position` on :func:`axial_potential`
+at that scale alone.
 """
 
 import math
@@ -23,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .electrostatics.fields import _as_points, _checked
+from .electrostatics.fields import _as_points, _checked, _not_finite
 from .electrostatics.geometry import TrapGeometry
 
 # The bounded refine is a port of scipy's fminbound (below), so diagnosis
@@ -127,6 +142,21 @@ def axial_potential(
     not finite or not above the electrode plane (z > 0); the callable raises
     it when the potential is not finite.
     """
+    rects, vals, (y0, z0) = _axial_rects(geometry, voltages, scenario, scale, axis)
+
+    def phi(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        pts = np.column_stack([xs, np.full_like(xs, y0), np.full_like(xs, z0)])
+        out = _checked("potential", kernels.rect_potential_sum, rects, vals, pts)
+        return float(out[0]) if np.isscalar(x) else out
+
+    return phi
+
+
+def _axial_rects(geometry, voltages, scenario, scale, axis):
+    """The rectangles (M, 4) and voltages (M,) that drive the axial
+    potential of :func:`axial_potential`, and the (y, z) of its axis, with
+    its refusals."""
     if axis is None:
         axis = geometry.ion_axis
     if axis is None:
@@ -139,14 +169,7 @@ def axial_potential(
         extra = np.asarray(scenario.charge_rects, dtype=float).reshape(-1, 4)
         rects = np.vstack([rects, extra])
         vals = np.concatenate([vals, np.full(len(extra), scenario.charge_voltage)])
-
-    def phi(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        pts = np.column_stack([xs, np.full_like(xs, y0), np.full_like(xs, z0)])
-        out = _checked("potential", kernels.rect_potential_sum, rects, vals, pts)
-        return float(out[0]) if np.isscalar(x) else out
-
-    return phi
+    return rects, vals, (y0, z0)
 
 
 def equilibrium_position(potential, window: tuple[float, float], tol: float = SEARCH_TOL) -> EquilibriumResult:
@@ -154,14 +177,12 @@ def equilibrium_position(potential, window: tuple[float, float], tol: float = SE
 
     ``potential`` is any callable accepting a scalar or an array of axial
     positions. The result flags minima pinned at the window boundary, which
-    usually means the window missed the well.
+    usually means the window missed the well. ``tol`` (m), the refine's
+    absolute tolerance, must be finite and above zero.
     """
-    lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("window ends must be finite")
-    if not hi > lo:
-        raise ValueError("window must satisfy lo < hi")
-    xs = np.linspace(lo, hi, 201)
+    xs = _scan_points(window)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and above zero, not {tol!r}")
     vals = np.atleast_1d(potential(xs))
     k = int(np.argmin(vals))
     if k == 0 or k == len(xs) - 1:
@@ -170,27 +191,52 @@ def equilibrium_position(potential, window: tuple[float, float], tol: float = SE
     return EquilibriumResult(position=float(x), value=float(fx), at_boundary=False)
 
 
+def _scan_points(window):
+    """The 201 scan points of ``window``, which must be finite with lo < hi."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("window ends must be finite")
+    if not hi > lo:
+        raise ValueError("window must satisfy lo < hi")
+    return np.linspace(lo, hi, 201)
+
+
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _MAXFUN = 500  # scipy's default evaluation cap (its maxiter)
 
 
 def _fminbound(func, lo, hi, xatol: float):
-    """Bounded scalar minimization: Brent's golden-section search with
-    parabolic steps, returning ``(x, func(x))`` at the best point found.
+    """Bounded scalar minimization of ``func``, which takes and returns a
+    float: :func:`_brent` driven one evaluation at a time, returning
+    ``(x, func(x))`` at the best point found."""
+    run = _brent(lo, hi, xatol)
+    x = next(run)
+    while True:
+        fx = func(x)
+        try:
+            x = run.send(fx)
+        except StopIteration as done:
+            return done.value
+
+
+def _brent(lo, hi, xatol: float):
+    """Brent's golden-section search with parabolic steps on [lo, hi], as a
+    generator: it yields each x it evaluates, is sent f(x), and returns
+    ``(x, f(x))`` at the best point found.
 
     A port of ``scipy.optimize.minimize_scalar(method="bounded")``
     (``_minimize_scalar_bounded``, i.e. fminbound) that performs the same
     floating-point operations in the same order, the ``sqrt(2.2e-16)`` and
     ``xatol / 3`` tolerances and the 500-evaluation cap included, so
     it returns scipy's ``x`` and ``fun`` bit for bit (tests/test_diagnosis.py
-    keeps scipy as the reference). ``func`` takes and returns a float.
+    keeps scipy as the reference).
     """
     a, b = float(lo), float(hi)
     fulc = a + _GOLDEN_MEAN * (b - a)
     nfc = xf = fulc
     rat = e = 0.0
-    fx = func(xf)
+    fx = yield xf
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -222,7 +268,7 @@ def _fminbound(func, lo, hi, xatol: float):
             rat = _GOLDEN_MEAN * e
 
         x = xf + _sign1(rat) * max(abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -268,21 +314,78 @@ def simulate_positions(
     Raises ``ValueError`` for a scale that is not above zero, naming it, and
     when a minimum is pinned at a window edge: the window then misses the
     well and the edge is no position of the ion.
+
+    Each position, and the first refusal met, is bit for bit that of
+    ``equilibrium_position(axial_potential(geometry, voltages, scenario, s,
+    axis), window)`` scale by scale, but the scales are evaluated together.
+    Scales whose voltage sets drive the same rectangles (all of them, unless
+    a voltage scales to zero) share one scan: one kernel call with a voltage
+    row per scale. Their refines then run in lockstep, with one
+    ``rect_potential_each`` call per round for the scales still refining.
     """
-    out = []
+    # the checks that come before a scale's scan, in the order the
+    # per-scale loop makes them; the scales from the first refused one on
+    # are not evaluated, and its refusal is raised unless an earlier scale's
+    # scan or refine fails first
+    checked, rects, volts = [], {}, []
+    failed = {}  # scale index: its refusal
     for s in scales:
-        if not s > 0:
-            raise ValueError(f"scale {s:g} is not above zero: a DC scale factor must be positive")
-        phi = axial_potential(geometry, voltages, scenario, s, axis=axis)
-        eq = equilibrium_position(phi, window)
-        if eq.at_boundary:
-            raise ValueError(
-                f"scale {s:g}: the minimum is pinned at the window edge "
-                f"{eq.position * 1e6:g} um; the window "
+        try:
+            if not s > 0:
+                raise ValueError(f"scale {s:g} is not above zero: a DC scale factor must be positive")
+            r, v, (y0, z0) = _axial_rects(geometry, voltages, scenario, s, axis)
+            xs = _scan_points(window)
+        except ValueError as exc:
+            failed[len(checked)] = exc
+            break
+        checked.append(s)
+        volts.append(v)
+        # scales whose voltages drive the same rectangles share kernel calls
+        rects.setdefault(r.tobytes(), (r, []))[1].append(len(checked) - 1)
+
+    scans = {}
+    if checked:
+        line = np.column_stack([xs, np.full_like(xs, y0), np.full_like(xs, z0)])
+    for r, group in rects.values():
+        with np.errstate(all="ignore"):
+            scans.update(zip(group, kernels.rect_potential_sum(r, np.array([volts[i] for i in group]), line)))
+    steps = {}  # scale index: (its refine, the x it asks for)
+    for i in range(len(checked)):  # up to the first refusal: no later scale is reached
+        if not np.isfinite(scans[i]).all():
+            failed[i] = _not_finite("potential")
+            break
+        k = int(np.argmin(scans[i]))
+        if k == 0 or k == len(xs) - 1:
+            failed[i] = ValueError(
+                f"scale {checked[i]:g}: the minimum is pinned at the window edge "
+                f"{float(xs[k]) * 1e6:g} um; the window "
                 f"[{window[0] * 1e6:g}, {window[1] * 1e6:g}] um misses the well"
             )
-        out.append(PositionMeasurement(scale=float(s), position=eq.position))
-    return out
+            break
+        run = _brent(xs[k - 1], xs[k + 1], SEARCH_TOL)
+        steps[i] = (run, next(run))
+
+    position = {}
+    while steps:  # one round: each refine still running takes one step
+        for r, group in rects.values():
+            live = [i for i in group if i in steps]
+            if not live:
+                continue
+            pts = np.array([(steps[i][1], y0, z0) for i in live])
+            with np.errstate(all="ignore"):
+                phi = kernels.rect_potential_each(r, np.array([volts[i] for i in live]), pts)
+            for i, f in zip(live, phi.tolist()):
+                run = steps.pop(i)[0]
+                if not math.isfinite(f):
+                    failed[i] = _not_finite("potential")
+                    continue
+                try:
+                    steps[i] = (run, run.send(f))
+                except StopIteration as done:
+                    position[i] = float(done.value[0])
+    if failed:
+        raise failed[min(failed)]
+    return [PositionMeasurement(scale=float(s), position=position[i]) for i, s in enumerate(checked)]
 
 
 def classify_fault(measured: list[PositionMeasurement], nominal: list[PositionMeasurement]) -> str:

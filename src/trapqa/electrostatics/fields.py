@@ -48,10 +48,13 @@ def _checked(what: str, kernel, *args):
         out = kernel(*args)
     for a in out if isinstance(out, tuple) else (out,):
         if not np.isfinite(a).all():
-            raise ValueError(
-                f"the {what} is not finite: a voltage is too large or a point too close to the plane"
-            )
+            raise _not_finite(what)
     return out
+
+
+def _not_finite(what: str) -> ValueError:
+    """The refusal of a ``what`` that is not finite."""
+    return ValueError(f"the {what} is not finite: a voltage is too large or a point too close to the plane")
 
 
 def _at(what: str, kernel, geometry: TrapGeometry, voltages: dict, points):

@@ -8,7 +8,15 @@ closed form in :mod:`trapqa.kernels.rect_np`, the single implementation:
     summed per evaluation point. ``rects`` is ``(M, 4)`` rows
     ``(x1, x2, y1, y2)``, ``points`` is ``(N, 3)``; returns ``(N,)``.
     ``M`` may be 0, as may ``N``: with no rectangle every kernel here
-    returns its arrays of +0.0, never -0.0.
+    returns its arrays of +0.0, never -0.0. ``volts`` may also be ``(K, M)``,
+    K voltage sets over the same rectangles, for a ``(K, N)`` result: the
+    per-rectangle sums are computed once, and row k is bit for bit the call
+    with ``volts[k]``.
+
+``rect_potential_each(rects, volts, points)``
+    The potential at each point at a voltage set of its own: ``volts`` is
+    ``(N, M)`` and entry n, of ``(N,)``, is bit for bit the one-point call
+    ``rect_potential_sum(rects, volts[n], points[n:n + 1])``.
 
 ``rect_field_sum(rects, volts, points)``
     Electric field ``E = -grad(phi)`` of the same set, returns ``(N, 3)``.
@@ -39,6 +47,7 @@ from .rect_np import (
     rect_field_grad_sum,
     rect_field_sum,
     rect_field_superpose,
+    rect_potential_each,
     rect_potential_sum,
 )
 
@@ -47,6 +56,7 @@ BACKEND = "python"
 __all__ = [
     "BACKEND",
     "rect_potential_sum",
+    "rect_potential_each",
     "rect_field_sum",
     "rect_field_grad_sum",
     "rect_field_superpose",

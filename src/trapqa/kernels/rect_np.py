@@ -54,7 +54,17 @@ is ``a - b``) and adds it to a zeroed output. ``t01 - t11`` is exactly
 zero sum, and adding 0.0 last turns every zero sum into +0.0 on both sides.
 The result is a contiguous ``(n, M)`` array of per-rectangle sums.
 ``rect_potential_sum``, ``rect_field_sum`` and ``rect_field_grad_sum``
-weight those by the voltages with one matrix-vector product each.
+weight those by the voltages with one matrix-vector product each. Given K
+voltage sets as a ``(K, M)`` array, ``rect_potential_sum`` makes one such
+product per set, ``sums @ volts[k]``, the product of the 1-D call with
+``volts[k]``: one ``sums @ volts.T`` for all sets would differ from it in
+the last bit. ``rect_potential_each``, which takes a voltage set per point,
+makes the length-M dot product ``sums[n] @ volts[n]`` per point (a stack
+of ``(1, M) @ (M, 1)`` products, each of which numpy's ``matmul`` makes as
+a dot product), the product a one-point call makes: row n of a many-point
+``sums @ volts`` can differ from it in the last bit, as BLAS sums a
+matrix-vector product in another order than a dot product. Both share the
+potential's elementwise body, :func:`_potential`.
 ``rect_field_superpose`` instead forms each weighted term ``w_m E_m``
 (``E_m`` the summed field of rectangle group ``m`` at 1 V) as a row
 ``t[m]`` (3, n) of one C-order ``(G, 3, n)`` array and adds them with
@@ -70,7 +80,7 @@ so no corner array holds more than about 2**16 doubles (0.5 MB) whatever
 the number of points. A call runs its blocks on one thread per usable CPU
 (``os.sched_getaffinity``, else ``os.cpu_count``), but on no more threads
 than it has blocks, and each thread takes a contiguous run of whole
-blocks. All four entry points go through one runner, :func:`_run`, fed by
+blocks. All five entry points go through one runner, :func:`_run`, fed by
 one generator, :func:`_blocks`, which computes the terms they share (the
 offsets, their squares, ``r^2`` and ``r``; the field's per-rectangle sums
 where asked) over sub-blocks of ``ceil(block / threads)`` rows, into
@@ -110,7 +120,13 @@ import threading
 
 import numpy as np
 
-__all__ = ["rect_potential_sum", "rect_field_sum", "rect_field_grad_sum", "rect_field_superpose"]
+__all__ = [
+    "rect_potential_sum",
+    "rect_potential_each",
+    "rect_field_sum",
+    "rect_field_grad_sum",
+    "rect_field_superpose",
+]
 
 _TWO_PI = 2.0 * np.pi
 _BLOCK_ELEMS = 2**16  # corner terms per temporary
@@ -270,11 +286,10 @@ def _run(rects, points, field, n_tmp, n_sums, body):
         raise errors[0]
 
 
-def rect_potential_sum(rects, volts, points):
-    """Summed potential of rectangles at ``volts`` over ``points``, shape (N,)."""
-    volts = np.asarray(volts, dtype=np.float64).reshape(-1)
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    out = np.zeros(len(points))
+def _potential(rects, points, put):
+    """The potential's elementwise body, shared by both entry points: at the
+    end of each block ``b``, ``put(b)`` weights its per-rectangle sums
+    ``b.sums[0]`` (k, M) and writes them into the block's rows ``b.s``."""
 
     def body(blocks):
         for b in blocks:
@@ -283,9 +298,46 @@ def rect_potential_sum(rects, volts, points):
             zr = np.multiply(b.z, b.r, out=b.r)
             _corner_sum(np.arctan2(xy, zr, out=xy), b.sums[0, b.rows])
             if b.end:
-                out[b.s] = b.sums[0] @ volts / _TWO_PI
+                put(b)
 
     _run(rects, points, False, 0, 1, body)
+
+
+def rect_potential_sum(rects, volts, points):
+    """Summed potential of rectangles at ``volts`` over ``points``, shape (N,).
+
+    ``volts`` may also be (K, M), one voltage set per row, for shape (K, N):
+    each block's sums are weighted by each row with a product of its own, so
+    row k is bit for bit the call with ``volts[k]``.
+    """
+    volts = np.asarray(volts, dtype=np.float64)
+    rows = volts if volts.ndim == 2 else volts.reshape(1, -1)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    out = np.zeros((len(rows), len(points)))
+
+    def put(b):
+        for k, v in enumerate(rows):
+            out[k, b.s] = b.sums[0] @ v / _TWO_PI
+
+    _potential(rects, points, put)
+    return out if volts.ndim == 2 else out[0]
+
+
+def rect_potential_each(rects, volts, points):
+    """The potential at each point of its own voltages, shape (N,): entry n
+    is that of the rectangles at ``volts[n]`` (N, M) at ``points[n]``, bit
+    for bit the one-point call ``rect_potential_sum(rects, volts[n],
+    points[n:n + 1])``, whose product is the length-M dot product
+    ``sums[n] @ volts[n]``."""
+    volts = np.asarray(volts, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    out = np.zeros(len(points))
+
+    def put(b):
+        # a stack of (1, M) @ (M, 1) products: one dot product per point
+        out[b.s] = np.matmul(b.sums[0, :, None], volts[b.s, :, None])[:, 0, 0] / _TWO_PI
+
+    _potential(rects, points, put)
     return out
 
 

@@ -1058,8 +1058,11 @@ _DIAGNOSE_SCENARIO = {
 # the README-style strayfield, and a GAP_CHARGE diagnosis, whose charge
 # rectangle is stacked under the driven electrodes' rectangles; and the
 # SHORTED and FLOATING diagnoses, frozen before the search and
-# classification tolerances became constants. Each case is (input
-# documents, arguments without --out, exit code, digest).
+# classification tolerances became constants; and a diagnosis on an axis
+# of its own, one from a measurements CSV and one with its scales unsorted,
+# frozen before the scales of a scenario were evaluated together. Each case
+# is (input documents, arguments without --out, exit code, digest); a
+# document given as text, such as a CSV, is written as it is.
 _ELECTROSTATICS_PINS = {
     "field_readme": (
         {},
@@ -1116,6 +1119,36 @@ _ELECTROSTATICS_PINS = {
         1,
         "8e787c50b6a4a2dc1ff8fc8c3478bce7e6c89c556ccbb1c8559e64fa9851cd70",
     ),
+    "diagnose_axis": (
+        {
+            "scenario.json": {
+                **_DIAGNOSE_SCENARIO,
+                "axis_um": {"y": 30.0, "z": 100.0},
+                "fault": {"kind": "FLOATING", "electrode": "DC19", "held_voltage": -0.8},
+            }
+        },
+        ["diagnose", "--scenario", "scenario.json"],
+        1,
+        "407a5325ee60747fc79c5211b35303ddc7bda73812e9c8944e8c000a6e1dc0c2",
+    ),
+    "diagnose_measurements": (
+        {"scenario.json": _DIAGNOSE_SCENARIO, "meas.csv": "scale,position_um\n1.0,14.4\n2.0,14.4\n4.0,14.4\n"},
+        ["diagnose", "--scenario", "scenario.json", "--measurements", "meas.csv"],
+        1,
+        "eea7bd229a9aef20b83c376b43d26a71445b45900f6a4f1d19e12850ed0dba6f",
+    ),
+    "diagnose_unsorted_scales": (
+        {
+            "scenario.json": {
+                **_DIAGNOSE_SCENARIO,
+                "scales": [4, 1, 2],
+                "fault": {"kind": "GAP_CHARGE", "charge_rects_um": [[51.5, 59.5, 40, 135]], "charge_voltage": -2.0},
+            }
+        },
+        ["diagnose", "--scenario", "scenario.json"],
+        1,
+        "da8995cf86b0d8ca7d1d89116ab3e4cff0613d8fa39c1e6838fb11b2377d2486",
+    ),
 }
 
 
@@ -1124,7 +1157,7 @@ def test_electrostatics_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
     inputs, args, code, sha = _ELECTROSTATICS_PINS[name]
     monkeypatch.chdir(tmp_path)
     for path, doc in inputs.items():
-        (tmp_path / path).write_text(json.dumps(doc))
+        (tmp_path / path).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run_cli(*args, "--out", "out") == code
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == sha
 

@@ -5,7 +5,8 @@ position; a fixed charge (or floating electrode) produces a displacement
 falling off as 1/scale; a healthy trap matches the nominal prediction at
 every scale. The equilibrium solver itself is checked against analytic
 minima of synthetic wells, and its bounded refine against scipy's, which it
-ports.
+ports; ``simulate_positions``, which evaluates a scenario's scales together,
+against the loop of one equilibrium search per scale.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from trapqa import kernels
 from trapqa.diagnosis import (
     CLASSES,
     POSITION_TOL,
@@ -369,3 +371,167 @@ def test_scenarios_outside_the_model_are_refused(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+def test_equilibrium_refuses_a_tolerance_not_above_zero():
+    # a tol of nan or inf used to return the first golden-section point
+    # unrefined: 9.763932022500201e-06 for a well at 1e-05
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1e-7):
+        with pytest.raises(ValueError) as exc:
+            equilibrium_position(lambda x: (np.asarray(x) - 1e-5) ** 2, WINDOW, tol=tol)
+        assert str(exc.value) == f"tol must be finite and above zero, not {tol!r}"
+
+
+def _per_scale(geometry, voltages, scenario, scales, window, axis=None):
+    """simulate_positions as the loop it replaced: one equilibrium search per
+    scale, with its refusals in the loop's order."""
+    out = []
+    for s in scales:
+        if not s > 0:
+            raise ValueError(f"scale {s:g} is not above zero: a DC scale factor must be positive")
+        eq = equilibrium_position(axial_potential(geometry, voltages, scenario, s, axis=axis), window)
+        if eq.at_boundary:
+            raise ValueError(
+                f"scale {s:g}: the minimum is pinned at the window edge "
+                f"{eq.position * 1e6:g} um; the window "
+                f"[{window[0] * 1e6:g}, {window[1] * 1e6:g}] um misses the well"
+            )
+        out.append(PositionMeasurement(scale=float(s), position=eq.position))
+    return out
+
+
+def _outcome(simulate, *args, **kwargs):
+    """The positions as (scale, float.hex) pairs, or the refusal's message."""
+    try:
+        return [(m.scale, m.position.hex()) for m in simulate(*args, **kwargs)]
+    except ValueError as exc:
+        return str(exc)
+
+
+# a well voltage of 5e-324 scales to 0.0 at 0.4, where its electrode drops
+# out: that scale drives another set of rectangles than the others
+_TINY = {**WELL, "DC20": 5e-324}
+
+
+def test_simulate_positions_is_the_per_scale_loop(geometry):
+    kinds, answered = set(), 0
+    for seed in range(48):
+        rng = np.random.default_rng(seed)
+        well = {k: v * float(rng.uniform(0.8, 1.2)) for k, v in (_TINY if seed % 3 == 0 else WELL).items()}
+        scenario = _battery_scenario(rng)
+        scales = [(1.0, 2.0, 4.0), (4.0, 1.0, 2.0), (2.0, 2.0, 1.0), (0.4, 1.0, 2.5, 0.4)][seed % 4]
+        axis = (float(rng.uniform(30e-6, 55e-6)), float(rng.uniform(90e-6, 140e-6))) if seed % 2 else None
+        args = (geometry, well, scenario, scales, WINDOW)
+        got = _outcome(simulate_positions, *args, axis=axis)
+        assert got == _outcome(_per_scale, *args, axis=axis), (seed, scenario, scales, axis)
+        kinds.add(scenario.kind)
+        answered += isinstance(got, list)
+    assert kinds == {"NOMINAL", "SHORTED", "FLOATING", "GAP_CHARGE"}
+    assert answered >= 40
+
+
+_PINNED = (100e-6, 300e-6)  # right of the well: its minimum is the left edge
+_OVERFLOW = {f"DC{k}": -1.7e308 for k in range(16, 21)}  # the potential is -inf
+
+
+@pytest.mark.parametrize(
+    "where, voltages, scales, window, axis, message",
+    [
+        ("paper", WELL, [0.0, 1.0], _PINNED, None, "scale 0 is not above zero"),
+        ("paper", WELL, [math.nan, 1.0], _PINNED, None, "scale nan is not above zero"),
+        ("paper", WELL, [1.0, math.nan], _PINNED, None, "scale 1: the minimum is pinned"),
+        ("paper", WELL, [1.0, -2.0], _PINNED, None, "scale 1: the minimum is pinned"),
+        ("paper", WELL, [1.0, 2.0, -2.0], WINDOW, None, "scale -2 is not above zero"),
+        ("paper", WELL, [1.0, 1e308], WINDOW, None, "voltage of electrode 'DC18' is not finite: -inf"),
+        ("paper", WELL, [1.0, 1e308], _PINNED, None, "scale 1: the minimum is pinned"),
+        ("paper", _OVERFLOW, [1.0, 0.5], WINDOW, None, "the potential is not finite"),
+        ("paper", WELL, [1.0, 2.0], WINDOW, (42.3e-6, -1e-6), "outside the half space z > 0"),
+        ("paper", WELL, [1.0, 2.0], WINDOW, (42.3e-6, 0.0), "outside the half space z > 0"),
+        ("paper", WELL, [-1.0, 2.0], WINDOW, (42.3e-6, 0.0), "scale -1 is not above zero"),
+        ("no_axis", {}, [1.0, 2.0], WINDOW, None, "geometry has no ion_axis"),
+        ("no_axis", {}, [0.0, 2.0], WINDOW, None, "scale 0 is not above zero"),
+        ("paper", WELL, [1.0, 2.0], (-math.inf, 300e-6), None, "window ends must be finite"),
+        ("paper", WELL, [1.0, 2.0], (-300e-6, math.nan), None, "window ends must be finite"),
+        ("paper", WELL, [1.0, 2.0], (300e-6, -300e-6), None, "window must satisfy lo < hi"),
+        ("paper", WELL, [1.0, 2.0], (1e-6, 1e-6), None, "window must satisfy lo < hi"),
+        ("paper", WELL, [0.0, 2.0], (1e-6, 1e-6), None, "scale 0 is not above zero"),
+    ],
+    ids=[
+        "zero_before_pinned", "nan_before_pinned", "nan_after_pinned", "negative_after_pinned",
+        "negative_last", "voltage_overflows_later", "voltage_overflows_after_pinned", "potential_overflow",
+        "axis_below_plane", "axis_on_plane", "scale_before_axis", "no_axis", "scale_before_no_axis",
+        "window_infinite", "window_nan", "window_inverted", "window_empty", "scale_before_window",
+    ],
+)
+def test_simulate_positions_refuses_as_the_per_scale_loop(geometry, where, voltages, scales, window, axis, message):
+    g = geometry if where == "paper" else _NO_AXIS
+    args = (g, voltages, FaultScenario(kind="NOMINAL"), scales, window)
+    got = _outcome(simulate_positions, *args, axis=axis)
+    assert got == _outcome(_per_scale, *args, axis=axis)
+    assert isinstance(got, str) and message in got
+
+
+def test_no_scales_give_no_positions():
+    # as in the per-scale loop, nothing is checked: not even the axis
+    assert simulate_positions(_NO_AXIS, {}, FaultScenario(kind="NOMINAL"), [], WINDOW) == []
+
+
+def _record_kernels(monkeypatch):
+    """Record (kernel, volts shape, number of points) per potential call."""
+    calls = []
+    for name in ("rect_potential_sum", "rect_potential_each"):
+        real = getattr(kernels, name)
+
+        def recorded(rects, volts, points, real=real, name=name):
+            calls.append((name, np.shape(volts), len(points)))
+            return real(rects, volts, points)
+
+        monkeypatch.setattr(kernels, name, recorded)
+    return calls
+
+
+def _refine_evaluations(geometry, voltages, scenario, scales):
+    """The refine's evaluations per scale, counted on the per-scale loop."""
+    counts = []
+    for s in scales:
+        phi = axial_potential(geometry, voltages, scenario, s)
+        points = []
+
+        def counted(x, phi=phi, points=points):
+            if np.isscalar(x):
+                points.append(x)
+            return phi(x)
+
+        equilibrium_position(counted, WINDOW)
+        counts.append(len(points))
+    return counts
+
+
+@pytest.mark.parametrize("voltages, groups", [(WELL, [[0, 1, 2]]), (_TINY, [[0, 2], [1]])])
+def test_scales_share_a_scan_and_refine_in_lockstep(geometry, monkeypatch, voltages, groups):
+    # the scales of one rectangle set make one 201-point scan call, then one
+    # call per round with a point for each scale still refining; the scale
+    # 0.4 of the 5e-324 well drives one rectangle less and runs apart
+    scales = (1.0, 0.4, 2.0)
+    scenario = FaultScenario(kind="GAP_CHARGE", charge_rects=((51.5e-6, 59.5e-6, 40e-6, 135e-6),), charge_voltage=-0.5)
+    evals = _refine_evaluations(geometry, voltages, scenario, scales)
+    assert evals == [5, 6, 6]  # the first scale's refine stops a round early
+    calls = _record_kernels(monkeypatch)
+    simulate_positions(geometry, voltages, scenario, scales, WINDOW)
+    m = len(geometry.rect_arrays(voltages)[0]) + 1  # and the charge rectangle
+    scans = [c for c in calls if c[0] == "rect_potential_sum"]
+    assert scans == [("rect_potential_sum", (len(g), m - (g == [1])), 201) for g in groups]
+    rounds = [c for c in calls if c[0] == "rect_potential_each"]
+    want = []
+    for r in range(max(evals)):
+        for g in groups:
+            live = sum(evals[i] > r for i in g)
+            if live:
+                want.append(("rect_potential_each", (live, m - (g == [1])), live))
+    assert rounds == want
+
+
+def test_a_refine_that_is_not_finite_is_refused(geometry, monkeypatch):
+    monkeypatch.setattr(kernels, "rect_potential_each", lambda rects, volts, points: np.full(len(points), np.inf))
+    with pytest.raises(ValueError, match="the potential is not finite"):
+        simulate_positions(geometry, WELL, FaultScenario(kind="NOMINAL"), SCALES, WINDOW)

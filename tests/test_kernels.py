@@ -593,3 +593,50 @@ def test_no_rectangles_give_positive_zeros(rng, n):
     for got, shape in [(phi, (n,)), (e, (n, 3)), (e2, (n, 3)), (grad, (n, 3, 3)), (sup, (n, 3))]:
         assert got.shape == shape
         assert not got.any() and not np.signbit(got).any()
+
+
+def test_voltage_rows_are_one_dimensional_calls(rng):
+    # each row of a (K, M) voltage form weights a block's sums with a
+    # product of its own, so it is the 1-D call with that row bit for bit;
+    # one sums @ volts.T product for all rows differs in the last bit
+    rects, volts = _trap_rects(rng)
+    for m in (2, 5, 11, 79):
+        rows = volts[:m] * rng.uniform(0.2, 3.0, (3, 1))
+        for n in (1, 3, 201):
+            pts = _edge_points(rng, rects[:m], n)
+            got = rect_np.rect_potential_sum(rects[:m], rows, pts)
+            assert got.shape == (3, n)
+            for k, v in enumerate(rows):
+                assert _same_bits(got[k], rect_np.rect_potential_sum(rects[:m], v, pts)), (m, n, k)
+    assert rect_np.rect_potential_sum(rects, rows, np.zeros((0, 3))).shape == (3, 0)
+    none = rect_np.rect_potential_sum(np.zeros((0, 4)), np.zeros((2, 0)), pts)
+    assert none.shape == (2, 201) and not none.any() and not np.signbit(none).any()
+
+
+def test_voltage_rows_keep_the_bits_across_blocks_and_threads(rng, monkeypatch):
+    # 32768 points of 79 rectangles are 159 blocks, here on four threads
+    monkeypatch.setattr(rect_np, "_usable_cpus", lambda: 4)
+    rects, volts = _trap_rects(rng)
+    rows = volts * rng.uniform(0.2, 3.0, (3, 1))
+    pts = _trap_points(rng, 32768)
+    got = rect_np.rect_potential_sum(rects, rows, pts)
+    for k, v in enumerate(rows):
+        assert _same_bits(got[k], rect_np.rect_potential_sum(rects, v, pts)), k
+
+
+def test_each_point_at_its_own_voltages_is_a_one_point_call(rng):
+    # entry n is the dot product sums[n] @ volts[n] of a one-point call; a
+    # row of a many-point call's sums @ volts differs in the last bit
+    rects, volts = _trap_rects(rng)
+    for m in (2, 5, 11, 79):
+        block = rect_np._BLOCK_ELEMS // (4 * m)
+        for n in (1, 3, 64) if m < 79 else (1, 3, block + 5):
+            pts = _edge_points(rng, rects[:m], n)
+            rows = volts[:m] * rng.uniform(0.2, 3.0, (n, 1))
+            got = rect_np.rect_potential_each(rects[:m], rows, pts)
+            assert got.shape == (n,)
+            for k in range(n):
+                one = rect_np.rect_potential_sum(rects[:m], rows[k], pts[k : k + 1])
+                assert _same_bits(got[k : k + 1], one), (m, n, k)
+    none = rect_np.rect_potential_each(np.zeros((0, 4)), np.zeros((3, 0)), pts[:3])
+    assert none.shape == (3,) and not none.any() and not np.signbit(none).any()
