@@ -1,6 +1,8 @@
 """Documents in and out: every input value is read and converted here, and
-refused with a ``ValueError`` naming its field or CSV line; artifacts are
-written here with stable serialization and atomic replace."""
+refused with a ``ValueError`` naming its field or CSV line; :func:`positive`
+and :func:`nonnegative` are the one check, for every record and function of
+the library, that a number is finite and inside its bound; artifacts are
+written here as strict JSON, with stable serialization and atomic replace."""
 
 import csv
 import io
@@ -59,6 +61,27 @@ def as_text(value, what: str, optional: bool = False) -> str | None:
     if not (isinstance(value, str) or (optional and value is None)):
         raise ValueError(f"{what} must be a string, got {value!r}")
     return value
+
+
+def positive(what: str, x) -> float:
+    """``x`` as a float if it is finite and above zero; any other value, NaN,
+    an infinity and ``None`` included, raises ValueError naming ``what``."""
+    return _bounded(what, x, False)
+
+
+def nonnegative(what: str, x) -> float:
+    """As :func:`positive`, for a value finite and not below zero."""
+    return _bounded(what, x, True)
+
+
+def _bounded(what, x, zero: bool) -> float:
+    try:
+        if (0.0 <= x if zero else 0.0 < x) and x < math.inf:
+            return float(x)
+        x = float(x)  # shown as the float it is, not as a numpy repr
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be finite and {'not below' if zero else 'above'} zero, got {x!r}")
 
 
 def as_number(value, what: str) -> float:
@@ -165,5 +188,6 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+    A number that is not finite raises ValueError: strict JSON has none."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import nonnegative, positive
+
 __all__ = [
     "IonSpecies",
     "DriveParams",
@@ -27,9 +29,8 @@ class IonSpecies:
     charge_e: int = 1
 
     def __post_init__(self):
-        if self.mass_amu <= 0:
-            raise ValueError("mass_amu must be positive")
-        if self.charge_e < 1:
+        positive("mass_amu", self.mass_amu)
+        if not 1 <= self.charge_e < np.inf:
             raise ValueError("charge_e must be a positive integer")
 
     @property
@@ -51,10 +52,8 @@ class DriveParams:
     omega: float
 
     def __post_init__(self):
-        if self.v0 < 0:
-            raise ValueError("v0 must be >= 0")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        nonnegative("v0", self.v0)
+        positive("omega", self.omega)
 
     @classmethod
     def from_mhz(cls, v0: float, f_mhz: float) -> "DriveParams":

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._io import positive
 from .electrostatics.fields import _as_points, _checked, _not_finite
 from .electrostatics.geometry import TrapGeometry
 
@@ -99,7 +100,7 @@ class FaultScenario:
                 raise ValueError(f"charge rectangle {k} (x1, x2, y1, y2) = ({um}) um needs x2 > x1 and y2 > y1")
         for name in ("held_voltage", "charge_voltage"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} is not finite: {getattr(self, name)!r}")
+                raise ValueError(f"{name} is not finite: {float(getattr(self, name))!r}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,7 @@ def equilibrium_position(potential, window: tuple[float, float], tol: float = SE
     absolute tolerance, must be finite and above zero.
     """
     xs = _scan_points(window)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and above zero, not {tol!r}")
+    positive("tol", tol)
     vals = np.atleast_1d(potential(xs))
     k = int(np.argmin(vals))
     if k == 0 or k == len(xs) - 1:
@@ -311,7 +311,7 @@ def simulate_positions(
 ) -> list[PositionMeasurement]:
     """Predicted axial positions, found to ``SEARCH_TOL``, for each global scale factor.
 
-    Raises ``ValueError`` for a scale that is not above zero, naming it, and
+    Raises ``ValueError`` for a scale that is not finite and above zero, and
     when a minimum is pinned at a window edge: the window then misses the
     well and the edge is no position of the ion.
 
@@ -331,8 +331,7 @@ def simulate_positions(
     failed = {}  # scale index: its refusal
     for s in scales:
         try:
-            if not s > 0:
-                raise ValueError(f"scale {s:g} is not above zero: a DC scale factor must be positive")
+            positive("DC scale factor", s)
             r, v, (y0, z0) = _axial_rects(geometry, voltages, scenario, s, axis)
             xs = _scan_points(window)
         except ValueError as exc:

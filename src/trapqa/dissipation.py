@@ -26,6 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from ._io import nonnegative, positive
+
 __all__ = [
     "CircuitModel",
     "TrapPreset",
@@ -58,12 +60,9 @@ class CircuitModel:
     tan_delta: float
 
     def __post_init__(self):
-        if self.resistance < 0:
-            raise ValueError("resistance must be >= 0")
-        if self.capacitance <= 0:
-            raise ValueError("capacitance must be positive")
-        if self.tan_delta < 0:
-            raise ValueError("tan_delta must be >= 0")
+        nonnegative("resistance", self.resistance)
+        positive("capacitance", self.capacitance)
+        nonnegative("tan_delta", self.tan_delta)
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,7 @@ def distributed_ohmic_power(resistance: float, i0: float) -> float:
     dissipated power integrates to ``R I0^2 / 3`` (peak current convention;
     the time-average factor 1/2 is not included here).
     """
-    if resistance < 0:
-        raise ValueError("resistance must be >= 0")
+    nonnegative("resistance", resistance)
     return resistance * i0 * i0 / 3.0
 
 
@@ -157,16 +155,16 @@ def dissipation_report(
 
     The exact reference evaluates the lumped network with the effective
     series resistance R/3 so that both columns describe the same distributed
-    feed. Raises ``ValueError`` unless ``v0`` is above zero: at zero drive
-    there is no power to split and the relative error is undefined. Raises
+    feed. Raises ``ValueError`` unless ``v0`` and ``omega`` are finite and above
+    zero: at zero drive there is no power to split, no relative error. Raises
     ``ValueError`` naming the drive when a power or the relative error is not
     finite, as for a ``v0`` whose square overflows, an ``omega`` whose square
     overflows, or an ``omega`` so small that the admittance underflows. The
     small-loss validity warnings of :func:`power_approx` are issued, for the
     caller, only once every row is finite: a refused drive does not warn.
     """
-    if not v0 > 0.0:
-        raise ValueError(f"drive amplitude v0 must be above zero, got {v0!r}")
+    positive("drive amplitude v0", v0)
+    positive("drive angular frequency omega", omega)
     rows = []
     # power_approx's validity warnings wait until every row is finite: a
     # refused drive says only why it is refused
@@ -190,7 +188,7 @@ def dissipation_report(
                     finite = False
                 if not finite:
                     raise ValueError(
-                        f"the drive v0 = {v0!r} V at omega = {omega!r} rad/s gives "
+                        f"the drive v0 = {float(v0)!r} V at omega = {float(omega)!r} rad/s gives "
                         f"{preset.name} at {temperature:g} K a power that is not finite"
                     )
                 rows.append(

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
+from .._io import positive
 from ..core import DriveParams, IonSpecies
 from .fields import _as_points, _checked
 from .geometry import TrapGeometry, _check_voltage
@@ -85,8 +86,7 @@ def micromotion_index(
     ``e_stray`` is the stray-field component along the mode (V/m), ``k`` the
     probe wavevector projection on the micromotion direction (rad/m).
     """
-    if omega_radial <= 0:
-        raise ValueError("omega_radial must be positive")
+    positive("omega_radial", omega_radial)
     d = ion.charge * e_stray / (ion.mass * omega_radial**2)
     q_m = 2.0 * np.sqrt(2.0) * omega_radial / drive.omega
     u = q_m * d / 2.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import as_int, fit_weights, read_csv
+from ._io import as_int, fit_weights, nonnegative, positive, read_csv
 
 __all__ = [
     "Nbar",
@@ -55,10 +55,10 @@ def nbar_from_sidebands(
     """
     if shots_blue is None:
         shots_blue = shots_red
-    if shots_red < 1 or shots_blue < 1:
-        raise ValueError("shot counts must be positive")
-    if not (0.0 <= p_red <= 1.0 and 0.0 < p_blue <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1] with p_blue > 0")
+    if not (1 <= shots_red < math.inf and 1 <= shots_blue < math.inf):
+        raise ValueError("shot counts shots_red and shots_blue must be positive")
+    if nonnegative("p_red", p_red) > 1.0 or positive("p_blue", p_blue) > 1.0:
+        raise ValueError("probabilities p_red and p_blue must be at most 1")
     r = p_red / p_blue
     if r >= 1.0:
         raise ValueError("p_red must be below p_blue for a finite occupation")
@@ -87,7 +87,7 @@ def _weighted_linfit(x, y, sigma, given):
         sxx = (w * x * x).sum()
         sxy = (w * x * y).sum()
         d = sw * sxx - sx * sx
-        if d <= 0:
+        if math.isfinite(d) and not d > 0:  # a d not finite is an overflow, refused below
             raise ValueError("degenerate abscissa; cannot fit a line")
         slope = (sw * sxy - sx * sy) / d
         intercept = (sxx * sy - sx * sxy) / d
@@ -128,8 +128,7 @@ def heating_rate_fit(times, nbars, sigmas=None) -> LinearFit:
     if s.shape != nbars.shape:
         raise ValueError(f"sigmas has shape {s.shape}, the data {nbars.shape}")
     for ti, si in zip(times.tolist(), s.tolist()):
-        if si <= 0.0:
-            raise ValueError(f"sigma {si!r} at time {ti!r} is not above zero")
+        positive(f"sigma at time {ti!r}", si)
     slope, intercept, vs, vi, chi2 = _weighted_linfit(times, nbars, s, s)
     return LinearFit(
         slope=float(slope),
@@ -159,7 +158,8 @@ def power_law_fit(frequencies, rates, sigmas) -> PowerLaw:
     Fits ``ln(rate) = ln(amplitude) - alpha ln(frequency)`` with the log-space
     uncertainties ``sigma / rate``. ``amplitude`` is the rate at unit
     frequency (same unit as ``frequencies``). Scaling all frequencies by c
-    multiplies the amplitude by c^alpha and leaves alpha unchanged.
+    multiplies the amplitude by c^alpha and leaves alpha unchanged. An
+    amplitude that overflows a float raises ValueError.
     """
     f = np.asarray(frequencies, dtype=float)
     r = np.asarray(rates, dtype=float)
@@ -167,19 +167,20 @@ def power_law_fit(frequencies, rates, sigmas) -> PowerLaw:
     if not (f.shape == r.shape == s.shape) or f.ndim != 1 or len(f) < 3:
         raise ValueError("need matching 1D arrays with at least 3 points")
     for fi, ri, si in zip(f.tolist(), r.tolist(), s.tolist()):
-        if fi <= 0.0:
-            raise ValueError(f"frequency {fi!r} is not above zero")
-        if ri <= 0.0:
-            raise ValueError(f"rate {ri!r} at frequency {fi!r} is not above zero")
-        if si <= 0.0:
-            raise ValueError(f"sigma {si!r} at frequency {fi!r} is not above zero")
+        positive("frequency", fi)
+        positive(f"rate at frequency {fi!r}", ri)
+        positive(f"sigma at frequency {fi!r}", si)
     with np.errstate(over="ignore", under="ignore"):
         log_sigma = s / r
     slope, intercept, vs, vi, chi2 = _weighted_linfit(np.log(f), np.log(r), log_sigma, s)
+    with np.errstate(over="ignore"):
+        amplitude = float(np.exp(intercept))
+    if amplitude == math.inf:
+        raise ValueError(f"the power law's amplitude at unit frequency, exp({float(intercept)!r}), overflows")
     return PowerLaw(
         alpha=float(-slope),
         sigma_alpha=float(np.sqrt(vs)),
-        amplitude=float(np.exp(intercept)),
+        amplitude=amplitude,
         sigma_log_amplitude=float(np.sqrt(vi)),
         chi2=chi2,
         dof=max(len(f) - 2, 0),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import fit_weights
+from ._io import fit_weights, nonnegative, positive
 from ._solvers import IntegrationWarning, _brentq, _ier_message, _least_squares, _qags
 
 # The integrals, the readout's root find and the fit run on ports of scipy's
@@ -64,12 +64,9 @@ class RTModel:
     theta: float
 
     def __post_init__(self):
-        if self.r_res < 0:
-            raise ValueError("r_res must be >= 0")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        nonnegative("r_res", self.r_res)
+        positive("amplitude", self.amplitude)
+        positive("theta", self.theta)
 
 
 def _bg_integrand(x: np.ndarray) -> np.ndarray:
@@ -124,11 +121,10 @@ def bg_integral(upper: float) -> float:
     """Integral of x^5 / ((e^x - 1)(1 - e^-x)) from 0 to ``upper``.
 
     The integrand behaves as x^3 near zero and decays as x^5 e^-x at large
-    x; adaptive quadrature handles both ends. A negative ``upper`` raises ValueError.
+    x; adaptive quadrature handles both ends. An ``upper`` that is not finite
+    and at least zero raises ValueError.
     """
-    if upper < 0:
-        raise ValueError(f"upper limit {upper!r} is below zero")
-    if upper == 0:
+    if nonnegative("upper limit", upper) == 0:
         return 0.0
     return _bg_integrals([float(upper)])[0]
 
@@ -141,9 +137,7 @@ def _integrals(theta: float, temperatures: list) -> list[float]:
 def model_resistance(model: RTModel, temperature):
     """R(T) in ohm; accepts a scalar or an array of temperatures."""
     t = np.asarray(temperature, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("temperature must be positive")
-    flat = np.atleast_1d(t).tolist()
+    flat = [positive("temperature", ti) for ti in np.atleast_1d(t).tolist()]
     out = _resistances(model, flat, _integrals(float(model.theta), flat))
     return float(out[0]) if t.ndim == 0 else out
 
@@ -156,7 +150,7 @@ def _resistances(model: RTModel, temperatures: list, integrals) -> np.ndarray:
     for t, j in zip(temperatures, integrals):
         r = model.r_res + model.amplitude * (t / model.theta) ** 5 * j
         if not math.isfinite(r):
-            raise ValueError(f"temperature {t!r} K: R(T) = {r!r} is not finite")
+            raise ValueError(f"temperature {t!r} K: R(T) = {float(r)!r} is not finite")
         out.append(r)
     return np.array(out)
 
@@ -168,8 +162,7 @@ def d_resistance_d_t(model: RTModel, temperature: float) -> float:
     d/dT [(T/Theta)^5 J(u)] = (T^4/Theta^5) (5 J(u) - u J'(u)),
     J'(u) = u^5 / ((e^u - 1)(1 - e^-u)), which underflows to 0 for large u.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    positive("temperature", temperature)
     u = model.theta / temperature
     j = bg_integral(u)
     jprime = float(_bg_integrand(np.array([u]))[0])
@@ -198,8 +191,9 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     constrained to the aluminum-like window 100..600 K; starting values come
     from the data (residual from the coldest point, amplitude from the
     warmest). Raises ``ValueError`` for fewer than 3 distinct temperatures,
-    one per parameter, for a resistance that is not above zero, for a sigma
-    whose weight 1/sigma**2 is not finite and above zero, with the solver
+    one per parameter, for a temperature, resistance or sigma that is not
+    finite and above zero, for a sigma whose weight 1/sigma**2 is not, for
+    data whose (R/sigma)**2 sum overflows, naming the row, with the solver
     status when the fit does not converge, when Theta ends pinned at a bound
     of ``THETA_BOUNDS``, and when Theta ends bit for bit at its start value,
     never estimated.
@@ -211,16 +205,20 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     s = np.ones_like(r) if sigma is None else np.asarray(sigma, dtype=float)
     if s.shape != r.shape:
         raise ValueError(f"sigma has shape {s.shape}, the data {r.shape}")
-    for ti, si in zip(t.tolist(), s.tolist()):
-        if si <= 0.0:
-            raise ValueError(f"sigma {si!r} ohm at {ti!r} K is not above zero")
-    fit_weights(s, s)
-    if np.any(t <= 0):
-        raise ValueError("temperature must be positive")
     ts = t.tolist()
-    for ti, ri in zip(ts, r.tolist()):
-        if not ri > 0.0:
-            raise ValueError(f"resistance {ri!r} ohm at {ti!r} K is not above zero")
+    for ti, ri, si in zip(ts, r.tolist(), s.tolist()):
+        positive("temperature", ti)
+        positive(f"resistance at {ti!r} K", ri)
+        positive(f"sigma at {ti!r} K", si)
+    fit_weights(s, s)
+    # the fit sums the squares of residuals (R(T) - R)/sigma of the data's size
+    total = 0.0
+    for ti, ri, si in zip(ts, r.tolist(), s.tolist()):
+        total += (ri / si) * (ri / si)
+        if total == math.inf:
+            raise ValueError(
+                f"resistance {ri!r} ohm at {ti!r} K is too large for the fit: the sum of (R/sigma)**2 overflows"
+            )
     if len(set(ts)) < 3:
         raise ValueError(f"need at least 3 distinct temperatures, one per model parameter, got {len(set(ts))}")
 
@@ -296,11 +294,11 @@ def invert_temperature(model: RTModel, resistance: float, meter_resolution: floa
     The model is strictly increasing, so the readout is a bracketed root
     find over 2..320 K; resistances outside the model's range there raise
     ValueError. The temperature resolution is ``meter_resolution / (dR/dT)``
-    at the solution; a ``meter_resolution`` that is not above zero raises
-    ValueError.
+    at the solution; a ``meter_resolution`` that is not finite and above zero
+    raises ValueError.
     """
-    if not meter_resolution > 0.0:
-        raise ValueError(f"meter_resolution must be above zero, got {meter_resolution!r}")
+    positive("meter_resolution", meter_resolution)
+    positive("resistance", resistance)
     lo, hi = 2.0, 320.0
     r_lo, r_hi = model_resistance(model, [lo, hi]).tolist()
     if not r_lo <= resistance <= r_hi:

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ._io import UnknownName, as_int, as_list, as_number, as_object, as_objects, as_text, read_json
+from ._io import UnknownName, as_int, as_list, as_number, as_object, as_objects, as_text, positive, read_json
 
 __all__ = [
     "Net",
@@ -99,11 +99,9 @@ class Net:
     def __post_init__(self):
         if self.role not in NET_ROLES:
             raise ValueError(f"net {self.id!r}: role must be one of {NET_ROLES}")
-        if self.loop_resistance <= 0:
-            raise ValueError(f"net {self.id!r}: loop_resistance must be positive")
+        positive(f"net {self.id!r}: loop_resistance", self.loop_resistance)
         if self.role == "ts":
-            if self.element_resistance is None or self.element_resistance <= 0:
-                raise ValueError(f"sensor net {self.id!r} needs element_resistance > 0")
+            positive(f"sensor net {self.id!r}: element_resistance", self.element_resistance)
             if len(self.pads) != 4:
                 raise ValueError(f"sensor net {self.id!r} needs 4 pads (Kelvin)")
         elif self.role != "gnd" and len(self.pads) < 2:
@@ -208,25 +206,19 @@ class Fault:
     step_index: int = -1
 
     def __post_init__(self):
-        if self.kind == "OPEN":
-            if not self.net:
-                raise ValueError("OPEN needs a net")
-        elif self.kind == "SHORT":
-            if not (self.net and self.other) or self.net == self.other:
-                raise ValueError("SHORT needs two distinct nets")
-            if self.resistance <= 0:
-                raise ValueError("SHORT needs a positive path resistance")
-        elif self.kind == "LEAK_TO_GND":
-            if not self.net or self.resistance <= 0:
-                raise ValueError("LEAK_TO_GND needs a net and positive resistance")
-        elif self.kind == "RESISTANCE_SHIFT":
-            if not self.net or self.factor <= 0:
-                raise ValueError("RESISTANCE_SHIFT needs a net and positive factor")
-        elif self.kind == "HW_FAIL":
-            if self.step_index < 0:
+        if self.kind == "HW_FAIL":
+            if not 0 <= self.step_index < math.inf:
                 raise ValueError("HW_FAIL needs a step_index >= 0")
-        else:
+        elif self.kind not in ("OPEN", "SHORT", "LEAK_TO_GND", "RESISTANCE_SHIFT"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        elif not self.net:
+            raise ValueError(f"{self.kind} needs a net")
+        elif self.kind == "SHORT" and (not self.other or self.other == self.net):
+            raise ValueError("SHORT needs two distinct nets")
+        elif self.kind == "RESISTANCE_SHIFT":
+            positive("RESISTANCE_SHIFT factor", self.factor)
+        elif self.kind != "OPEN":
+            positive(f"{self.kind} resistance", self.resistance)
 
     @classmethod
     def open(cls, net: str) -> "Fault":

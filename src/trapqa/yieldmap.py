@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import nonnegative, positive
 from .wafertest import FAILURE_CODES
 
 # scipy is imported inside the two statistics that use it, so that loading
@@ -60,9 +61,9 @@ class WaferLayout:
     test_cells: tuple[tuple[int, int], ...] = ((0, 0), (2, 2))
 
     def __post_init__(self):
-        if self.chip_pitch <= 0 or self.wafer_diameter <= 0:
-            raise ValueError("pitch and diameter must be positive")
-        if not 0 <= self.edge_exclusion < self.wafer_diameter / 2:
+        positive("wafer_diameter", self.wafer_diameter)
+        positive("chip_pitch", self.chip_pitch)
+        if nonnegative("edge_exclusion", self.edge_exclusion) >= self.wafer_diameter / 2:
             raise ValueError("edge_exclusion out of range")
         for cx, cy in self.test_cells:
             if not (0 <= cx <= 2 and 0 <= cy <= 2):
@@ -159,9 +160,9 @@ def infer_defects(yield_fraction: float, n_chips: int, n_steps: int = 104) -> De
     it caught none, ``Y = exp(-N_d / n_chips)``; invert for the wafer total
     and divide by the process step count for a per-step figure.
     """
-    if not 0 < yield_fraction <= 1:
+    if positive("yield_fraction", yield_fraction) > 1:
         raise ValueError("yield_fraction must be in (0, 1]")
-    if n_chips < 1 or n_steps < 1:
+    if not (1 <= n_chips < np.inf and 1 <= n_steps < np.inf):
         raise ValueError("n_chips and n_steps must be positive")
     total = -n_chips * np.log(yield_fraction)
     return DefectEstimate(
@@ -171,8 +172,9 @@ def infer_defects(yield_fraction: float, n_chips: int, n_steps: int = 104) -> De
 
 def yield_from_defects(total_defects: float, n_chips: int) -> float:
     """Inverse of :func:`infer_defects`: expected yield at a defect count."""
-    if total_defects < 0:
-        raise ValueError("total_defects must be >= 0")
+    nonnegative("total_defects", total_defects)
+    if not 1 <= n_chips < np.inf:
+        raise ValueError("n_chips must be positive")
     return float(np.exp(-total_defects / n_chips))
 
 

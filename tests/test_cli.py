@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -592,7 +593,7 @@ def test_thermo_calibration_nonpositive_temperature_exits_2(tmp_path, capsys, t_
     cal.write_text(f"T_K,R_ohm\n{t_k},2000.1\n77,2400.5\n150,3900.2\n295,6800.9\n")
     out = tmp_path / "fit.json"
     err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
-    assert "temperature must be positive" in err
+    assert err == f"trapqa: bad input: temperature must be finite and above zero, got {float(t_k)!r}\n"
     assert not out.exists()
 
 
@@ -709,7 +710,7 @@ def test_diagnose_scale_not_above_zero_exits_2(tmp_path, capsys, scales):
     scenario.write_text(json.dumps(spec))
     out = tmp_path / "diag.json"
     err = _refused(capsys, "diagnose", "--scenario", scenario, "--out", out)
-    assert err == f"trapqa: bad input: scale {scales[0]:g} is not above zero: a DC scale factor must be positive\n"
+    assert err == f"trapqa: bad input: DC scale factor must be finite and above zero, got {scales[0]!r}\n"
     assert not out.exists()
 
 
@@ -908,16 +909,17 @@ def test_key_errors_print_plainly(tmp_path, capsys, monkeypatch, args, document,
 # that the wafer-test domain types refuse
 _WAFERTEST_REFUSALS = [
     ("short_zero_resistance", _FAULTS, _fault(kind="SHORT", net="DC01", other="RF", resistance_ohm=0),
-     "SHORT needs a positive path resistance"),
+     "SHORT resistance must be finite and above zero, got 0.0"),
     ("open_without_net", _FAULTS, _fault(kind="OPEN"), "OPEN needs a net"),
     ("hw_fail_negative_step", _FAULTS, _fault(kind="HW_FAIL", step_index=-3), "HW_FAIL needs a step_index >= 0"),
     ("leak_negative_resistance", _FAULTS, _fault(kind="LEAK_TO_GND", net="DC01", resistance_ohm=-1),
-     "LEAK_TO_GND needs a net and positive resistance"),
+     "LEAK_TO_GND resistance must be finite and above zero, got -1.0"),
     ("shift_zero_factor", _FAULTS, _fault(kind="RESISTANCE_SHIFT", net="DC01", factor=0),
-     "RESISTANCE_SHIFT needs a net and positive factor"),
-    ("net_zero_loop_resistance", _NETLIST, _net(loop_resistance_ohm=0), "net 'DC01': loop_resistance must be positive"),
+     "RESISTANCE_SHIFT factor must be finite and above zero, got 0.0"),
+    ("net_zero_loop_resistance", _NETLIST, _net(loop_resistance_ohm=0),
+     "net 'DC01': loop_resistance must be finite and above zero, got 0.0"),
     ("sensor_without_element", _NETLIST, _net(id="TS1", role="ts", pads=["A", "B", "C", "D"]),
-     "sensor net 'TS1' needs element_resistance > 0"),
+     "sensor net 'TS1': element_resistance must be finite and above zero, got None"),
 ]
 
 
@@ -1427,9 +1429,9 @@ def test_heating_sigma_without_a_weight_exits_2(tmp_path, capsys, sigmas):
     "command, header, rows, line",
     [
         ("thermo", "T_K,R_ohm,sigma_ohm", ["10,100,1", "20,101,0", "30,105,-1", "40,110,1"],
-         "sigma 0.0 ohm at 20.0 K is not above zero"),
+         "sigma at 20.0 K must be finite and above zero, got 0.0"),
         ("heating", "frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s", ["1.0,100,5", "2.0,30,-2", "3.0,12,0"],
-         "sigma -2.0 at frequency 2.0 is not above zero"),
+         "sigma at frequency 2.0 must be finite and above zero, got -2.0"),
     ],
     ids=["thermo_calibration", "heating_csv"],
 )
@@ -1449,7 +1451,7 @@ def test_sigma_not_above_zero_exits_2_naming_its_row(tmp_path, capsys, command, 
     [
         (["10,100", "20,100", "30,100", "40,100"], "did not estimate Theta"),
         (["10,100,1e150", "20,101,1e150", "30,105,1e150", "40,110,1e150"], "did not estimate Theta"),
-        (["10,-100", "20,100", "30,105", "40,110"], "resistance -100.0 ohm at 10.0 K is not above zero"),
+        (["10,-100", "20,100", "30,105", "40,110"], "resistance at 10.0 K must be finite and above zero, got -100.0"),
     ],
     ids=["flat", "huge_sigma", "negative"],
 )
@@ -1497,3 +1499,50 @@ def test_thermo_calibration_refuses_a_pinned_theta_and_an_infinite_weight(tmp_pa
     assert caught == []
     assert err.count("\n") == 1 and err.startswith(f"trapqa: bad input: {line}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r_50k", ["1e300", "1e308"])
+def test_thermo_calibration_refuses_data_whose_squares_overflow(tmp_path, capsys, r_50k):
+    # 1e300 used to print RuntimeWarnings from the solver and stop in "array
+    # must not contain infs or NaNs"; 1e308 used to name another row, as
+    # "R(T) = np.float64(inf)", the model at a fit iterate
+    cal = tmp_path / "cal.csv"
+    cal.write_text(f"T_K,R_ohm\n20,100\n50,{r_50k}\n100,300\n200,800\n")
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert caught == []
+    assert err == (
+        f"trapqa: bad input: resistance {float(r_50k)!r} ohm at 50.0 K is too large for the fit: "
+        "the sum of (R/sigma)**2 overflows\n"
+    )
+    assert not out.exists()
+
+
+def test_heating_refuses_an_amplitude_that_overflows(tmp_path, capsys):
+    # it used to print "RuntimeWarning: overflow encountered in exp", write
+    # "amplitude_at_1MHz": Infinity and exit 0
+    table = tmp_path / "rates.csv"
+    table.write_text(
+        "frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s\n29500,10,1000\n30000,300,20\n30000,2,1e-5\n"
+        "29500,29500,30000\n"
+    )
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, "heating", "--csv", table, "--out", out)
+    assert caught == []
+    assert err == "trapqa: bad input: the power law's amplitude at unit frequency, exp(1917.5), overflows\n"
+    assert not out.exists()
+
+
+def test_a_document_that_is_not_finite_is_not_written(tmp_path, capsys, monkeypatch):
+    # dump_json writes strict JSON: a NaN used to be written as NaN, exit 0
+    from trapqa import heating
+
+    monkeypatch.setattr(heating, "power_law_fit", lambda *args: heating.PowerLaw(math.nan, 0.1, 1.0, 0.1, 1.0, 1))
+    out = tmp_path / "fit.json"
+    err = _refused(capsys, "heating", "--out", out)
+    assert err.count("\n") == 1 and err.startswith("trapqa: bad input: Out of range float values are not JSON compliant")
+    assert list(tmp_path.iterdir()) == []

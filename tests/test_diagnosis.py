@@ -288,8 +288,9 @@ def test_classify_refuses_one_repeated_scale():
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
 def test_simulate_positions_refuses_a_scale_not_above_zero(geometry, scale):
     # a zero or negative scale used to be refused as a window missing the well
-    with pytest.raises(ValueError, match=f"scale {scale:g} is not above zero"):
+    with pytest.raises(ValueError) as exc:
         simulate_positions(geometry, WELL, FaultScenario(kind="NOMINAL"), [scale, 1.0], WINDOW)
+    assert str(exc.value) == f"DC scale factor must be finite and above zero, got {scale!r}"
 
 
 def test_scenario_validation():
@@ -379,7 +380,7 @@ def test_equilibrium_refuses_a_tolerance_not_above_zero():
     for tol in (math.nan, math.inf, -math.inf, 0.0, -1e-7):
         with pytest.raises(ValueError) as exc:
             equilibrium_position(lambda x: (np.asarray(x) - 1e-5) ** 2, WINDOW, tol=tol)
-        assert str(exc.value) == f"tol must be finite and above zero, not {tol!r}"
+        assert str(exc.value) == f"tol must be finite and above zero, got {tol!r}"
 
 
 def _per_scale(geometry, voltages, scenario, scales, window, axis=None):
@@ -387,8 +388,8 @@ def _per_scale(geometry, voltages, scenario, scales, window, axis=None):
     scale, with its refusals in the loop's order."""
     out = []
     for s in scales:
-        if not s > 0:
-            raise ValueError(f"scale {s:g} is not above zero: a DC scale factor must be positive")
+        if not 0 < s < math.inf:
+            raise ValueError(f"DC scale factor must be finite and above zero, got {float(s)!r}")
         eq = equilibrium_position(axial_potential(geometry, voltages, scenario, s, axis=axis), window)
         if eq.at_boundary:
             raise ValueError(
@@ -437,24 +438,24 @@ _OVERFLOW = {f"DC{k}": -1.7e308 for k in range(16, 21)}  # the potential is -inf
 @pytest.mark.parametrize(
     "where, voltages, scales, window, axis, message",
     [
-        ("paper", WELL, [0.0, 1.0], _PINNED, None, "scale 0 is not above zero"),
-        ("paper", WELL, [math.nan, 1.0], _PINNED, None, "scale nan is not above zero"),
+        ("paper", WELL, [0.0, 1.0], _PINNED, None, "DC scale factor must be finite and above zero, got 0.0"),
+        ("paper", WELL, [math.nan, 1.0], _PINNED, None, "DC scale factor must be finite and above zero, got nan"),
         ("paper", WELL, [1.0, math.nan], _PINNED, None, "scale 1: the minimum is pinned"),
         ("paper", WELL, [1.0, -2.0], _PINNED, None, "scale 1: the minimum is pinned"),
-        ("paper", WELL, [1.0, 2.0, -2.0], WINDOW, None, "scale -2 is not above zero"),
+        ("paper", WELL, [1.0, 2.0, -2.0], WINDOW, None, "DC scale factor must be finite and above zero, got -2.0"),
         ("paper", WELL, [1.0, 1e308], WINDOW, None, "voltage of electrode 'DC18' is not finite: -inf"),
         ("paper", WELL, [1.0, 1e308], _PINNED, None, "scale 1: the minimum is pinned"),
         ("paper", _OVERFLOW, [1.0, 0.5], WINDOW, None, "the potential is not finite"),
         ("paper", WELL, [1.0, 2.0], WINDOW, (42.3e-6, -1e-6), "outside the half space z > 0"),
         ("paper", WELL, [1.0, 2.0], WINDOW, (42.3e-6, 0.0), "outside the half space z > 0"),
-        ("paper", WELL, [-1.0, 2.0], WINDOW, (42.3e-6, 0.0), "scale -1 is not above zero"),
+        ("paper", WELL, [-1.0, 2.0], WINDOW, (42.3e-6, 0.0), "DC scale factor must be finite and above zero, got -1.0"),
         ("no_axis", {}, [1.0, 2.0], WINDOW, None, "geometry has no ion_axis"),
-        ("no_axis", {}, [0.0, 2.0], WINDOW, None, "scale 0 is not above zero"),
+        ("no_axis", {}, [0.0, 2.0], WINDOW, None, "DC scale factor must be finite and above zero, got 0.0"),
         ("paper", WELL, [1.0, 2.0], (-math.inf, 300e-6), None, "window ends must be finite"),
         ("paper", WELL, [1.0, 2.0], (-300e-6, math.nan), None, "window ends must be finite"),
         ("paper", WELL, [1.0, 2.0], (300e-6, -300e-6), None, "window must satisfy lo < hi"),
         ("paper", WELL, [1.0, 2.0], (1e-6, 1e-6), None, "window must satisfy lo < hi"),
-        ("paper", WELL, [0.0, 2.0], (1e-6, 1e-6), None, "scale 0 is not above zero"),
+        ("paper", WELL, [0.0, 2.0], (1e-6, 1e-6), None, "DC scale factor must be finite and above zero, got 0.0"),
     ],
     ids=[
         "zero_before_pinned", "nan_before_pinned", "nan_after_pinned", "negative_after_pinned",

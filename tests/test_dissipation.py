@@ -112,8 +112,9 @@ def test_dielectric_power_scales_with_tan_delta():
 @pytest.mark.parametrize("v0", [0.0, -160.0, float("nan")])
 def test_report_refuses_nonpositive_drive(v0):
     # at zero drive the relative error was a ZeroDivisionError
-    with pytest.raises(ValueError, match="v0 must be above zero"):
+    with pytest.raises(ValueError) as exc:
         dissipation_report(v0=v0)
+    assert str(exc.value) == f"drive amplitude v0 must be finite and above zero, got {v0!r}"
 
 
 @pytest.mark.parametrize(
@@ -160,10 +161,14 @@ def test_preset_rejects_other_temperatures():
 @pytest.mark.parametrize(
     "make, message",
     [
-        pytest.param(lambda: CircuitModel(-1.0, 1e-12, 1e-4), "resistance must be >= 0", id="resistance_negative"),
-        pytest.param(lambda: CircuitModel(1.0, 0.0, 1e-4), "capacitance must be positive", id="capacitance_zero"),
-        pytest.param(lambda: CircuitModel(1.0, 1e-12, -1e-4), "tan_delta must be >= 0", id="tan_delta_negative"),
-        pytest.param(lambda: distributed_ohmic_power(-1.0, 0.1), "resistance must be >= 0", id="line_resistance_negative"),
+        pytest.param(lambda: CircuitModel(-1.0, 1e-12, 1e-4), "resistance must be finite and not below zero, got -1.0",
+                     id="resistance_negative"),
+        pytest.param(lambda: CircuitModel(1.0, 0.0, 1e-4), "capacitance must be finite and above zero, got 0.0",
+                     id="capacitance_zero"),
+        pytest.param(lambda: CircuitModel(1.0, 1e-12, -1e-4), "tan_delta must be finite and not below zero, got -0.0001",
+                     id="tan_delta_negative"),
+        pytest.param(lambda: distributed_ohmic_power(-1.0, 0.1), "resistance must be finite and not below zero, got -1.0",
+                     id="line_resistance_negative"),
     ],
 )
 def test_circuit_values_out_of_domain_are_refused(make, message):

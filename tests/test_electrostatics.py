@@ -623,9 +623,11 @@ _DC_ONLY = TrapGeometry(electrodes=(Electrode("D1", "dc", ((-1e-4, 1e-4, -1e-4, 
                      "window must be (y_lo < y_hi, 0 < z_lo < z_hi)", id="minima_z_at_plane"),
         pytest.param(lambda: find_rf_minima(paper_trap_geometry(), CA40, _DRIVE, ((-1e-4, 1e-4), (150e-6, 50e-6))),
                      "window must be (y_lo < y_hi, 0 < z_lo < z_hi)", id="minima_z_reversed"),
-        pytest.param(lambda: micromotion_index(1.0, 0.0, CA40, _DRIVE, 1e7), "omega_radial must be positive",
+        pytest.param(lambda: micromotion_index(1.0, 0.0, CA40, _DRIVE, 1e7),
+                     "omega_radial must be finite and above zero, got 0.0",
                      id="micromotion_omega_zero"),
-        pytest.param(lambda: micromotion_index(1.0, -1e6, CA40, _DRIVE, 1e7), "omega_radial must be positive",
+        pytest.param(lambda: micromotion_index(1.0, -1e6, CA40, _DRIVE, 1e7),
+                     "omega_radial must be finite and above zero, got -1000000.0",
                      id="micromotion_omega_negative"),
         pytest.param(lambda: pseudopotential(_DC_ONLY, CA40, _DRIVE, [[0.0, 0.0, 1e-4]]),
                      "geometry has no RF electrodes", id="pseudopotential_no_rf"),

@@ -105,6 +105,12 @@ def test_thermometry_readouts_use_no_scipy(monkeypatch):
 
 @pytest.mark.parametrize("upper", [1e-15, 1e-60, 1e-300, 1e62, math.inf, math.nan])
 def test_bg_integral_refuses_limits_without_a_finite_integral(upper):
+    # a limit that is not finite is refused as outside the integral's domain
+    if not math.isfinite(upper):
+        with pytest.raises(ValueError) as exc:
+            bg_integral(upper)
+        assert str(exc.value) == f"upper limit must be finite and not below zero, got {upper!r}"
+        return
     with pytest.raises(ValueError, match=re.escape(f"upper limit {upper!r}: ")):
         bg_integral(upper)
 

@@ -299,20 +299,24 @@ def _one_site_edge_test():
 @pytest.mark.parametrize(
     "make, message",
     [
-        pytest.param(lambda: WaferLayout(chip_pitch=0.0), "pitch and diameter must be positive", id="pitch_zero"),
-        pytest.param(lambda: WaferLayout(wafer_diameter=-0.2), "pitch and diameter must be positive",
+        pytest.param(lambda: WaferLayout(chip_pitch=0.0), "chip_pitch must be finite and above zero, got 0.0",
+                     id="pitch_zero"),
+        pytest.param(lambda: WaferLayout(wafer_diameter=-0.2), "wafer_diameter must be finite and above zero, got -0.2",
                      id="diameter_negative"),
         pytest.param(lambda: WaferLayout(edge_exclusion=0.1), "edge_exclusion out of range", id="exclusion_radius"),
-        pytest.param(lambda: WaferLayout(edge_exclusion=-1e-3), "edge_exclusion out of range",
+        pytest.param(lambda: WaferLayout(edge_exclusion=-1e-3),
+                     "edge_exclusion must be finite and not below zero, got -0.001",
                      id="exclusion_negative"),
         pytest.param(lambda: WaferLayout(test_cells=((3, 0),)), "test cells must be inside the 3x3 reticle",
                      id="test_cell_outside"),
         pytest.param(lambda: yield_stats({}), "no outcomes", id="no_outcomes"),
-        pytest.param(lambda: infer_defects(0.0, 100), "yield_fraction must be in (0, 1]", id="yield_zero"),
+        pytest.param(lambda: infer_defects(0.0, 100), "yield_fraction must be finite and above zero, got 0.0",
+                     id="yield_zero"),
         pytest.param(lambda: infer_defects(1.5, 100), "yield_fraction must be in (0, 1]", id="yield_above_one"),
         pytest.param(lambda: infer_defects(0.5, 0), "n_chips and n_steps must be positive", id="no_chips"),
         pytest.param(lambda: infer_defects(0.5, 100, 0), "n_chips and n_steps must be positive", id="no_steps"),
-        pytest.param(lambda: yield_from_defects(-1.0, 100), "total_defects must be >= 0", id="defects_negative"),
+        pytest.param(lambda: yield_from_defects(-1.0, 100), "total_defects must be finite and not below zero, got -1.0",
+                     id="defects_negative"),
         pytest.param(_one_site_edge_test, "annulus split left one group empty", id="edge_group_empty"),
     ],
 )
