@@ -1,8 +1,9 @@
 """Documents in and out: every input value is read and converted here, and
-refused with a ``ValueError`` naming its field or CSV line; :func:`positive`
-and :func:`nonnegative` are the one check, for every record and function of
-the library, that a number is finite and inside its bound; artifacts are
-written here as strict JSON, with stable serialization and atomic replace."""
+refused with a ``ValueError`` naming its field or CSV line; :func:`positive`,
+:func:`nonnegative` and :func:`finite` are the one check, for every record
+and function of the library, that a number is finite and inside its bound;
+artifacts are written here as strict JSON, with stable serialization and
+atomic replace."""
 
 import csv
 import io
@@ -66,22 +67,27 @@ def as_text(value, what: str, optional: bool = False) -> str | None:
 def positive(what: str, x) -> float:
     """``x`` as a float if it is finite and above zero; any other value, NaN,
     an infinity and ``None`` included, raises ValueError naming ``what``."""
-    return _bounded(what, x, False)
+    return _bounded(what, x, 0.0, False, " and above zero")
 
 
 def nonnegative(what: str, x) -> float:
     """As :func:`positive`, for a value finite and not below zero."""
-    return _bounded(what, x, True)
+    return _bounded(what, x, 0.0, True, " and not below zero")
 
 
-def _bounded(what, x, zero: bool) -> float:
+def finite(what: str, x) -> float:
+    """As :func:`positive`, for a signed value: finite is its only bound."""
+    return _bounded(what, x, -math.inf, False, "")
+
+
+def _bounded(what, x, low: float, low_allowed: bool, bound: str) -> float:
     try:
-        if (0.0 <= x if zero else 0.0 < x) and x < math.inf:
+        if (low <= x if low_allowed else low < x) and x < math.inf:
             return float(x)
         x = float(x)  # shown as the float it is, not as a numpy repr
     except TypeError:
         pass
-    raise ValueError(f"{what} must be finite and {'not below' if zero else 'above'} zero, got {x!r}")
+    raise ValueError(f"{what} must be finite{bound}, got {x!r}")
 
 
 def as_number(value, what: str) -> float:

@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from ._io import nonnegative, positive
+from ._io import finite, nonnegative, positive
 
 __all__ = [
     "CircuitModel",
@@ -129,9 +129,11 @@ def distributed_ohmic_power(resistance: float, i0: float) -> float:
 
     With ``I(x) = I0 (1 - x/L)`` along a line of total resistance R, the
     dissipated power integrates to ``R I0^2 / 3`` (peak current convention;
-    the time-average factor 1/2 is not included here).
+    the time-average factor 1/2 is not included here). A ``resistance``
+    below zero, or either value not finite, raises ValueError.
     """
     nonnegative("resistance", resistance)
+    finite("i0", i0)
     return resistance * i0 * i0 / 3.0
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
-from .._io import positive
+from .._io import finite, positive
 from ..core import DriveParams, IonSpecies
 from .fields import _as_points, _checked
 from .geometry import TrapGeometry, _check_voltage
@@ -84,9 +84,12 @@ def micromotion_index(
         beta = k u                        modulation index
 
     ``e_stray`` is the stray-field component along the mode (V/m), ``k`` the
-    probe wavevector projection on the micromotion direction (rad/m).
+    probe wavevector projection on the micromotion direction (rad/m); each
+    must be finite, and ``omega_radial`` above zero, or ValueError is raised.
     """
+    finite("e_stray", e_stray)
     positive("omega_radial", omega_radial)
+    finite("k", k)
     d = ion.charge * e_stray / (ion.mass * omega_radial**2)
     q_m = 2.0 * np.sqrt(2.0) * omega_radial / drive.omega
     u = q_m * d / 2.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import as_int, fit_weights, nonnegative, positive, read_csv
+from ._io import as_int, finite, fit_weights, nonnegative, positive, read_csv
 
 __all__ = [
     "Nbar",
@@ -118,7 +118,9 @@ def heating_rate_fit(times, nbars, sigmas=None) -> LinearFit:
 
     The slope is the heating rate (quanta/s when times are seconds). With
     ``sigmas`` omitted all points weigh equally and the result coincides
-    with ordinary least squares; given, they are one value per point.
+    with ordinary least squares; given, they are one value per point. A time
+    or occupation that is not finite, or a sigma not finite and above zero,
+    raises ValueError naming it.
     """
     times = np.asarray(times, dtype=float)
     nbars = np.asarray(nbars, dtype=float)
@@ -127,7 +129,9 @@ def heating_rate_fit(times, nbars, sigmas=None) -> LinearFit:
     s = np.ones_like(nbars) if sigmas is None else np.asarray(sigmas, dtype=float)
     if s.shape != nbars.shape:
         raise ValueError(f"sigmas has shape {s.shape}, the data {nbars.shape}")
-    for ti, si in zip(times.tolist(), s.tolist()):
+    for ti, ni, si in zip(times.tolist(), nbars.tolist(), s.tolist()):
+        finite("time", ti)
+        finite(f"occupation at time {ti!r}", ni)
         positive(f"sigma at time {ti!r}", si)
     slope, intercept, vs, vi, chi2 = _weighted_linfit(times, nbars, s, s)
     return LinearFit(

@@ -90,10 +90,11 @@ def _bg_integrals(uppers, temperatures=None) -> list[float]:
     """J(u) for each u of ``uppers`` (each above zero), all in one batch.
 
     Each integral is ``scipy.integrate.quad``'s, bit for bit (``_qags`` is a
-    port of it): relative tolerance 1e-11 and at most 200 subintervals, with
-    quad's warning where QUADPACK flags a result. An upper limit, its fifth
-    power or an integral that is not finite raises ValueError, naming the
-    temperature T (``uppers`` being Theta/T) when ``temperatures`` is given.
+    port of it): relative tolerance 1e-11 and at most 200 subintervals. An
+    upper limit, its fifth power or an integral that is not finite raises
+    ValueError. With ``temperatures`` (``uppers`` being Theta/T), so does an
+    integral that QUADPACK flags, naming the temperature T; without, a
+    flagged integral gets quad's warning.
     """
     def name(i):
         if temperatures is None:
@@ -108,9 +109,12 @@ def _bg_integrals(uppers, temperatures=None) -> list[float]:
         except OverflowError:
             raise ValueError(f"{name(i)}: the integrand's x**5 overflows") from None
     results = _qags(_bg_integrand, 0.0, uppers, 0.0, 1e-11, _LIMIT)
-    for i, (val, _, _) in enumerate(results):
+    for i, (val, _, ier) in enumerate(results):
         if not math.isfinite(val):
             raise ValueError(f"{name(i)}: the Bloch-Grueneisen integral is {val!r}")
+        if ier and temperatures is not None:
+            reason = " ".join(_ier_message(ier, _LIMIT).split())
+            raise ValueError(f"{name(i)}: QUADPACK flags the Bloch-Grueneisen integral: {reason}")
     for _, _, ier in results:
         if ier:
             warnings.warn(_ier_message(ier, _LIMIT), IntegrationWarning, stacklevel=3)
@@ -193,7 +197,9 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
     warmest). Raises ``ValueError`` for fewer than 3 distinct temperatures,
     one per parameter, for a temperature, resistance or sigma that is not
     finite and above zero, for a sigma whose weight 1/sigma**2 is not, for
-    data whose (R/sigma)**2 sum overflows, naming the row, with the solver
+    data whose (R/sigma)**2 sum overflows, naming the row, for data so large
+    that the solver's arithmetic overflows, naming the row of the largest
+    R/sigma, for a temperature where QUADPACK flags J(Theta/T), with the solver
     status when the fit does not converge, when Theta ends pinned at a bound
     of ``THETA_BOUNDS``, and when Theta ends bit for bit at its start value,
     never estimated.
@@ -240,14 +246,24 @@ def fit_rt_curve(temperatures, resistances, sigma=None) -> RTFit:
             integrals[m.theta] = _integrals(float(m.theta), ts)
         return (_resistances(m, ts, integrals[m.theta]) - r) / s
 
-    res = _least_squares(
-        residuals,
-        [r_res0, a0, theta0],
-        [0.0, 1e-12, THETA_BOUNDS[0]],
-        [np.inf, np.inf, THETA_BOUNDS[1]],
-        ftol=1e-12,
-        xtol=1e-12,
-    )
+    try:
+        # the solver's step takes the Jacobian's singular values, of the
+        # data's size, to the sixth power: data far below the (R/sigma)**2
+        # limit above can still overflow there, which is refused, not warned
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            res = _least_squares(
+                residuals,
+                [r_res0, a0, theta0],
+                [0.0, 1e-12, THETA_BOUNDS[0]],
+                [np.inf, np.inf, THETA_BOUNDS[1]],
+                ftol=1e-12,
+                xtol=1e-12,
+            )
+    except FloatingPointError:
+        k = int(np.argmax(r / s))
+        raise ValueError(
+            f"resistance {r.tolist()[k]!r} ohm at {ts[k]!r} K is too large for the fit: the solver's arithmetic overflows"
+        ) from None
     if not res.success:
         raise ValueError(
             f"R(T) fit failed: least_squares status {res.status} after {res.nfev} "

@@ -1,7 +1,6 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -14,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trapqa.cli import main
-from trapqa.electrostatics import paper_trap_geometry
 from trapqa.thermometry import SENSOR_PRESETS, RTModel, model_resistance
 
 
@@ -1046,201 +1044,6 @@ def test_field_csv_is_the_same_at_every_thread_count(tmp_path, monkeypatch, geom
     assert scans[0] == scans[1]
 
 
-_ELECTRODE_IDS = paper_trap_geometry().ids()
-_DIAGNOSE_SCENARIO = {
-    "geometry": "builtin",
-    "voltages": {"DC17": 1.0, "DC18": -2.0, "DC19": 1.0, "DC52": 1.0, "DC53": -2.0, "DC54": 1.0},
-    "scales": [1.0, 2.0, 4.0],
-    "window_um": [-300, 300],
-}
-
-# Frozen SHA-256 of electrostatics artifacts, one per path to the kernels: the
-# README field scan, a scan with every electrode at 0 V (no rectangle reaches
-# the kernels), a scan of four kernel blocks with all 79 electrodes driven,
-# the README-style strayfield, and a GAP_CHARGE diagnosis, whose charge
-# rectangle is stacked under the driven electrodes' rectangles; and the
-# SHORTED and FLOATING diagnoses, frozen before the search and
-# classification tolerances became constants; and a diagnosis on an axis
-# of its own, one from a measurements CSV and one with its scales unsorted,
-# frozen before the scales of a scenario were evaluated together. Each case
-# is (input documents, arguments without --out, exit code, digest); a
-# document given as text, such as a CSV, is written as it is.
-_ELECTROSTATICS_PINS = {
-    "field_readme": (
-        {},
-        ["field", "--z", "50:200:16", "--y", "42.331:42.331:1"],
-        0,
-        "f7473bbb63d7ead4768ad5d4a391870cd58d2ba08f1399737c33809092c3b32f",
-    ),
-    "field_all_zero": (
-        {"volts.json": {eid: 0.0 for eid in _ELECTRODE_IDS}},
-        ["field", "--voltages", "volts.json", "--x=-100:100:3", "--z", "50:200:4"],
-        0,
-        "a53dfab4a11e3e6e653c701d3831f4e4d6f962583a82ae9164460d1795470588",
-    ),
-    "field_blocks": (
-        {"volts.json": {eid: 0.1 * (k % 7 - 3) + 0.05 for k, eid in enumerate(_ELECTRODE_IDS)}},
-        ["field", "--voltages", "volts.json", "--x=-100:100:12", "--y=-50:50:8", "--z=50:150:8"],
-        0,
-        "56fb3e3101dccac9a52a480b38974146eda4746d00f73813e75f77d7d5e383d4",
-    ),
-    "strayfield_readme": (
-        {"applied.json": {"CP1": 0.7, "CP4": -0.2}, "ideal.json": {"CP1": 0.5}},
-        ["strayfield", "--applied", "applied.json", "--reference", "ideal.json", "--point", "0,42.3,124.4"],
-        0,
-        "376685c4d6bb602ed504356d9e21a2aab7f07be188846b078f1c7832ad21e2bd",
-    ),
-    "diagnose_gap_charge": (
-        {
-            "scenario.json": {
-                "geometry": "builtin",
-                "voltages": {"DC17": 1.0, "DC18": -2.0, "DC19": 1.0, "DC52": 1.0, "DC53": -2.0, "DC54": 1.0},
-                "scales": [1.0, 2.0, 4.0],
-                "window_um": [-300, 300],
-                "fault": {"kind": "GAP_CHARGE", "charge_rects_um": [[51.5, 59.5, 40, 135]], "charge_voltage": -2.0},
-            }
-        },
-        ["diagnose", "--scenario", "scenario.json"],
-        1,
-        "55b91189c88e98ef517bafa9722e54db5b2438e413c6e945f1fbf211155dd467",
-    ),
-    "diagnose_shorted": (
-        {"scenario.json": {**_DIAGNOSE_SCENARIO, "fault": {"kind": "SHORTED", "electrode": "DC19"}}},
-        ["diagnose", "--scenario", "scenario.json"],
-        1,
-        "4281c3d9c47b2f129a877217d5f48072874fcb1dc23e3d877b4e3e0d9af2d1f1",
-    ),
-    "diagnose_floating": (
-        {
-            "scenario.json": {
-                **_DIAGNOSE_SCENARIO,
-                "fault": {"kind": "FLOATING", "electrode": "DC19", "held_voltage": -0.8},
-            }
-        },
-        ["diagnose", "--scenario", "scenario.json"],
-        1,
-        "8e787c50b6a4a2dc1ff8fc8c3478bce7e6c89c556ccbb1c8559e64fa9851cd70",
-    ),
-    "diagnose_axis": (
-        {
-            "scenario.json": {
-                **_DIAGNOSE_SCENARIO,
-                "axis_um": {"y": 30.0, "z": 100.0},
-                "fault": {"kind": "FLOATING", "electrode": "DC19", "held_voltage": -0.8},
-            }
-        },
-        ["diagnose", "--scenario", "scenario.json"],
-        1,
-        "407a5325ee60747fc79c5211b35303ddc7bda73812e9c8944e8c000a6e1dc0c2",
-    ),
-    "diagnose_measurements": (
-        {"scenario.json": _DIAGNOSE_SCENARIO, "meas.csv": "scale,position_um\n1.0,14.4\n2.0,14.4\n4.0,14.4\n"},
-        ["diagnose", "--scenario", "scenario.json", "--measurements", "meas.csv"],
-        1,
-        "eea7bd229a9aef20b83c376b43d26a71445b45900f6a4f1d19e12850ed0dba6f",
-    ),
-    "diagnose_unsorted_scales": (
-        {
-            "scenario.json": {
-                **_DIAGNOSE_SCENARIO,
-                "scales": [4, 1, 2],
-                "fault": {"kind": "GAP_CHARGE", "charge_rects_um": [[51.5, 59.5, 40, 135]], "charge_voltage": -2.0},
-            }
-        },
-        ["diagnose", "--scenario", "scenario.json"],
-        1,
-        "da8995cf86b0d8ca7d1d89116ab3e4cff0613d8fa39c1e6838fb11b2377d2486",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(_ELECTROSTATICS_PINS))
-def test_electrostatics_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
-    inputs, args, code, sha = _ELECTROSTATICS_PINS[name]
-    monkeypatch.chdir(tmp_path)
-    for path, doc in inputs.items():
-        (tmp_path / path).write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    assert run_cli(*args, "--out", "out") == code
-    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == sha
-
-
-# SHA-256 of the SVG, CSV and stats JSON of the README's two yieldmap
-# commands, frozen before the significance level became a constant
-_YIELDMAP_PINS = {
-    "seed_99": (
-        ["--seed", "99", "yieldmap"],
-        0,
-        (
-            "ed225932f8b0da637cc7cb2deac81c6373f5eb8a7e7b66e1fc0be69eb587beac",
-            "d9e232b772acdefca98411b72bb44e4428308d1ef8f290d7120ac08f46c8f8c5",
-            "73db4a9ab0018eee9c5b2861ae11c76dbc6549a123cc528c13943236be597ef3",
-        ),
-    ),
-    "plant_cell": (
-        ["yieldmap", "--plant-cell", "1,1,LEAK_DC_DC,0.9"],
-        1,
-        (
-            "d10fd2712f9f051d6e10d0f4302b23977f7858946a48db4326fecef76a8ac7bd",
-            "2cb0909bee4177fc5b6779fba8ea6f53728787dba8d0e1321b936d7d82b61832",
-            "ad876f5a255b74eaf9756bf10eae53996251aec64a96a91ce52c176737ee55ce",
-        ),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(_YIELDMAP_PINS))
-def test_yieldmap_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
-    args, code, shas = _YIELDMAP_PINS[name]
-    monkeypatch.chdir(tmp_path)
-    assert run_cli(*args, "--out-svg", "w.svg", "--out-csv", "w.csv", "--out-stats", "s.json") == code
-    assert tuple(hashlib.sha256((tmp_path / p).read_bytes()).hexdigest() for p in ("w.svg", "w.csv", "s.json")) == shas
-
-
-# a seeded calibration of RTModel(2000, 5100, 180) with 0.1% noise, 2.5..295 K
-_CALIBRATION_ROWS = [
-    "2.5,1999.804,1.9998", "4,2001.719,2.0017", "6,2001.079,2.0011", "9,2003.679,2.0037",
-    "12,1998.273,1.9983", "16,2003.754,2.0038", "22,2016.387,2.0164", "30,2044.119,2.0441",
-    "45,2145.393,2.1454", "60,2266.243,2.2662", "77,2411.854,2.4119", "100,2595.911,2.5959",
-    "130,2832.551,2.8326", "170,3135.513,3.1355", "220,3503.047,3.5030", "295,4050.903,4.0509",
-]
-
-# SHA-256 of thermo.json, frozen before the quadrature and root finder were
-# ported from scipy: the ports keep every bit of every readout and fit
-_THERMO_PINS = {
-    "ts1_readout": (
-        None, ["thermo", "--preset", "TS1", "--resistance", "29500"], 0, "4691efa423ef96ab5941cdf68be95ee20fc27e8c7931cf945df9f568ad4ead44",
-    ),
-    "ts2_readout_cold": (
-        None, ["thermo", "--preset", "TS2", "--resistance", "8343.4", "--meter-resolution", "0.1"], 0,
-        "caaacf225d346b24c9f9d680518060a24526a5dc0bcb3dac997ea2324a7d99fd",
-    ),
-    "ts2_readout_warm": (
-        None, ["thermo", "--preset", "TS2", "--resistance", "11000"], 0, "175995e23f7387a129300fafee1a2b867b363694a062a1d9a15f4ed69fd255d1",
-    ),
-    "out_of_range": (
-        None, ["thermo", "--preset", "TS2", "--resistance", "1.0"], 1, "0c7ceb648b09d6508d28ac8886f9c30e8cbbf928f2783001f9d4302afe38d0c2",
-    ),
-    "calibration": (
-        ["T_K,R_ohm"] + [r[: r.rindex(",")] for r in _CALIBRATION_ROWS],
-        ["thermo", "--calibration", "cal.csv", "--resistance", "2300"], 0, "aa8283a377ca6670e30ba6343866093515eba9d967d02edc9f5425864d865730",
-    ),
-    "calibration_sigma": (
-        ["T_K,R_ohm,sigma_ohm"] + _CALIBRATION_ROWS,
-        ["thermo", "--calibration", "cal.csv"], 0, "d7166a48ce16985430074d07c81896894c7fef198f8db51caf8d94a3da150d42",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(_THERMO_PINS))
-def test_thermo_artifacts_keep_their_bytes(tmp_path, monkeypatch, name):
-    rows, args, code, sha = _THERMO_PINS[name]
-    monkeypatch.chdir(tmp_path)
-    if rows is not None:
-        (tmp_path / "cal.csv").write_text("\n".join(rows) + "\n")
-    assert run_cli(*args, "--out", "thermo.json") == code
-    assert hashlib.sha256((tmp_path / "thermo.json").read_bytes()).hexdigest() == sha
-
-
 _CALIBRATION = ["T_K,R_ohm", "4,2000.1", "77,2400.5", "150,3900.2", "295,6800.9"]
 _HEATING = ["site,frequency_mhz,rate_quanta_per_s,sigma_quanta_per_s", "3,0.5,80,2", "3,1.0,20,0.5", "3,2.0,5,0.2"]
 _POSITIONS = ["scale,position_um", "1.0,14.4", "2.0,14.4", "4.0,14.4"]
@@ -1501,11 +1304,22 @@ def test_thermo_calibration_refuses_a_pinned_theta_and_an_infinite_weight(tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("r_50k", ["1e300", "1e308"])
-def test_thermo_calibration_refuses_data_whose_squares_overflow(tmp_path, capsys, r_50k):
+_SUM_OVERFLOWS = "the sum of (R/sigma)**2 overflows"
+_STEP_OVERFLOWS = "the solver's arithmetic overflows"
+
+
+@pytest.mark.parametrize(
+    "r_50k, reason",
+    [pytest.param(r, _SUM_OVERFLOWS, id=r) for r in ("1e300", "1e308")]
+    + [pytest.param(r, _STEP_OVERFLOWS, id=r) for r in ("1e53", "1e100", "1e150")],
+)
+def test_thermo_calibration_refuses_data_whose_squares_overflow(tmp_path, capsys, r_50k, reason):
     # 1e300 used to print RuntimeWarnings from the solver and stop in "array
     # must not contain infs or NaNs"; 1e308 used to name another row, as
-    # "R(T) = np.float64(inf)", the model at a fit iterate
+    # "R(T) = np.float64(inf)", the model at a fit iterate. Below them the
+    # sum is finite but the solver's step is not: 1e53 to 1e150 used to
+    # print up to 25 RuntimeWarnings and be refused as "did not estimate
+    # Theta", naming no row
     cal = tmp_path / "cal.csv"
     cal.write_text(f"T_K,R_ohm\n20,100\n50,{r_50k}\n100,300\n200,800\n")
     out = tmp_path / "fit.json"
@@ -1513,10 +1327,24 @@ def test_thermo_calibration_refuses_data_whose_squares_overflow(tmp_path, capsys
         warnings.simplefilter("always")
         err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
     assert caught == []
-    assert err == (
-        f"trapqa: bad input: resistance {float(r_50k)!r} ohm at 50.0 K is too large for the fit: "
-        "the sum of (R/sigma)**2 overflows\n"
-    )
+    assert err == f"trapqa: bad input: resistance {float(r_50k)!r} ohm at 50.0 K is too large for the fit: {reason}\n"
+    assert not out.exists()
+
+
+def test_thermo_calibration_refuses_a_temperature_whose_integral_quadpack_flags(tmp_path, capsys):
+    # at 3e9 K, Theta/T is about 1e-7, where QUADPACK flags J(Theta/T) with
+    # roundoff (ier 2): this used to print quad's three-line warning, write
+    # the fit and exit 0
+    cal = tmp_path / "cal.csv"
+    cal.write_text("T_K,R_ohm\n20,100\n50,150\n100,300\n200,800\n3e9,900\n")
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _refused(capsys, "thermo", "--calibration", cal, "--out", out)
+    assert caught == []
+    assert err.count("\n") == 1
+    assert err.startswith("trapqa: bad input: temperature 3000000000.0 K (Theta/T = ")
+    assert "QUADPACK flags the Bloch-Grueneisen integral: The occurrence of roundoff error is detected" in err
     assert not out.exists()
 
 

@@ -59,13 +59,18 @@ def _nonnegative(what):
     return lambda x: f"{what} must be finite and not below zero, got {float(x)!r}"
 
 
+def _finite(what):
+    return lambda x: f"{what} must be finite, got {float(x)!r}"
+
+
 def _fixed(message):
     return lambda x: message
 
 
 # (id, the call with the number x in the parameter's place, the refusal of x).
 # Every record and public function that bounds a number is here, with each
-# such number; the wafer-test faults run through run_chip, where a NaN
+# such number, and each signed number whose only bound is finiteness (a NaN
+# occupation used to be refused for its sigma); the wafer-test faults run through run_chip, where a NaN
 # resistance or factor used to fail the chip with a confident code.
 _PARAMETERS = [
     ("IonSpecies.mass_amu", lambda x: IonSpecies("X", x), _positive("mass_amu")),
@@ -79,6 +84,7 @@ _PARAMETERS = [
     ("CircuitModel.capacitance", lambda x: CircuitModel(1.0, x, 1e-4), _positive("capacitance")),
     ("CircuitModel.tan_delta", lambda x: CircuitModel(1.0, 1e-12, x), _nonnegative("tan_delta")),
     ("distributed_ohmic_power.resistance", lambda x: distributed_ohmic_power(x, 0.1), _nonnegative("resistance")),
+    ("distributed_ohmic_power.i0", lambda x: distributed_ohmic_power(1.0, x), _finite("i0")),
     ("dissipation_report.v0", lambda x: dissipation_report(v0=x), _positive("drive amplitude v0")),
     ("dissipation_report.omega", lambda x: dissipation_report(omega=x), _positive("drive angular frequency omega")),
     ("nbar_from_sidebands.p_red", lambda x: nbar_from_sidebands(x, 0.5, 100), _nonnegative("p_red")),
@@ -87,6 +93,9 @@ _PARAMETERS = [
      _fixed("shot counts shots_red and shots_blue must be positive")),
     ("nbar_from_sidebands.shots_blue", lambda x: nbar_from_sidebands(0.1, 0.5, 100, x),
      _fixed("shot counts shots_red and shots_blue must be positive")),
+    ("heating_rate_fit.times", lambda x: heating_rate_fit([0.0, x, 2.0, 3.0], [0.1, 1.2, 2.1, 3.3]), _finite("time")),
+    ("heating_rate_fit.nbars", lambda x: heating_rate_fit([0.0, 1.0, 2.0, 3.0], [0.1, x, 2.1, 3.3]),
+     _finite("occupation at time 1.0")),
     ("heating_rate_fit.sigmas", lambda x: heating_rate_fit([0.0, 1.0, 2.0, 3.0], [0.1, 1.2, 2.1, 3.3],
                                                           [0.5, 0.5, x, 0.5]), _positive("sigma at time 2.0")),
     ("power_law_fit.frequencies", lambda x: power_law_fit([1.0, x, 3.0], [100.0, 30.0, 12.0], [5.0, 2.0, 1.0]),
@@ -133,6 +142,9 @@ _PARAMETERS = [
     ("yield_from_defects.n_chips", lambda x: yield_from_defects(1.0, x), _fixed("n_chips must be positive")),
     ("micromotion_index.omega_radial", lambda x: micromotion_index(1.0, x, CA40, DriveParams(100.0, 1e8), 1e7),
      _positive("omega_radial")),
+    ("micromotion_index.e_stray", lambda x: micromotion_index(x, 1e7, CA40, DriveParams(100.0, 1e8), 1e7),
+     _finite("e_stray")),
+    ("micromotion_index.k", lambda x: micromotion_index(1.0, 1e7, CA40, DriveParams(100.0, 1e8), x), _finite("k")),
     ("equilibrium_position.tol", lambda x: equilibrium_position(lambda z: z * z, (-1.0, 1.0), tol=x),
      _positive("tol")),
     ("simulate_positions.scales", lambda x: simulate_positions(paper_trap_geometry(), {},

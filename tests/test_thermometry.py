@@ -94,6 +94,18 @@ def test_slope_keeps_its_bits_where_the_integrand_underflows(u):
     assert d_resistance_d_t(model, model.theta / u).hex() == _SLOPE_PINS[u]
 
 
+def test_model_paths_refuse_a_temperature_whose_integral_quadpack_flags():
+    # J(Theta/T) at many Theta/T below about 1.2e-7 ends in QUADPACK's
+    # roundoff flag; bg_integral keeps quad's warning there, the model refuses
+    flagged = "QUADPACK flags the Bloch-Grueneisen integral"
+    with pytest.raises(ValueError, match=rf"^temperature 100000000000.0 K \(Theta/T = 1.5e-09\): {flagged}"):
+        model_resistance(SENSOR_PRESETS["TS1"], [4.0, 1e11])
+    with pytest.raises(ValueError, match=rf"^temperature 320.0 K \(Theta/T = 3.125e-09\): {flagged}"):
+        invert_temperature(RTModel(r_res=10.0, amplitude=1000.0, theta=1e-6), 10.5)
+    with pytest.raises(ValueError, match=rf"^temperature 3000000000.0 K .*: {flagged}"):
+        fit_rt_curve([20.0, 50.0, 100.0, 200.0, 3e9], [100.0, 150.0, 300.0, 800.0, 900.0])
+
+
 def test_fit_recovers_parameters_noiseless():
     truth = RTModel(r_res=8000.0, amplitude=5100.0, theta=180.0)
     ts = np.linspace(4.0, 300.0, 40)
